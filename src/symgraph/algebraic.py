@@ -21,6 +21,7 @@ __all__ = [
     "q_half_power",
     "sqrt_q",
     "parse_value",
+    "ring_of",
 ]
 
 
@@ -223,10 +224,61 @@ def sqrt_q(q: int) -> AlgebraicValue:
     return q_half_power(q, 1)
 
 
-_RATIONAL = r"[+-]?\d+(?:/\d+)?"
+class ExactRing:
+    """The exact lane over sqrt(q): values are ``AlgebraicValue`` and every
+    half-integer power of q is exact."""
+
+    __slots__ = ("q", "zero")
+
+    def __init__(self, q: int):
+        self.q = q
+        self.zero = AlgebraicValue(0, 0, q)
+
+    def qpow(self, m: int) -> AlgebraicValue:
+        return q_half_power(self.q, m)
+
+    def coerce(self, value) -> AlgebraicValue:
+        if isinstance(value, AlgebraicValue):
+            if value.q != self.q:
+                raise ValueError(f"value over sqrt({value.q}) in a sqrt({self.q}) context")
+            return value
+        if isinstance(value, (int, Fraction)):
+            return AlgebraicValue(value, 0, self.q)
+        raise TypeError(f"cannot treat {value!r} as an exact ring value")
+
+
+class FloatRing:
+    """The numeric lane: values are float or complex and q**(m/2) is rounded."""
+
+    __slots__ = ("q", "zero")
+
+    def __init__(self, q: int):
+        self.q = q
+        self.zero = 0.0
+
+    def qpow(self, m: int) -> float:
+        return self.q ** (m / 2.0)
+
+    def coerce(self, value) -> float | complex:
+        return complex(value) if isinstance(value, complex) else float(value)
+
+
+def ring_of(q: int, exact: bool = True) -> ExactRing | FloatRing:
+    """The arithmetic lane for ring parameter q: exact or float.
+
+    A ring is cheap; containers build theirs once and share its zero.
+    Rational constants need no help from the ring: an ``AlgebraicValue``, a
+    float or a complex times ``Fraction(n, d)`` stays in its own lane.
+    """
+    return ExactRing(q) if exact else FloatRing(q)
+
+
+_RATIONAL = r"\d+(?:/\d+)?"
+# The sign before the sqrt term is required when a rational part precedes it,
+# so "12*sqrt(6)" cannot split into 1 and 2*sqrt(6).
 _VALUE_RE = re.compile(
-    rf"^\s*(?:(?P<a>{_RATIONAL})\s*)?"
-    rf"(?:(?P<sign>[+-])?\s*(?:(?P<b>\d+(?:/\d+)?)\s*\*\s*)?sqrt\(\s*(?P<q>\d+)\s*\))?\s*$"
+    rf"^\s*(?:(?P<a>[+-]?{_RATIONAL})\s*)?"
+    rf"(?:(?P<sign>(?(a)[+-]|[+-]?))\s*(?:(?P<b>{_RATIONAL})\s*\*\s*)?sqrt\(\s*(?P<q>\d+)\s*\))?\s*$"
 )
 
 
@@ -234,19 +286,21 @@ def parse_value(text: str, q: int) -> AlgebraicValue:
     """Parse "a/b", "c/d*sqrt(Q)" or "a/b+c/d*sqrt(Q)" into a ring element.
 
     The sqrt argument, when present, must match the expected ring parameter.
+    Malformed text and zero denominators raise ``ValueError``.
     """
     m = _VALUE_RE.match(text)
     if not m or (m.group("a") is None and m.group("q") is None):
         raise ValueError(f"cannot parse ring value from {text!r}")
-    a = Fraction(m.group("a")) if m.group("a") is not None else Fraction(0)
-    b = Fraction(0)
-    if m.group("q") is not None:
-        q_seen = int(m.group("q"))
-        if q_seen != q:
-            raise RingMismatchError(f"value {text!r} lives over sqrt({q_seen}), expected sqrt({q})")
-        b = Fraction(m.group("b")) if m.group("b") is not None else Fraction(1)
-        if m.group("sign") == "-":
-            b = -b
-        if m.group("a") is None and m.group("sign") == "+":
-            pass
+    has_root = m.group("q") is not None
+    if has_root and int(m.group("q")) != q:
+        raise RingMismatchError(
+            f"value {text!r} lives over sqrt({int(m.group('q'))}), expected sqrt({q})"
+        )
+    try:
+        a = Fraction(m.group("a") or 0)
+        b = Fraction(m.group("b") or 1) if has_root else Fraction(0)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in ring value {text!r}") from None
+    if m.group("sign") == "-":
+        b = -b
     return AlgebraicValue(a, b, q)

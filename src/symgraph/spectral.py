@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebraic import AlgebraicValue
+from .algebraic import ring_of
 from .boundary import BoundaryRay, DepthError, busemann
 from .transforms import EvenSeq, RadialSeq
 from .words import GraphParams, ReducedWord, ball, distance, sphere
@@ -222,12 +222,10 @@ def fourier_z(g: EvenSeq, lam):
     params = g.params
     params.require_spectral()
     lnq = math.log(params.q)
-    v0 = complex(g.value(0)) if g.exact else g.value(0)
-    total = v0 * (np.cos(lam * 0.0) if np.ndim(lam) else 1.0)
-    for n in range(1, g.support_radius + 1):
-        v = g.value(n)
-        v = complex(v) if g.exact else v
-        total = total + 2.0 * np.cos(n * lam * lnq) * v
+    values = [complex(v) for v in g.values] if g.exact else g.values
+    total = values[0] * (np.cos(lam * 0.0) if np.ndim(lam) else 1.0)
+    for n in range(1, len(values)):
+        total = total + 2.0 * np.cos(n * lam * lnq) * values[n]
     return total
 
 
@@ -257,12 +255,6 @@ def _float_values(f: RadialSeq) -> np.ndarray:
     return np.asarray(f.values)
 
 
-def _as_numeric(f: RadialSeq) -> RadialSeq:
-    if not f.exact:
-        return f
-    return RadialSeq.of(f.params, [float(v) for v in f.values], exact=False)
-
-
 def spherical_transform(f: RadialSeq, lam):
     """sum_n f(n) phi_lam(n) delta(n); vectorizes over a lam array."""
     params = f.params
@@ -283,7 +275,7 @@ def spherical_transform_atom(f: RadialSeq):
     """
     params = f.params
     gamma = gamma_atom(params)
-    phi = spherical_phi(params, gamma if f.exact else float(gamma), f.support_radius)
+    phi = spherical_phi(params, f.ring.coerce(gamma), f.support_radius)
     total = f.value(0) * phi[0]
     for n in range(1, f.support_radius + 1):
         total = total + f.value(n) * phi[n] * params.delta(n)
@@ -293,21 +285,18 @@ def spherical_transform_atom(f: RadialSeq):
 class VertexFun:
     """A finitely supported function on the vertex set."""
 
-    __slots__ = ("params", "data", "exact")
+    __slots__ = ("params", "data", "exact", "ring")
 
     def __init__(self, params: GraphParams, data: dict, exact: bool = True):
         self.params = params
         self.data = data
         self.exact = exact
+        self.ring = ring_of(params.q, exact)
 
     @classmethod
     def of(cls, params: GraphParams, mapping, exact: bool = True) -> "VertexFun":
-        data = {}
-        for x, v in dict(mapping).items():
-            if exact:
-                v = v if isinstance(v, AlgebraicValue) else AlgebraicValue(v, 0, params.q)
-            data[x] = v
-        return cls(params, data, exact)
+        ring = ring_of(params.q, exact)
+        return cls(params, {x: ring.coerce(v) for x, v in dict(mapping).items()}, exact)
 
     @classmethod
     def delta_at(cls, x: ReducedWord, exact: bool = True) -> "VertexFun":
@@ -324,7 +313,7 @@ class VertexFun:
         try:
             return self.data[x]
         except KeyError:
-            return AlgebraicValue(0, 0, self.params.q) if self.exact else 0.0
+            return self.ring.zero
 
     def items(self):
         return self.data.items()
@@ -334,10 +323,7 @@ class VertexFun:
 
     def norm_sq(self):
         if self.exact:
-            total = AlgebraicValue(0, 0, self.params.q)
-            for v in self.data.values():
-                total = total + v * v
-            return total
+            return sum((v * v for v in self.data.values()), self.ring.zero)
         return sum(abs(v) ** 2 for v in self.data.values())
 
     def lp_norm(self, p: float) -> float:
@@ -399,7 +385,8 @@ def plancherel_norm(f: RadialSeq, tol: float = 1e-9) -> QuadResult:
     value, err = gauss_legendre_adaptive(integrand, 0.0, params.tau / 2.0, tol)
     weight = _atom_weight(params)
     if weight:
-        value += weight * abs(spherical_transform_atom(_as_numeric(f))) ** 2
+        atom = spherical_transform_atom(RadialSeq.of(params, f.values, exact=False))
+        value += weight * abs(atom) ** 2
     return QuadResult(float(value), err)
 
 
@@ -418,7 +405,8 @@ def invert_spherical(f: RadialSeq, x: ReducedWord, tol: float = 1e-9) -> QuadRes
     weight = _atom_weight(params)
     if weight:
         atom_phi = spherical_phi(params, float(gamma_atom(params)), n)[n]
-        value += weight * float(spherical_transform_atom(_as_numeric(f))) * atom_phi
+        atom = spherical_transform_atom(RadialSeq.of(params, f.values, exact=False))
+        value += weight * float(atom) * atom_phi
     return QuadResult(float(value), err)
 
 
@@ -497,23 +485,19 @@ def invert_helgason(f: VertexFun, x: ReducedWord, depth: int, tol: float = 1e-9)
 # -- convolution and radialization -------------------------------------------------
 
 
-def _numeric(value):
-    return value if isinstance(value, (float, complex)) else float(value)
-
-
 def convolve(f: VertexFun, g: VertexFun) -> VertexFun:
     """Group convolution sum_y f(y) g(y^-1 x), by support pairs."""
     if f.params != g.params:
         raise ValueError("convolution operands live on different graphs")
     exact = f.exact and g.exact
+    ring = ring_of(f.params.q, exact)
     out: dict = {}
-    zero = AlgebraicValue(0, 0, f.params.q) if exact else 0.0
-    left = list(f.items()) if exact else [(y, _numeric(v)) for y, v in f.items()]
-    right = list(g.items()) if exact else [(z, _numeric(v)) for z, v in g.items()]
+    left = [(y, ring.coerce(v)) for y, v in f.items()]
+    right = [(z, ring.coerce(v)) for z, v in g.items()]
     for y, fv in left:
         for z, gv in right:
             w = y * z
-            out[w] = out.get(w, zero) + fv * gv
+            out[w] = out.get(w, ring.zero) + fv * gv
     return VertexFun(f.params, out, exact)
 
 
@@ -523,16 +507,16 @@ def convolve_radial(f: VertexFun, chi: RadialSeq) -> VertexFun:
     if chi.params != params:
         raise ValueError("kernel lives on a different graph")
     exact = f.exact and chi.exact
-    zero = AlgebraicValue(0, 0, params.q) if exact else 0.0
-    support = list(f.items()) if exact else [(y, _numeric(v)) for y, v in f.items()]
-    kernel = chi.values if exact else [_numeric(v) for v in chi.values]
+    ring = ring_of(params.q, exact)
+    support = [(y, ring.coerce(v)) for y, v in f.items()]
+    kernel = [ring.coerce(v) for v in chi.values]
     candidates = set()
     for y in f.data:
         for w in ball(params, chi.support_radius):
             candidates.add(y * w)
     out = {}
     for x in candidates:
-        acc = zero
+        acc = ring.zero
         for y, fv in support:
             d = distance(x, y)
             if d <= chi.support_radius:
@@ -545,25 +529,21 @@ def radialize(f: VertexFun) -> RadialSeq:
     """Spherical means (1/delta(n)) sum over |y| = n; the projection onto radials."""
     params = f.params
     radius = f.support_radius()
-    shells = [AlgebraicValue(0, 0, params.q) if f.exact else 0.0 for _ in range(radius + 1)]
+    shells = [f.ring.zero] * (radius + 1)
     for x, v in f.items():
         shells[len(x)] = shells[len(x)] + v
-    values = []
-    for n, total in enumerate(shells):
-        scale = Fraction(1, params.delta(n)) if f.exact else 1.0 / params.delta(n)
-        values.append(total * scale)
-    return RadialSeq(params, tuple(values), f.exact)
+    values = tuple(total * Fraction(1, params.delta(n)) for n, total in enumerate(shells))
+    return RadialSeq(params, values, f.exact)
 
 
 def spherical_means_at(f: VertexFun, x: ReducedWord, n: int):
     """(1/delta(n)) sum of f over the sphere of radius n around x."""
     params = f.params
-    total = AlgebraicValue(0, 0, params.q) if f.exact else 0.0
+    total = f.ring.zero
     for y, v in f.items():
         if distance(x, y) == n:
             total = total + v
-    scale = Fraction(1, params.delta(n)) if f.exact else 1.0 / params.delta(n)
-    return total * scale
+    return total * Fraction(1, params.delta(n))
 
 
 # -- Kunze-Stein checks --------------------------------------------------------------
@@ -597,10 +577,10 @@ def kunze_stein_check(f: VertexFun, chi: RadialSeq, p: float = 2.0,
         raise ValueError("the kernel must be nonnegative")
 
     conv = convolve(f, VertexFun.from_radial(chi))
-    conv_l2 = math.sqrt(abs(conv.norm_sq())) if conv.exact else math.sqrt(conv.norm_sq())
+    conv_l2 = math.sqrt(abs(conv.norm_sq()))
 
     phi0 = spherical_phi(params, gamma_of(params, 0.0), chi.support_radius)
-    f_l2 = math.sqrt(abs(f.norm_sq())) if f.exact else math.sqrt(f.norm_sq())
+    f_l2 = math.sqrt(abs(f.norm_sq()))
     core_bound = f_l2 * sum(
         chi_float[n] * params.delta(n) * phi0[n] for n in range(len(chi_float))
     )

@@ -1,10 +1,11 @@
 """Horocyclic Radon/Abel transforms, their inverses, and the dual pair.
 
 Radial functions are finitely supported sequences f(0..N) indexed by polygon
-distance; even functions on Z are stored as g(0..M).  Every transform comes
-in an exact flavour (values in the quadratic ring, identities hold with ==)
-and a numeric flavour (float/complex values); a sequence carries an ``exact``
-flag chosen at construction and operations preserve it.
+distance; even functions on Z are stored as g(0..M).  A sequence's ``ring``
+(``ring_of(q, exact)``) is its arithmetic lane: the exact quadratic ring,
+where identities hold with ==, or floats and complexes.  It supplies the
+zero and q^(m/2) in that lane, every transform runs unchanged in both lanes,
+and its output stays in the lane of its input.
 
 Conventions:
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebraic import AlgebraicValue, q_half_power
+from .algebraic import ring_of
 from .boundary import BoundaryRay, DepthError, sphere_horocycle_count
 from .words import GraphParams, ball, distance
 
@@ -44,114 +45,65 @@ __all__ = [
 ]
 
 
-def _to_exact(value, q: int):
-    if isinstance(value, AlgebraicValue):
-        if value.q != q:
-            raise ValueError(f"value over sqrt({value.q}) in a sqrt({q}) context")
-        return value
-    if isinstance(value, (int, Fraction)):
-        return AlgebraicValue(value, 0, q)
-    raise TypeError(f"cannot treat {value!r} as an exact ring value")
-
-
-def _zero(params: GraphParams, exact: bool):
-    return AlgebraicValue(0, 0, params.q) if exact else 0.0
-
-
-def _qpow(params: GraphParams, m: int, exact: bool):
-    """q**(m/2) in the arithmetic of the current flavour."""
-    if exact:
-        return q_half_power(params.q, m)
-    return params.q ** (m / 2.0)
-
-
-def _frac(num: int, den: int, exact: bool):
-    return Fraction(num, den) if exact else num / den
-
-
 @dataclass(frozen=True)
-class RadialSeq:
-    """A radial function x -> f(|x|), stored as f(0), ..., f(N)."""
+class _Seq:
+    """Values f(0), ..., f(N) in one arithmetic lane: ``ring``, chosen by ``exact``."""
 
     params: GraphParams
     values: tuple
     exact: bool = True
 
-    @classmethod
-    def of(cls, params: GraphParams, values, exact: bool = True) -> "RadialSeq":
-        if exact:
-            values = tuple(_to_exact(v, params.q) for v in values)
-        else:
-            values = tuple(complex(v) if isinstance(v, complex) else float(v) for v in values)
-        if not values:
-            raise ValueError("a radial sequence needs at least the value at the origin")
-        return cls(params, values, exact)
+    def __post_init__(self):
+        object.__setattr__(self, "ring", ring_of(self.params.q, self.exact))
 
     @classmethod
-    def delta_origin(cls, params: GraphParams, exact: bool = True) -> "RadialSeq":
-        return cls.of(params, (1,), exact)
+    def of(cls, params: GraphParams, values, exact: bool = True):
+        ring = ring_of(params.q, exact)
+        values = tuple(ring.coerce(v) for v in values)
+        if not values:
+            raise ValueError(f"{cls.__name__} needs at least the value at 0")
+        return cls(params, values, exact)
 
     @property
     def support_radius(self) -> int:
         return len(self.values) - 1
 
-    def value(self, n: int):
-        if 0 <= n < len(self.values):
-            return self.values[n]
-        return _zero(self.params, self.exact)
-
     def last_nonzero(self) -> int | None:
         for n in range(len(self.values) - 1, -1, -1):
-            v = self.values[n]
-            vanishes = v.is_zero() if isinstance(v, AlgebraicValue) else v == 0
-            if not vanishes:
+            if self.values[n]:
                 return n
         return None
 
+
+class RadialSeq(_Seq):
+    """A radial function x -> f(|x|), stored as f(0), ..., f(N)."""
+
+    @classmethod
+    def delta_origin(cls, params: GraphParams, exact: bool = True) -> "RadialSeq":
+        return cls.of(params, (1,), exact)
+
+    def value(self, n: int):
+        if 0 <= n < len(self.values):
+            return self.values[n]
+        return self.ring.zero
+
     def norm_sq(self):
         """Squared L2 norm under counting measure: sum |f(n)|^2 delta(n)."""
-        total = _zero(self.params, self.exact)
+        total = self.ring.zero
         for n, v in enumerate(self.values):
             sq = abs(v) ** 2 if isinstance(v, complex) else v * v
             total = total + sq * self.params.delta(n)
         return total
 
 
-@dataclass(frozen=True)
-class EvenSeq:
+class EvenSeq(_Seq):
     """An even function on Z, stored as g(0), ..., g(M) with g(-n) = g(n)."""
-
-    params: GraphParams
-    values: tuple
-    exact: bool = True
-
-    @classmethod
-    def of(cls, params: GraphParams, values, exact: bool = True) -> "EvenSeq":
-        if exact:
-            values = tuple(_to_exact(v, params.q) for v in values)
-        else:
-            values = tuple(complex(v) if isinstance(v, complex) else float(v) for v in values)
-        if not values:
-            raise ValueError("an even sequence needs at least the value at 0")
-        return cls(params, values, exact)
-
-    @property
-    def support_radius(self) -> int:
-        return len(self.values) - 1
 
     def value(self, h: int):
         h = abs(h)
         if h < len(self.values):
             return self.values[h]
-        return _zero(self.params, self.exact)
-
-    def last_nonzero(self) -> int | None:
-        for n in range(len(self.values) - 1, -1, -1):
-            v = self.values[n]
-            vanishes = v.is_zero() if isinstance(v, AlgebraicValue) else v == 0
-            if not vanishes:
-                return n
-        return None
+        return self.ring.zero
 
 
 # -- Radon transform ----------------------------------------------------------
@@ -168,7 +120,7 @@ def radon(f: RadialSeq, ray: BoundaryRay, h: int):
         raise DepthError(f"radon over support radius {radius} needs ray depth > {radius}")
     m = ray.depth
     prefix = ray.prefix
-    total = _zero(f.params, f.exact)
+    total = f.ring.zero
     for x in ball(f.params, radius):
         if m - distance(x, prefix) == h:
             total = total + f.value(len(x))
@@ -177,7 +129,7 @@ def radon(f: RadialSeq, ray: BoundaryRay, h: int):
 
 def radon_via_counts(f: RadialSeq, h: int):
     """Horocycle sum via the closed sphere-intersection counts (the fast path)."""
-    total = _zero(f.params, f.exact)
+    total = f.ring.zero
     for n in range(abs(h), f.support_radius + 1):
         count = sphere_horocycle_count(f.params, n, h)
         if count:
@@ -195,24 +147,21 @@ def abel(f: RadialSeq) -> EvenSeq:
     with weight (k-2) q^(|h|/2+j-1), and the even offsets f(|h|+2j) with
     weight (r-2)/(r-1) q^(|h|/2+j).  The support radius is preserved.
     """
-    params, exact = f.params, f.exact
+    params, ring = f.params, f.ring
     N = f.support_radius
     sigma = params.sigma
+    even_weight = Fraction(params.r - 2, params.r - 1)
     out = []
     for h in range(N + 1):
-        total = _qpow(params, h, exact) * f.value(h)
+        total = ring.qpow(h) * f.value(h)
         j = 1
         while h + 2 * j - 1 <= N:
-            total = total + _qpow(params, h + 2 * j - 2, exact) * f.value(h + 2 * j - 1) * sigma
+            total = total + ring.qpow(h + 2 * j - 2) * f.value(h + 2 * j - 1) * sigma
             if h + 2 * j <= N:
-                total = total + (
-                    _qpow(params, h + 2 * j, exact)
-                    * f.value(h + 2 * j)
-                    * _frac(params.r - 2, params.r - 1, exact)
-                )
+                total = total + ring.qpow(h + 2 * j) * f.value(h + 2 * j) * even_weight
             j += 1
         out.append(total)
-    return EvenSeq(params, tuple(out), exact)
+    return EvenSeq(params, tuple(out), f.exact)
 
 
 def abel_via_radon(f: RadialSeq, ray: BoundaryRay) -> EvenSeq:
@@ -220,15 +169,15 @@ def abel_via_radon(f: RadialSeq, ray: BoundaryRay) -> EvenSeq:
     radius = f.support_radius
     if ray.depth <= radius:
         raise DepthError(f"needs ray depth > {radius}")
-    params, exact = f.params, f.exact
+    params, ring = f.params, f.ring
     sums = {}
     for x in ball(params, radius):
         h = ray.depth - distance(x, ray.prefix)
-        sums[h] = sums.get(h, _zero(params, exact)) + f.value(len(x))
+        sums[h] = sums.get(h, ring.zero) + f.value(len(x))
     out = []
     for h in range(radius + 1):
-        out.append(_qpow(params, h, exact) * sums.get(h, _zero(params, exact)))
-    return EvenSeq(params, tuple(out), exact)
+        out.append(ring.qpow(h) * sums.get(h, ring.zero))
+    return EvenSeq(params, tuple(out), f.exact)
 
 
 def abel_inv(g: EvenSeq) -> RadialSeq:
@@ -237,20 +186,20 @@ def abel_inv(g: EvenSeq) -> RadialSeq:
     f(n) = (1/k) q^(-(n-1)/2) sum_{m>=1} [1 + (-1)^(m-1) (k-1)^m] q^(-m/2)
            [g(n+m-1) - g(n+m+1)]; the sum is finite on finitely supported g.
     """
-    params, exact = g.params, g.exact
+    params, ring = g.params, g.ring
     k = params.k
     M = g.support_radius
     out = []
     for n in range(M + 1):
-        acc = _zero(params, exact)
+        acc = ring.zero
         for m in range(1, M - n + 3):
             coeff = 1 + (-1) ** (m - 1) * (k - 1) ** m
             if coeff == 0:
                 continue
             diff = g.value(n + m - 1) - g.value(n + m + 1)
-            acc = acc + _qpow(params, -m, exact) * diff * coeff
-        out.append(_qpow(params, -(n - 1), exact) * acc * _frac(1, k, exact))
-    return RadialSeq(params, tuple(out), exact)
+            acc = acc + ring.qpow(-m) * diff * coeff
+        out.append(ring.qpow(-(n - 1)) * acc * Fraction(1, k))
+    return RadialSeq(params, tuple(out), g.exact)
 
 
 def abel_inv_rearranged(g: EvenSeq) -> RadialSeq:
@@ -262,19 +211,19 @@ def abel_inv_rearranged(g: EvenSeq) -> RadialSeq:
     The m = 1 term of the bracketed sum is exactly the explicit g(n+1) term,
     so the sum starts at m = 2.  Agrees with ``abel_inv`` identically.
     """
-    params, exact = g.params, g.exact
+    params, ring = g.params, g.ring
     k, r, q = params.k, params.r, params.q
     M = g.support_radius
     out = []
     for n in range(M + 1):
-        acc = g.value(n) - _qpow(params, -1, exact) * g.value(n + 1) * (k - 2)
+        acc = g.value(n) - ring.qpow(-1) * g.value(n + 1) * (k - 2)
         for m in range(2, M - n + 1):
             gm = g.value(n + m)
-            acc = acc - _qpow(params, -m, exact) * gm * _frac(q - 1, k, exact)
+            acc = acc - ring.qpow(-m) * gm * Fraction(q - 1, k)
             sign = (-1) ** m * (k - 1) ** m
-            acc = acc - _qpow(params, -m, exact) * gm * sign * _frac(r - k, k, exact)
-        out.append(_qpow(params, -n, exact) * acc)
-    return RadialSeq(params, tuple(out), exact)
+            acc = acc - ring.qpow(-m) * gm * sign * Fraction(r - k, k)
+        out.append(ring.qpow(-n) * acc)
+    return RadialSeq(params, tuple(out), g.exact)
 
 
 # -- dual Abel transform and inverses ---------------------------------------------
@@ -294,24 +243,24 @@ def dual_abel(g: EvenSeq, n_max: int | None = None) -> RadialSeq:
     duality pairing, which the tests enforce against the counting definition.
     The result is generally not finitely supported, hence ``n_max``.
     """
-    params, exact = g.params, g.exact
+    params, ring = g.params, g.ring
     r = params.r
     if n_max is None:
         n_max = g.support_radius
     out = [g.value(0)]
     for n in range(1, n_max + 1):
-        same = _zero(params, exact)
-        diff = _zero(params, exact)
+        same = ring.zero
+        diff = ring.zero
         for j in range(-n + 1, n):
             if (n - j) % 2:
                 diff = diff + g.value(j)
             else:
                 same = same + g.value(j)
-        acc = _qpow(params, -n, exact) * g.value(n) * 2 * _frac(r - 1, r, exact)
-        acc = acc + _qpow(params, -(n + 1), exact) * diff * params.sigma * _frac(r - 1, r, exact)
-        acc = acc + _qpow(params, -n, exact) * same * _frac(r - 2, r, exact)
+        acc = ring.qpow(-n) * g.value(n) * 2 * Fraction(r - 1, r)
+        acc = acc + ring.qpow(-(n + 1)) * diff * params.sigma * Fraction(r - 1, r)
+        acc = acc + ring.qpow(-n) * same * Fraction(r - 2, r)
         out.append(acc)
-    return RadialSeq(params, tuple(out), exact)
+    return RadialSeq(params, tuple(out), g.exact)
 
 
 def dual_abel_via_counts(g: EvenSeq, n_max: int | None = None) -> RadialSeq:
@@ -321,18 +270,18 @@ def dual_abel_via_counts(g: EvenSeq, n_max: int | None = None) -> RadialSeq:
     sphere-horocycle counts; this is the adjoint of the Abel transform under
     the counting pairing and serves as the arbiter for the closed form.
     """
-    params, exact = g.params, g.exact
+    params, ring = g.params, g.ring
     if n_max is None:
         n_max = g.support_radius
     out = []
     for n in range(n_max + 1):
-        acc = _zero(params, exact)
+        acc = ring.zero
         for h in range(-n, n + 1):
             count = sphere_horocycle_count(params, n, h)
             if count:
-                acc = acc + _qpow(params, h, exact) * g.value(h) * count
-        out.append(acc * _frac(1, params.delta(n), exact))
-    return RadialSeq(params, tuple(out), exact)
+                acc = acc + ring.qpow(h) * g.value(h) * count
+        out.append(acc * Fraction(1, params.delta(n)))
+    return RadialSeq(params, tuple(out), g.exact)
 
 
 def dual_abel_inv(f: RadialSeq, n_max: int | None = None) -> EvenSeq:
@@ -347,30 +296,22 @@ def dual_abel_inv(f: RadialSeq, n_max: int | None = None) -> EvenSeq:
     supported; ``n_max`` (default: the input support radius, which keeps
     windowed round trips exact) bounds the returned values.
     """
-    params, exact = f.params, f.exact
+    params, ring = f.params, f.ring
     k, r, q = params.k, params.r, params.q
     deg = params.degree
     sigma = params.sigma
     N = f.support_radius if n_max is None else n_max
     out = [f.value(0)]
-    g1 = _qpow(params, -1, exact) * (
-        f.value(1) * _frac(deg, 2, exact) - f.value(0) * _frac(sigma, 2, exact)
-    )
-    out.append(g1)
+    out.append(ring.qpow(-1) * (f.value(1) * Fraction(deg, 2) - f.value(0) * Fraction(sigma, 2)))
     for n in range(2, N + 1):
-        acc = _qpow(params, -n, exact) * f.value(0) * _frac(-(q - 1 + (r - k) * (1 - k) ** n), 2 * k, exact)
+        acc = ring.qpow(-n) * f.value(0) * Fraction(-(q - 1 + (r - k) * (1 - k) ** n), 2 * k)
         for j in range(1, n - 1):
             window = q - 1 + (r - k) * (1 - k) ** (n - j)
-            acc = acc - (
-                _qpow(params, 2 * j - n - 2, exact)
-                * f.value(j)
-                * window
-                * _frac(deg, 2 * k, exact)
-            )
-        acc = acc - _qpow(params, n - 4, exact) * f.value(n - 1) * _frac(deg * sigma, 2, exact)
-        acc = acc + _qpow(params, n - 2, exact) * f.value(n) * _frac(deg, 2, exact)
+            acc = acc - ring.qpow(2 * j - n - 2) * f.value(j) * window * Fraction(deg, 2 * k)
+        acc = acc - ring.qpow(n - 4) * f.value(n - 1) * Fraction(deg * sigma, 2)
+        acc = acc + ring.qpow(n - 2) * f.value(n) * Fraction(deg, 2)
         out.append(acc)
-    return EvenSeq(params, tuple(out[: N + 1]), exact)
+    return EvenSeq(params, tuple(out[: N + 1]), f.exact)
 
 
 def dual_abel_inv_recurrence(f: RadialSeq, n_max: int | None = None) -> EvenSeq:
@@ -384,23 +325,23 @@ def dual_abel_inv_recurrence(f: RadialSeq, n_max: int | None = None) -> EvenSeq:
     with G(0) = f(0) and G(1) = (r(k-1)/2) f(1) - ((k-2)/2) f(0).  Solving
     forwards gives an evaluation path independent of the closed form.
     """
-    params, exact = f.params, f.exact
+    params, ring = f.params, f.ring
     sigma, k = params.sigma, params.k
     deg = params.degree
     N = f.support_radius if n_max is None else n_max
-    half = _frac(1, 2, exact)
+    half = Fraction(1, 2)
 
     big_g = [f.value(0)]
     big_g.append((f.value(1) * deg - f.value(0) * sigma) * half)
     for n in range(N - 1):
         forcing = (
-            _qpow(params, n, exact)
-            * (_qpow(params, n + 2, exact) * f.value(n + 2) - _qpow(params, n, exact) * f.value(n))
-            * _frac(deg, 2, exact)
+            ring.qpow(n)
+            * (ring.qpow(n + 2) * f.value(n + 2) - ring.qpow(n) * f.value(n))
+            * Fraction(deg, 2)
         )
         big_g.append(forcing - big_g[n + 1] * sigma + big_g[n] * (k - 1))
-    out = [_qpow(params, -n, exact) * big_g[n] for n in range(N + 1)]
-    return EvenSeq(params, tuple(out), exact)
+    out = [ring.qpow(-n) * big_g[n] for n in range(N + 1)]
+    return EvenSeq(params, tuple(out), f.exact)
 
 
 # -- Schwartz-type norms -----------------------------------------------------------

@@ -7,10 +7,9 @@ solution observed on a ball of radius R up to time N needs data on the ball
 of radius R + N and nothing else; the stepping solver works on exactly that
 light cone.
 
-Closed-form evaluation dispatches on the regime: a sphere-sum formula for
-k < r, its k = r degeneration (where sqrt(q) = k - 1 is an integer), and for
-k > r the route through the inverse dual Abel transform applied to spherical
-means, which is valid in every regime and doubles as a cross-check.
+Closed-form evaluation has two formulas: sphere sums for k <= r, and for
+k > r the inverse dual Abel transform applied to spherical means, which is
+valid in every regime and doubles as a cross-check.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from fractions import Fraction
 
 from .algebraic import AlgebraicValue
 from .spectral import VertexFun
-from .transforms import RadialSeq, _frac, _qpow, _zero
+from .transforms import RadialSeq
 from .words import GraphParams, ReducedWord, ball, distance, sphere
 
 __all__ = [
@@ -61,32 +60,31 @@ def _neighbors(x: ReducedWord) -> list[ReducedWord]:
     return out
 
 
+def _neighbor_sum(fun: VertexFun, x: ReducedWord):
+    return sum((fun.value(y) for y in _neighbors(x)), fun.ring.zero)
+
+
 def lap_full(f: VertexFun) -> VertexFun:
     """Graph Laplacian f(x) - mean of f over the r(k-1) neighbours of x."""
     params = f.params
-    scale = Fraction(1, params.degree) if f.exact else 1.0 / params.degree
+    scale = Fraction(1, params.degree)
     domain = set(f.data)
     for x in f.data:
         domain.update(_neighbors(x))
-    out = {}
-    for x in domain:
-        acc = _zero(params, f.exact)
-        for y in _neighbors(x):
-            acc = acc + f.value(y)
-        out[x] = f.value(x) - acc * scale
+    out = {x: f.value(x) - _neighbor_sum(f, x) * scale for x in domain}
     return VertexFun(params, out, f.exact)
 
 
 def lap_radial(f: RadialSeq) -> RadialSeq:
     """Radial part of the Laplacian: f(0)-f(1) at the origin, then the
     three-point form {(q+1) f(n) - f(n-1) - q f(n+1)} / (r(k-1))."""
-    params, exact = f.params, f.exact
+    params = f.params
     q = params.q
     out = [f.value(0) - f.value(1)]
     for n in range(1, f.support_radius + 2):
         acc = f.value(n) * (q + 1) - f.value(n - 1) - f.value(n + 1) * q
-        out.append(acc * _frac(1, params.degree, exact))
-    return RadialSeq(params, tuple(out), exact)
+        out.append(acc * Fraction(1, params.degree))
+    return RadialSeq(params, tuple(out), f.exact)
 
 
 def lap_z(values: dict) -> dict:
@@ -162,9 +160,10 @@ class WaveField:
     def check_recurrence(self, radius: int) -> None:
         """Assert the wave equation at every interior (x, n) with |x| <= radius."""
         params = self.params
-        exact = next(iter(self.fields.values())).exact
-        inv_beta = _inv_beta(params, exact)
-        gap = _gap(params, exact)
+        first = next(iter(self.fields.values()))
+        exact, ring = first.exact, first.ring
+        beta = ring.coerce(params.beta)
+        gap, inv_beta = ring.coerce(params.alpha) - beta, 1 / beta
         times = self.times
         for n in times[1:-1]:
             reachable = min(
@@ -174,33 +173,17 @@ class WaveField:
                 continue
             for x in ball(params, radius):
                 left = (self.at(x, n + 1) + self.at(x, n - 1)) - self.at(x, n) * 2
-                shifted = _shifted_at(self.fields[n], x, gap, exact)
+                shifted = _shifted_at(self.fields[n], x, gap)
                 residue = left + shifted * inv_beta * 2
-                ok = residue.is_zero() if exact else abs(residue) < 1e-9
+                ok = not residue if exact else abs(residue) < 1e-9
                 if not ok:
                     raise AssertionError(f"wave recurrence fails at x={x}, n={n}")
 
 
-def _gap(params: GraphParams, exact: bool):
-    if exact:
-        return params.spectral_gap
-    return float(params.alpha) - float(params.beta)
-
-
-def _inv_beta(params: GraphParams, exact: bool):
-    if exact:
-        return params.beta.inverse()
-    return 1.0 / float(params.beta)
-
-
-def _shifted_at(fun: VertexFun, x: ReducedWord, gap, exact: bool):
+def _shifted_at(fun: VertexFun, x: ReducedWord, gap):
     # (L - gap) applied to fun at x
-    params = fun.params
-    acc = _zero(params, exact)
-    for y in _neighbors(x):
-        acc = acc + fun.value(y)
-    scale = Fraction(1, params.degree) if exact else 1.0 / params.degree
-    return fun.value(x) - acc * scale - fun.value(x) * gap
+    here = fun.value(x)
+    return here - _neighbor_sum(fun, x) * Fraction(1, fun.params.degree) - here * gap
 
 
 def wave_direct(params: GraphParams, data: CauchyData, steps: int,
@@ -214,17 +197,15 @@ def wave_direct(params: GraphParams, data: CauchyData, steps: int,
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    exact = data.exact
+    exact, ring = data.exact, data.initial.ring
     supp = data.support_radius
     if observe_radius is None:
         observe_radius = supp + steps
-    inv_beta = _inv_beta(params, exact)
-    gap = _gap(params, exact)
-    one = AlgebraicValue(1, 0, params.q) if exact else 1.0
-    neigh_scale = Fraction(1, params.degree) if exact else 1.0 / params.degree
+    beta = ring.coerce(params.beta)
+    gap, inv_beta = ring.coerce(params.alpha) - beta, 1 / beta
     # u(n+1) = c_self u(n) + c_neigh (neighbour sum of u(n)) - u(n-1)
-    c_self = (one - (one - gap) * inv_beta) * 2
-    c_neigh = inv_beta * neigh_scale * 2
+    c_self = (1 - (1 - gap) * inv_beta) * 2
+    c_neigh = inv_beta * Fraction(1, params.degree) * 2
 
     def cone_radius(n: int) -> int:
         return min(supp + abs(n), observe_radius + steps - abs(n))
@@ -242,7 +223,7 @@ def wave_direct(params: GraphParams, data: CauchyData, steps: int,
     if steps >= 1:
         u1 = {}
         for x in ball(params, cone_radius(1)):
-            shifted = _shifted_at(f0, x, gap, exact)
+            shifted = _shifted_at(f0, x, gap)
             u1[x] = f0.value(x) - shifted * inv_beta + vel.value(x)
         um1 = {x: v - vel.value(x) * 2 for x, v in u1.items()}
         fields[1] = VertexFun(params, u1, exact)
@@ -256,10 +237,8 @@ def wave_direct(params: GraphParams, data: CauchyData, steps: int,
             radius = cone_radius(n + direction)
             nxt = {}
             for x in ball(params, radius):
-                acc = _zero(params, exact)
-                for y in _neighbors(x):
-                    acc = acc + current.value(y)
-                nxt[x] = current.value(x) * c_self + acc * c_neigh - older.value(x)
+                nxt[x] = (current.value(x) * c_self + _neighbor_sum(current, x) * c_neigh
+                          - older.value(x))
             fields[n + direction] = VertexFun(params, nxt, exact)
             valid[n + direction] = valid_radius(n + direction)
     return WaveField(params, fields, valid)
@@ -267,8 +246,7 @@ def wave_direct(params: GraphParams, data: CauchyData, steps: int,
 
 def _shell_sums(fun: VertexFun, x: ReducedWord, max_ell: int) -> list:
     """Sums of fun over the distance shells 0..max_ell around x."""
-    params = fun.params
-    sums = [_zero(params, fun.exact) for _ in range(max_ell + 1)]
+    sums = [fun.ring.zero] * (max_ell + 1)
     for y, v in fun.items():
         d = distance(x, y)
         if d <= max_ell:
@@ -284,7 +262,7 @@ def wave_via_dual_abel_at(params: GraphParams, data: CauchyData, x: ReducedWord,
     """
     if n == 0:
         return data.initial.value(x)
-    exact = data.exact
+    ring = data.initial.ring
     size = abs(n)
     sign = 1 if n > 0 else -1
 
@@ -292,16 +270,16 @@ def wave_via_dual_abel_at(params: GraphParams, data: CauchyData, x: ReducedWord,
         if m == 0:
             return fun.value(x)
         sums = _shell_sums(fun, x, m)
-        acc = sums[m] * _frac(1, 2, exact)
+        acc = sums[m] * Fraction(1, 2)
         k, r, q = params.k, params.r, params.q
         for j in range(m):
             window = q - 1 + (r - k) * (1 - k) ** (m - j)
-            acc = acc - sums[j] * _frac(window, 2 * k, exact)
-        return _qpow(params, -m, exact) * acc
+            acc = acc - sums[j] * Fraction(window, 2 * k)
+        return ring.qpow(-m) * acc
 
     total = inv_dual(data.initial, size)
     if size % 2 == 0:
-        odd_part = _zero(params, exact)
+        odd_part = ring.zero
         for ell in range(1, size, 2):
             odd_part = odd_part + inv_dual(data.velocity, ell)
         total = total + odd_part * 2 * sign
@@ -314,68 +292,38 @@ def wave_via_dual_abel_at(params: GraphParams, data: CauchyData, x: ReducedWord,
 
 
 def _closed_small_k(params: GraphParams, data: CauchyData, x: ReducedWord, n: int):
-    # sphere-sum solution for k < r
-    exact = data.exact
+    # sphere-sum solution for k <= r
+    ring = data.initial.ring
     k, r, q = params.k, params.r, params.q
     size = abs(n)
     sign = 1 if n > 0 else -1
     f_sums = _shell_sums(data.initial, x, size)
     g_sums = _shell_sums(data.velocity, x, max(size - 1, 0))
 
-    total = _qpow(params, -size, exact) * f_sums[size] * _frac(1, 2, exact)
+    total = ring.qpow(-size) * f_sums[size] * Fraction(1, 2)
     for ell in range(size):
         window = q - 1 + (r - k) * (1 - k) ** (size - ell)
-        total = total - _qpow(params, -size, exact) * f_sums[ell] * _frac(window, 2 * k, exact)
+        total = total - ring.qpow(-size) * f_sums[ell] * Fraction(window, 2 * k)
     if size >= 1:
-        total = total + _qpow(params, -(size - 1), exact) * g_sums[size - 1] * sign
-        inner = _zero(params, exact)
+        total = total + ring.qpow(-(size - 1)) * g_sums[size - 1] * sign
+        inner = ring.zero
         for ell in range(size - 1):
             inner = inner + g_sums[ell]
             inner = inner - g_sums[ell] * (1 - k) ** (size - ell)
-        total = total + _qpow(params, -(size - 1), exact) * inner * _frac(sign, k, exact)
-    return total
-
-
-def _closed_equal(params: GraphParams, data: CauchyData, x: ReducedWord, n: int):
-    # k = r: sqrt(q) = k - 1 exactly and the (r-k) window terms drop out.
-    # The velocity cross-sum keeps the alternating sign -(1-k)^(size-ell);
-    # with it this is precisely the k < r formula specialized to k = r.
-    exact = data.exact
-    k = params.k
-    size = abs(n)
-    sign = 1 if n > 0 else -1
-    base = Fraction(1, (k - 1) ** size) if exact else (k - 1) ** (-size)
-    f_sums = _shell_sums(data.initial, x, size)
-    g_sums = _shell_sums(data.velocity, x, max(size - 1, 0))
-
-    total = f_sums[size] * base * _frac(1, 2, exact)
-    ball_f = _zero(params, exact)
-    for ell in range(size):
-        ball_f = ball_f + f_sums[ell]
-    total = total - ball_f * base * _frac(k - 2, 2, exact)
-    if size >= 1:
-        gbase = Fraction(1, (k - 1) ** (size - 1)) if exact else (k - 1) ** (-(size - 1))
-        total = total + g_sums[size - 1] * gbase * sign
-        inner = _zero(params, exact)
-        for ell in range(size - 1):
-            inner = inner + g_sums[ell]
-            inner = inner - g_sums[ell] * (1 - k) ** (size - ell)
-        total = total + inner * gbase * _frac(sign, k, exact)
+        total = total + ring.qpow(-(size - 1)) * inner * Fraction(sign, k)
     return total
 
 
 def wave_closed_at(params: GraphParams, data: CauchyData, x: ReducedWord, n: int):
     """Closed-form solution value u(x, n).
 
-    Dispatch: sphere-sum formula when k < r, its integer-root degeneration
-    when k = r, and the inverse-dual-Abel route when k > r.
+    Two formulas: sphere sums around x when k <= r, and the inverse dual
+    Abel transform of spherical means when k > r.
     """
     if n == 0:
         return data.initial.value(x)
-    if params.k < params.r:
+    if params.k <= params.r:
         return _closed_small_k(params, data, x, n)
-    if params.k == params.r:
-        return _closed_equal(params, data, x, n)
     return wave_via_dual_abel_at(params, data, x, n)
 
 
@@ -393,10 +341,8 @@ def asgeirsson_means(params: GraphParams, U, x: ReducedWord, y: ReducedWord,
         lap_x = U(x, y) * deg - sum(U(xx, y) for xx in _neighbors(x))
         lap_y = U(x, y) * deg - sum(U(x, yy) for yy in _neighbors(y))
         diff = lap_x - lap_y
-        if isinstance(diff, AlgebraicValue):
-            bad = not diff.is_zero()
-        elif isinstance(diff, (int, Fraction)):
-            bad = diff != 0
+        if isinstance(diff, (AlgebraicValue, int, Fraction)):
+            bad = bool(diff)
         else:
             bad = abs(diff) > 1e-9 * (1.0 + abs(lap_x))
         if bad:

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from symgraph.algebraic import (
@@ -91,6 +91,7 @@ def test_division_roundtrip(x):
 
 
 @given(values(6))
+@example(AlgebraicValue(0, Fraction(1, 10), 6))
 def test_text_roundtrip(x):
     assert parse_value(str(x), 6) == x
 
@@ -100,7 +101,10 @@ def test_parse_plain_forms():
     assert parse_value("-1/2", 6) == AlgebraicValue(Fraction(-1, 2), 0, 6)
     assert parse_value("sqrt(6)", 6) == sqrt_q(6)
     assert parse_value("1/2+1/3*sqrt(6)", 6) == AlgebraicValue(Fraction(1, 2), Fraction(1, 3), 6)
-    with pytest.raises(ValueError):
-        parse_value("nonsense", 6)
+    assert parse_value("12*sqrt(6)", 6) == AlgebraicValue(0, 12, 6)
+    assert parse_value("1/10*sqrt(6)", 6) == AlgebraicValue(0, Fraction(1, 10), 6)
+    for text in ("nonsense", "2/3sqrt(6)", "1/0", "1/0*sqrt(6)"):
+        with pytest.raises(ValueError):
+            parse_value(text, 6)
     with pytest.raises(RingMismatchError):
         parse_value("sqrt(5)", 6)

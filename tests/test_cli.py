@@ -193,6 +193,7 @@ def test_usage_errors_exit_two(capsys):
         main(["abel", "--radial", "1"])
     assert err.value.code == 2
     assert main(["abel", "--k", "3", "--r", "4", "--radial", "betelgeuse"]) == 2
+    assert main(["abel", "--k", "3", "--r", "4", "--radial", "1/0"]) == 2
     with pytest.raises(SystemExit) as err:
         main(["info", "--k", "3", "--r", "4", "--threads", "0"])
     assert err.value.code == 2

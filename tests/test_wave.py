@@ -20,8 +20,9 @@ from symgraph.wave import (
 from symgraph.words import GraphParams, ball, sphere
 
 P34 = GraphParams(3, 4)
-REGIMES = [GraphParams(2, 3), GraphParams(2, 4), GraphParams(3, 4), GraphParams(3, 3),
-           GraphParams(4, 4), GraphParams(3, 2), GraphParams(4, 2), GraphParams(4, 3)]
+REGIMES = [GraphParams(2, 3), GraphParams(2, 4), GraphParams(3, 4), GraphParams(2, 2),
+           GraphParams(3, 3), GraphParams(4, 4), GraphParams(3, 2), GraphParams(4, 2),
+           GraphParams(4, 3)]
 
 
 def random_data(params, rng, radius=1, with_velocity=True):
