@@ -15,6 +15,8 @@ import math
 import re
 from fractions import Fraction
 
+import numpy as np
+
 __all__ = [
     "AlgebraicValue",
     "RingMismatchError",
@@ -246,6 +248,39 @@ class ExactRing:
             return AlgebraicValue(value, 0, self.q)
         raise TypeError(f"cannot treat {value!r} as an exact ring value")
 
+    # Array lane: a value list becomes integer parts (A, B) over a common
+    # denominator D, value = (A + B sqrt(q)) / D entrywise.  The parts are
+    # object arrays of Python ints, which never overflow.
+
+    def encode(self, columns) -> tuple[int, list]:
+        """One common denominator D of every column, and each column's parts (A, B)."""
+        columns = [[self.coerce(v) for v in col] for col in columns]
+        scale = math.lcm(1, *(c.denominator for col in columns for v in col for c in (v.a, v.b)))
+
+        def ints(parts):
+            return np.array([scale // c.denominator * c.numerator for c in parts], dtype=object)
+
+        return scale, [(ints(v.a for v in col), ints(v.b for v in col)) for col in columns]
+
+    def times_root(self, parts) -> tuple:
+        """Parts of sqrt(q) * value: (A, B) -> (q B, A)."""
+        a, b = parts
+        return (b * self.q, a)
+
+    def decode(self, parts, scale: int, m: int) -> list[AlgebraicValue]:
+        """The values (A + B sqrt(q)) / (scale * sqrt(q)^m), m >= 0.
+
+        For odd m the parts swap: (A + B sqrt(q)) / sqrt(q) = B + (A/q) sqrt(q).
+        """
+        q = self.q
+        a, b = parts
+        den = scale * q ** (m // 2)
+        root_den = den
+        if m % 2:
+            a, b, root_den = b, a, den * q
+        return [AlgebraicValue(Fraction(x, den), Fraction(y, root_den), q)
+                for x, y in zip(a.tolist(), b.tolist())]
+
 
 class FloatRing:
     """The numeric lane: values are float or complex and q**(m/2) is rounded."""
@@ -262,6 +297,17 @@ class FloatRing:
     def coerce(self, value) -> float | complex:
         return complex(value) if isinstance(value, complex) else float(value)
 
+    # Array lane: one float or complex array per column, denominator 1.
+
+    def encode(self, columns) -> tuple[int, list]:
+        return 1, [(np.array([self.coerce(v) for v in col]),) for col in columns]
+
+    def times_root(self, parts) -> tuple:
+        return (parts[0] * self.qpow(1),)
+
+    def decode(self, parts, scale: int, m: int) -> list:
+        return (parts[0] / (scale * self.qpow(m))).tolist()
+
 
 def ring_of(q: int, exact: bool = True) -> ExactRing | FloatRing:
     """The arithmetic lane for ring parameter q: exact or float.
@@ -269,6 +315,10 @@ def ring_of(q: int, exact: bool = True) -> ExactRing | FloatRing:
     A ring is cheap; containers build theirs once and share its zero.
     Rational constants need no help from the ring: an ``AlgebraicValue``, a
     float or a complex times ``Fraction(n, d)`` stays in its own lane.
+    For array code each ring also has ``encode`` (value lists to parts over a
+    common denominator), ``times_root`` (multiply the parts by sqrt(q)) and
+    ``decode`` (parts over ``scale * sqrt(q)^m`` back to values); integer
+    linear maps act on the parts the same way in both lanes.
     """
     return ExactRing(q) if exact else FloatRing(q)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -45,7 +46,7 @@ from .transforms import (
     dual_abel,
     dual_abel_inv,
 )
-from .wave import CauchyData, wave_closed_at, wave_direct
+from .wave import CauchyData, check_window, wave_closed_at, wave_direct
 from .words import GraphParams, ReducedWord, ball, parse_word, sphere
 
 __all__ = ["main", "RunConfig"]
@@ -108,7 +109,7 @@ def _emit(config: RunConfig | None, command: str, inputs: dict, outputs: list[di
         "outputs": outputs,
         "diagnostics": diagnostics,
     }
-    return json.dumps(payload, sort_keys=True, default=str) + "\n"
+    return json.dumps(payload, sort_keys=True, default=str, allow_nan=False) + "\n"
 
 
 def _parse_seq(params: GraphParams, text: str) -> list[AlgebraicValue]:
@@ -335,6 +336,7 @@ def cmd_wave(config: RunConfig, args) -> tuple[dict, list, dict, int]:
         observe = max(len(t[0]) for t in targets)
     else:
         observe = data.support_radius + args.steps
+        check_window(params, data.support_radius, args.steps, observe)
         for n in range(-args.steps, args.steps + 1):
             for x in ball(params, data.support_radius + abs(n)):
                 targets.append((x, n))
@@ -379,6 +381,34 @@ def cmd_verify(config_args, args) -> tuple[dict, list, dict, int]:
     return {"suite": args.suite, "seed": args.seed}, outputs, diagnostics, 0 if ok else 1
 
 
+def finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    value = finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return value
+
+
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symgraph",
@@ -390,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int, required=need_params, help="polygon side count (>= 2)")
         p.add_argument("--r", type=int, required=need_params, help="polygons per vertex (>= 2)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-9)
+        p.add_argument("--tol", type=positive_float, default=1e-9)
         p.add_argument("--threads", type=int,
                        default=int(os.environ.get("SYMGRAPH_THREADS", "1")))
         p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
@@ -401,10 +431,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="tabulate sphere counts, horocycle counts, phi or the density")
     common(p)
     p.add_argument("table", choices=("delta", "b", "phi", "c2"))
-    p.add_argument("--nmax", type=int, default=6)
-    p.add_argument("--hmax", type=int, default=6)
-    p.add_argument("--grid", type=int, default=16)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.5)
+    p.add_argument("--nmax", type=nonnegative_int, default=6)
+    p.add_argument("--hmax", type=nonnegative_int, default=6)
+    p.add_argument("--grid", type=positive_int, default=16)
+    p.add_argument("--lambda", dest="lam", type=finite_float, default=0.5)
 
     p = sub.add_parser("abel", help="Abel transform of a radial sequence")
     common(p)
@@ -417,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dual", help="dual Abel transform of an even sequence")
     common(p)
     p.add_argument("--even", required=True)
-    p.add_argument("--nmax", type=int, default=None)
+    p.add_argument("--nmax", type=nonnegative_int, default=None)
 
     p = sub.add_parser("dual-inv", help="inverse dual Abel transform of a radial sequence")
     common(p)
@@ -425,14 +455,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spherical", help="spherical function values, optionally vs the boundary oracle")
     common(p)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--nmax", type=int, default=8)
+    p.add_argument("--lambda", dest="lam", type=finite_float, required=True)
+    p.add_argument("--nmax", type=nonnegative_int, default=8)
     p.add_argument("--oracle-depth", type=int, default=None)
 
     p = sub.add_parser("transform", help="spherical transform on a lambda grid")
     common(p)
     p.add_argument("--radial", required=True)
-    p.add_argument("--grid", type=int, default=33)
+    p.add_argument("--grid", type=positive_int, default=33)
 
     p = sub.add_parser("plancherel", help="compare direct and spectral L2 norms")
     common(p)
@@ -441,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("helgason", help="boundary Fourier transform of a vertex function")
     common(p)
     p.add_argument("--values", required=True, help='semicolon list, e.g. "e:1;a0^1:1/2"')
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
+    p.add_argument("--lambda", dest="lam", type=finite_float, required=True)
     p.add_argument("--ray", required=True, help='ray prefix word, e.g. "a0^1.a1^1.a0^1"')
 
     p = sub.add_parser("invert", help="recover a function value from its transform")

@@ -7,6 +7,14 @@ solution observed on a ball of radius R up to time N needs data on the ball
 of radius R + N and nothing else; the stepping solver works on exactly that
 light cone.
 
+The stepper works on arrays, not on words.  Scaled by 2D sqrt(q)^|n|, with D
+the common denominator of the data, the solution obeys an integer recurrence,
+so the exact lane steps two Python-int arrays (the rational and the sqrt(q)
+parts) and decodes each time slice once.  Its arrays follow ``ball()`` order,
+in which a word's parent, polygon siblings and children sit at positions
+given by arithmetic on its index, so no neighbour table is built.  A window
+of more than ``MAX_WINDOW_VALUES`` vertex-values is refused up front.
+
 Closed-form evaluation has two formulas: sphere sums for k <= r, and for
 k > r the inverse dual Abel transform applied to spherical means, which is
 valid in every regime and doubles as a cross-check.
@@ -16,6 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .algebraic import AlgebraicValue
 from .spectral import VertexFun
@@ -29,6 +39,8 @@ __all__ = [
     "lap_radial",
     "lap_z",
     "wave_direct",
+    "check_window",
+    "MAX_WINDOW_VALUES",
     "wave_closed_at",
     "wave_via_dual_abel_at",
     "asgeirsson_means",
@@ -158,7 +170,12 @@ class WaveField:
         return self.fields[n].value(x)
 
     def check_recurrence(self, radius: int) -> None:
-        """Assert the wave equation at every interior (x, n) with |x| <= radius."""
+        """Assert the wave equation at every interior (x, n) with |x| <= radius.
+
+        Exact fields must satisfy it with ==.  Float fields must satisfy it
+        to 1e-9 times the largest |u| in the time slices n - 1, n and n + 1,
+        which bounds every term of the equation at x.
+        """
         params = self.params
         first = next(iter(self.fields.values()))
         exact, ring = first.exact, first.ring
@@ -171,11 +188,14 @@ class WaveField:
             )
             if reachable < radius + 1:
                 continue
+            if not exact:
+                slices = (self.fields[t].data.values() for t in (n - 1, n, n + 1))
+                tol = 1e-9 * max((abs(v) for values in slices for v in values), default=0.0)
             for x in ball(params, radius):
                 left = (self.at(x, n + 1) + self.at(x, n - 1)) - self.at(x, n) * 2
                 shifted = _shifted_at(self.fields[n], x, gap)
                 residue = left + shifted * inv_beta * 2
-                ok = not residue if exact else abs(residue) < 1e-9
+                ok = not residue if exact else abs(residue) <= tol
                 if not ok:
                     raise AssertionError(f"wave recurrence fails at x={x}, n={n}")
 
@@ -186,6 +206,94 @@ def _shifted_at(fun: VertexFun, x: ReducedWord, gap):
     return here - _neighbor_sum(fun, x) * Fraction(1, fun.params.degree) - here * gap
 
 
+MAX_WINDOW_VALUES = 1_000_000
+"""Most vertex-values a stepper window may hold: sum over |n| <= steps of the
+size of the ball it covers at time n."""
+
+
+def _ball_size(params: GraphParams, radius: int, cap: int) -> int:
+    # |ball(radius)| from the sphere counts, stopping once it passes cap
+    size = 0
+    for m in range(radius + 1):
+        size += params.delta(m)
+        if size > cap:
+            break
+    return size
+
+
+def _cone_radius(support_radius: int, steps: int, observe_radius: int, n: int) -> int:
+    return min(support_radius + abs(n), observe_radius + steps - abs(n))
+
+
+def check_window(params: GraphParams, support_radius: int, steps: int,
+                 observe_radius: int) -> None:
+    """Raise ``ValueError`` when the stepper window would hold more than
+    ``MAX_WINDOW_VALUES`` vertex-values; nothing is enumerated."""
+    total = 0
+    for n in range(-steps, steps + 1):
+        radius = _cone_radius(support_radius, steps, observe_radius, n)
+        total += _ball_size(params, radius, MAX_WINDOW_VALUES)
+        if total > MAX_WINDOW_VALUES:
+            raise ValueError(
+                f"a {steps}-step window over support radius {support_radius} on the "
+                f"({params.k}, {params.r}) graph holds more than {MAX_WINDOW_VALUES} values"
+            )
+
+
+def _position(x: ReducedWord) -> int:
+    """Index of x within its sphere in ``sphere()`` order.
+
+    The first syllable a_g^e takes slot g(k-1) + e - 1 of r(k-1); every later
+    one takes a slot of q = (r-1)(k-1), skipping the previous generator.
+    """
+    k, q = x.params.k, x.params.q
+    index, last = 0, -1
+    for g, e in x.syllables:
+        slot = g - 1 if 0 <= last < g else g
+        index = index * q + slot * (k - 1) + e - 1
+        last = g
+    return index
+
+
+def _on_ball(fun: VertexFun, radius: int, offsets: list[int]) -> list:
+    # values of fun on ball(radius), in ball() order
+    column = [fun.ring.zero] * offsets[radius + 1]
+    for x, v in fun.items():
+        if len(x) <= radius:
+            column[offsets[len(x)] + _position(x)] = v
+    return column
+
+
+def _self_plus_neighbors(part, radius: int, target: int, params: GraphParams,
+                         offsets: list[int]):
+    """(2 - k) w + (neighbour sum of w) on ball(target), for w given on
+    ball(radius) in ball() order and zero beyond; target <= radius + 1.
+
+    Word j of sphere m >= 1 is p a_g^e.  Its neighbours are its parent p
+    (entry j // q of sphere m - 1, the origin when m = 1), its k - 2
+    polygon siblings (the rest of its aligned block of k - 1 entries) and
+    its q children (the block at j q of sphere m + 1).  The origin's
+    neighbours are all of sphere 1.
+    """
+    k = params.k
+    pieces = []
+    for m in range(target + 1):
+        size = offsets[m + 1] - offsets[m]
+        terms = []
+        if m <= radius and k > 2:
+            here = part[offsets[m]:offsets[m + 1]]
+            block = k - 1 if m else 1
+            # self and siblings: (2 - k) w + (block sum - w)
+            terms.append(np.repeat(here.reshape(-1, block).sum(axis=1), block) - here * (k - 1))
+        if 1 <= m <= radius + 1:
+            parents = part[offsets[m - 1]:offsets[m]]
+            terms.append(np.repeat(parents, size // len(parents)))
+        if m + 1 <= radius:
+            terms.append(part[offsets[m + 1]:offsets[m + 2]].reshape(size, -1).sum(axis=1))
+        pieces.append(sum(terms[1:], terms[0]) if terms else np.zeros(size, dtype=part.dtype))
+    return np.concatenate(pieces)
+
+
 def wave_direct(params: GraphParams, data: CauchyData, steps: int,
                 observe_radius: int | None = None) -> WaveField:
     """Step the wave equation over the window [-steps, steps].
@@ -193,7 +301,23 @@ def wave_direct(params: GraphParams, data: CauchyData, steps: int,
     ``observe_radius`` bounds the region whose values the caller needs; the
     solver then only visits the light cone of that region (radius
     observe_radius + steps - |n| at time n, capped by the support cone).
-    By default everything that can be nonzero is computed.
+    By default everything that can be nonzero is computed.  A window of
+    more than ``MAX_WINDOW_VALUES`` vertex-values raises ``ValueError``
+    before anything is enumerated.
+
+    The step u(n+d) = ((2-k) u(n) + S u(n)) / sqrt(q) - u(n-d) in the
+    direction d = +-1, with S the neighbour sum, runs on
+    w(n) = 2D sqrt(q)^|n| u(n), where D is the common denominator of the data:
+
+        w(n+d) = (2-k) w(n) + S w(n) - q w(n-d),
+        w(d) = D ((2-k) f + S f) + d 2D sqrt(q) g.
+
+    Both are integer linear maps, so they act part by part on what the
+    ring's ``encode`` gives: two Python-int arrays (the rational and the
+    sqrt(q) parts) in the exact lane, one float or complex array in the
+    float lane.  Each time slice is an array over a ball in ``ball()`` order,
+    where S needs no table (see ``_self_plus_neighbors``), and is decoded
+    into values once.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -201,14 +325,7 @@ def wave_direct(params: GraphParams, data: CauchyData, steps: int,
     supp = data.support_radius
     if observe_radius is None:
         observe_radius = supp + steps
-    beta = ring.coerce(params.beta)
-    gap, inv_beta = ring.coerce(params.alpha) - beta, 1 / beta
-    # u(n+1) = c_self u(n) + c_neigh (neighbour sum of u(n)) - u(n-1)
-    c_self = (1 - (1 - gap) * inv_beta) * 2
-    c_neigh = inv_beta * Fraction(1, params.degree) * 2
-
-    def cone_radius(n: int) -> int:
-        return min(supp + abs(n), observe_radius + steps - abs(n))
+    check_window(params, supp, steps, observe_radius)
 
     def valid_radius(n: int) -> int:
         # beyond the support cone the solution is exactly zero, so validity
@@ -219,28 +336,44 @@ def wave_direct(params: GraphParams, data: CauchyData, steps: int,
     f0, vel = data.initial, data.velocity
     fields = {0: VertexFun(params, dict(f0.data), exact)}
     valid = {0: valid_radius(0)}
+    if steps == 0:
+        return WaveField(params, fields, valid)
 
-    if steps >= 1:
-        u1 = {}
-        for x in ball(params, cone_radius(1)):
-            shifted = _shifted_at(f0, x, gap)
-            u1[x] = f0.value(x) - shifted * inv_beta + vel.value(x)
-        um1 = {x: v - vel.value(x) * 2 for x, v in u1.items()}
-        fields[1] = VertexFun(params, u1, exact)
-        fields[-1] = VertexFun(params, um1, exact)
-        valid[1] = valid[-1] = valid_radius(1)
+    cone = [_cone_radius(supp, steps, observe_radius, m) for m in range(steps + 1)]
+    top = max(cone[1:])
+    offsets = [0]
+    for m in range(top + 2):
+        offsets.append(offsets[-1] + params.delta(m))
+    words = list(ball(params, top))
+    q = params.q
+    # f is needed on the first cone plus one shell, g on the first cone
+    start = min(supp, cone[1] + 1)
+    scale, (f_parts, g_parts) = ring.encode(
+        [_on_ball(f0, start, offsets), _on_ball(vel, cone[1], offsets)])
+    scale *= 2
 
-    for direction in (1, -1):
+    def store(n: int, parts) -> None:
+        values = ring.decode(parts, scale, abs(n))
+        fields[n] = VertexFun(params, dict(zip(words, values)), exact)
+        valid[n] = valid_radius(n)
+
+    base = [_self_plus_neighbors(p, start, cone[1], params, offsets) for p in f_parts]
+    kick = ring.times_root([p * 2 for p in g_parts])
+    firsts = {1: [b + g for b, g in zip(base, kick)], -1: [b - g for b, g in zip(base, kick)]}
+    for n, parts in firsts.items():
+        store(n, parts)
+
+    for direction, first in firsts.items():
+        older, current = [p * 2 for p in f_parts], first
         for m in range(1, steps):
-            n = direction * m
-            current, older = fields[n], fields[n - direction]
-            radius = cone_radius(n + direction)
-            nxt = {}
-            for x in ball(params, radius):
-                nxt[x] = (current.value(x) * c_self + _neighbor_sum(current, x) * c_neigh
-                          - older.value(x))
-            fields[n + direction] = VertexFun(params, nxt, exact)
-            valid[n + direction] = valid_radius(n + direction)
+            nxt = []
+            for now, old in zip(current, older):
+                new = _self_plus_neighbors(now, cone[m], cone[m + 1], params, offsets)
+                shared = min(len(new), len(old))
+                new[:shared] -= old[:shared] * q
+                nxt.append(new)
+            older, current = current, nxt
+            store(direction * (m + 1), current)
     return WaveField(params, fields, valid)
 
 

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import symgraph.cli
+import symgraph.wave
 from symgraph.cli import main
 
 
@@ -188,7 +190,7 @@ def test_out_file(tmp_path, capsys):
     assert doc["command"] == "info"
 
 
-def test_usage_errors_exit_two(capsys):
+def test_usage_errors_exit_two(capsys, monkeypatch):
     with pytest.raises(SystemExit) as err:
         main(["abel", "--radial", "1"])
     assert err.value.code == 2
@@ -197,6 +199,25 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as err:
         main(["info", "--k", "3", "--r", "4", "--threads", "0"])
     assert err.value.code == 2
+    for argv in (["spherical", "--k", "3", "--r", "4", "--lambda", "nan"],
+                 ["spherical", "--k", "3", "--r", "4", "--lambda", "inf"],
+                 ["plancherel", "--k", "3", "--r", "4", "--radial", "1", "--tol", "nan"],
+                 ["plancherel", "--k", "3", "--r", "4", "--radial", "1", "--tol", "-1e-9"],
+                 ["transform", "--k", "3", "--r", "4", "--radial", "1", "--grid", "0"],
+                 ["table", "c2", "--k", "3", "--r", "4", "--grid", "0"],
+                 ["dual", "--k", "3", "--r", "4", "--even", "1,0", "--nmax", "-3"],
+                 ["table", "delta", "--k", "3", "--r", "4", "--nmax", "-1"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2, argv
+    # a window past the stepper's bound is refused before any ball is walked
+    def refuse(*args):
+        raise AssertionError("enumerated a ball")
+
+    monkeypatch.setattr(symgraph.cli, "ball", refuse)
+    monkeypatch.setattr(symgraph.wave, "ball", refuse)
+    assert main(["wave", "--k", "3", "--r", "4", "--f", "e:1", "--steps", "40"]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_threads_flag_accepted(capsys):

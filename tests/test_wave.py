@@ -1,15 +1,24 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+
+import symgraph.wave as wave_module
 
 from symgraph.algebraic import AlgebraicValue, q_half_power
 from symgraph.boundary import BoundaryRay, busemann
 from symgraph.spectral import VertexFun, radialize, spherical_means_at, spherical_phi
 from symgraph.transforms import RadialSeq
 from symgraph.wave import (
+    MAX_WINDOW_VALUES,
     CauchyData,
+    _neighbor_sum,
+    _neighbors,
+    _position,
+    _self_plus_neighbors,
     asgeirsson_means,
+    check_window,
     lap_full,
     lap_radial,
     lap_z,
@@ -156,6 +165,100 @@ def test_dual_abel_bridge():
     means = fwd(u_seq, n_max=steps)
     for n in range(steps + 1):
         assert means.value(n) == spherical_means_at(data.initial, x, n)
+
+
+def fractional_data(params, rng, radius=1):
+    # rational parts over 2, 3 and 6, and a nonzero sqrt(q) part over 7 at
+    # every point, so neither part's denominators divide the other's
+    def value(i):
+        a = Fraction(rng.choice((-5, -1, 1, 5)), (2, 3, 6)[i % 3])
+        b = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), 7)
+        return AlgebraicValue(a, b, params.q)
+
+    pool = list(ball(params, radius))
+    f = VertexFun.of(params, {w: value(i) for i, w in enumerate(pool)})
+    g = VertexFun.of(params, {w: value(i + 1) for i, w in enumerate(pool)})
+    return CauchyData(f, g)
+
+
+@pytest.mark.parametrize("params", [GraphParams(3, 3), GraphParams(2, 2),
+                                    GraphParams(3, 4), GraphParams(2, 3)])
+def test_stepper_on_fractional_sqrt_data(params):
+    # the stepper scales by the common denominator and swaps the a and b
+    # parts on odd times; integer data would exercise neither
+    data = fractional_data(params, random.Random(45))
+    if params.q not in (1, 4):
+        assert all(v.b for v in data.initial.data.values())
+    field = wave_direct(params, data, 4, observe_radius=2)
+    for n in range(-4, 5):
+        for x in ball(params, 2):
+            assert wave_closed_at(params, data, x, n) == field.at(x, n)
+    field.check_recurrence(1)
+
+
+@pytest.mark.parametrize("params", [GraphParams(2, 3), GraphParams(2, 2), GraphParams(3, 4),
+                                    GraphParams(3, 2), GraphParams(4, 3), GraphParams(5, 2)])
+def test_ball_layout_matches_neighbors(params):
+    # word j of sphere m >= 1 has its parent at j // q of sphere m - 1 (the
+    # origin for m = 1), its siblings in its aligned block of k - 1 and its
+    # children at j q .. j q + q - 1 of sphere m + 1
+    k, q = params.k, params.q
+    where = {y: (m, j) for m in range(6) for j, y in enumerate(sphere(params, m))}
+    for x in ball(params, 4):
+        m, j = where[x]
+        assert _position(x) == j
+        if m == 0:
+            rule = {(1, i) for i in range(params.degree)}
+        else:
+            block = j - j % (k - 1)
+            rule = {(m - 1, j // q if m > 1 else 0)}
+            rule |= {(m, i) for i in range(block, block + k - 1) if i != j}
+            rule |= {(m + 1, j * q + i) for i in range(q)}
+        found = [where[y] for y in _neighbors(x)]
+        assert len(found) == params.degree and set(found) == rule
+
+    # the array operator of the stepper against the word-level neighbour sum
+    rng = random.Random(47)
+    fun = VertexFun.of(params, {w: rng.randint(-9, 9) for w in ball(params, 3)})
+    offsets = [0]
+    for m in range(6):
+        offsets.append(offsets[-1] + params.delta(m))
+    part = np.array([int(fun.value(w).a) for w in ball(params, 3)], dtype=object)
+    got = _self_plus_neighbors(part, 3, 4, params, offsets)
+    words = list(ball(params, 4))
+    assert len(got) == len(words)
+    for x, value in zip(words, got):
+        assert value == fun.value(x) * (2 - k) + _neighbor_sum(fun, x)
+
+
+def test_window_bound_refuses_before_enumerating(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerated a ball")
+
+    monkeypatch.setattr(wave_module, "ball", refuse)
+    data = CauchyData(VertexFun.delta_at(P34.identity()), VertexFun.of(P34, {}))
+    with pytest.raises(ValueError, match=str(MAX_WINDOW_VALUES)):
+        wave_direct(P34, data, 40)
+    # a point source at (3, 4) fits six steps and not seven
+    check_window(P34, 0, 6, 6)
+    with pytest.raises(ValueError):
+        check_window(P34, 0, 7, 7)
+
+
+def test_float_recurrence_tolerance_scales_with_values():
+    rng = random.Random(53)
+    pool = list(ball(P34, 1))
+    big = CauchyData(
+        VertexFun.of(P34, {w: rng.uniform(-1, 1) * 1e9 for w in pool}, exact=False),
+        VertexFun.of(P34, {w: rng.uniform(-1, 1) * 1e9 for w in pool}, exact=False),
+    )
+    field = wave_direct(P34, big, 4, observe_radius=2)
+    field.check_recurrence(1)
+    # a defect of one part in a million is still caught
+    x = P34.generator(0)
+    field.fields[1].data[x] += 1e-6 * abs(field.fields[1].data[x])
+    with pytest.raises(AssertionError):
+        field.check_recurrence(1)
 
 
 def test_float_stepper_tracks_exact():
