@@ -255,7 +255,7 @@ class ExactRing:
     def encode(self, columns) -> tuple[int, list]:
         """One common denominator D of every column, and each column's parts (A, B)."""
         columns = [[self.coerce(v) for v in col] for col in columns]
-        scale = math.lcm(1, *(c.denominator for col in columns for v in col for c in (v.a, v.b)))
+        scale = math.lcm(1, *{c.denominator for col in columns for v in col for c in (v.a, v.b)})
 
         def ints(parts):
             return np.array([scale // c.denominator * c.numerator for c in parts], dtype=object)

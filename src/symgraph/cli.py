@@ -3,7 +3,8 @@
 Output is machine readable: a JSON object {command, params, inputs, outputs,
 diagnostics} where each output row carries the key, the exact ring value as
 text when one exists, and a float.  CSV emits the same rows.  Exit codes:
-0 pass, 1 failed verification/inequality, 2 usage error.
+0 pass, 1 failed verification/inequality or a quadrature that did not reach
+--tol, 2 usage error.
 
 Outputs are deterministic given the flags and seed; the one exception is
 diagnostics.runtime_ms, which reports wall time.
@@ -25,7 +26,9 @@ from .algebraic import AlgebraicValue, parse_value, sqrt_q
 from .boundary import BoundaryRay
 from .checks import grid_params, run_suite
 from .spectral import (
+    QuadratureError,
     VertexFun,
+    check_depth,
     gamma_atom,
     helgason_transform,
     invert_helgason,
@@ -230,6 +233,7 @@ def cmd_spherical(config: RunConfig, args) -> tuple[dict, list, dict, int]:
         outputs += _rows(f"phi[{n}]", float(value))
     diagnostics = {}
     if args.oracle_depth is not None:
+        check_depth(params, args.oracle_depth)
         worst = 0.0
         for n in range(min(args.nmax, args.oracle_depth - 1) + 1):
             x = next(iter(sphere(params, n)))
@@ -457,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--lambda", dest="lam", type=finite_float, required=True)
     p.add_argument("--nmax", type=nonnegative_int, default=8)
-    p.add_argument("--oracle-depth", type=int, default=None)
+    p.add_argument("--oracle-depth", type=positive_int, default=None)
 
     p = sub.add_parser("transform", help="spherical transform on a lambda grid")
     common(p)
@@ -479,11 +483,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", required=True, help="target word")
     p.add_argument("--radial", default=None)
     p.add_argument("--values", default=None)
-    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--depth", type=nonnegative_int, default=None,
+                   help="cylinder depth; 0 or absent means max(support, |at|) + 1")
 
     p = sub.add_parser("ks-check", help="measure the convolution-smoothing ratios")
     common(p)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=positive_int, default=100)
 
     p = sub.add_parser("wave", help="solve the shifted wave equation")
     common(p)
@@ -548,6 +553,9 @@ def main(argv=None) -> int:
     except (ValueError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except QuadratureError as exc:
+        print(f"error: {exc}; achieved error {exc.achieved:.3g}", file=sys.stderr)
+        return 1
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

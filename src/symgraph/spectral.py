@@ -35,6 +35,8 @@ __all__ = [
     "plancherel_segment",
     "spherical_phi",
     "phi_oracle",
+    "check_depth",
+    "MAX_CYLINDERS",
     "c_func",
     "plancherel_density",
     "fourier_grid",
@@ -138,6 +140,23 @@ def spherical_phi(params: GraphParams, gamma, n_max: int) -> list:
     return phi[: n_max + 1]
 
 
+MAX_CYLINDERS = 100_000
+"""Most depth-m cylinders (words of the sphere of radius m) that one
+boundary walk may visit."""
+
+
+def check_depth(params: GraphParams, depth: int) -> None:
+    """Raise ``ValueError`` for a negative cylinder depth or one with more
+    than ``MAX_CYLINDERS`` cylinders; nothing is enumerated."""
+    # delta(m) >= 2^m when q >= 2 and delta is constant in m >= 1 when q = 1,
+    # so capping m at the bound's bit length keeps the comparison exact
+    if params.delta(min(depth, MAX_CYLINDERS.bit_length())) > MAX_CYLINDERS:
+        raise ValueError(
+            f"depth {depth} on the ({params.k}, {params.r}) graph has more than "
+            f"{MAX_CYLINDERS} cylinders"
+        )
+
+
 def _zeta_histogram(params: GraphParams, x: ReducedWord, depth: int) -> dict[int, int]:
     # counts of the Busemann index of x over all depth-m cylinders
     hist: dict[int, int] = {}
@@ -154,11 +173,13 @@ def phi_oracle(params: GraphParams, lam, x: ReducedWord, depth: int):
     cylinders; exact on cylinders because the Busemann index is constant on
     each once depth > |x|.  This path is independent of the recurrence and
     arbitrates it in the tests.  ``lam`` may be an array; the cylinder walk
-    is shared across its entries.
+    is shared across its entries.  A depth past ``MAX_CYLINDERS`` cylinders
+    raises ``ValueError`` before the walk.
     """
     params.require_spectral()
     if depth <= len(x):
         raise DepthError(f"phi oracle at |x| = {len(x)} needs cylinder depth > {len(x)}")
+    check_depth(params, depth)
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
     lnq = math.log(params.q)
     totals = np.zeros(len(lams), dtype=complex)
@@ -416,6 +437,7 @@ def _cylinder_profile(f: VertexFun, depth: int):
     radius = f.support_radius()
     if depth <= radius:
         raise DepthError(f"needs cylinder depth > {radius}")
+    check_depth(params, depth)
     support = [(x, complex(v)) for x, v in f.items()]
     cylinders = list(sphere(params, depth))
     z_min = -radius
@@ -453,7 +475,8 @@ def helgason_norm_sq(f: VertexFun, depth: int, tol: float = 1e-9) -> QuadResult:
 def invert_helgason(f: VertexFun, x: ReducedWord, depth: int, tol: float = 1e-9) -> QuadResult:
     """Recover f(x) from the boundary transform (k <= r only).
 
-    Needs cylinder depth above both the support radius and |x|.
+    Needs cylinder depth above both the support radius and |x|; a depth past
+    ``MAX_CYLINDERS`` cylinders raises ``ValueError`` before any walk.
     """
     params = f.params
     params.require_spectral()

@@ -17,7 +17,12 @@ of more than ``MAX_WINDOW_VALUES`` vertex-values is refused up front.
 
 Closed-form evaluation has two formulas: sphere sums for k <= r, and for
 k > r the inverse dual Abel transform applied to spherical means, which is
-valid in every regime and doubles as a cross-check.
+valid in every regime and doubles as a cross-check.  Both are integer linear
+in the shell sums of the data around x once scaled by 2k D sqrt(q)^|n|, so a
+value encodes f and g over their common denominator D, walks the union of
+their supports once (one ``distance`` call per word), combines the integer
+shell sums with integer weights and decodes once.  Nothing is cached across
+calls.
 """
 
 from __future__ import annotations
@@ -377,81 +382,101 @@ def wave_direct(params: GraphParams, data: CauchyData, steps: int,
     return WaveField(params, fields, valid)
 
 
-def _shell_sums(fun: VertexFun, x: ReducedWord, max_ell: int) -> list:
-    """Sums of fun over the distance shells 0..max_ell around x."""
-    sums = [fun.ring.zero] * (max_ell + 1)
-    for y, v in fun.items():
-        d = distance(x, y)
-        if d <= max_ell:
-            sums[d] = sums[d] + v
-    return sums
+def _shell_profile(data: CauchyData, x: ReducedWord, size: int):
+    """Common denominator D of f and g, and the sums of their integer parts
+    over the distance shells 0..size around x.
+
+    f and g are encoded together over D, the union of their supports is
+    walked once with one ``distance`` call per word, and each word's parts
+    are added into its shell.  Returns D and, for f and for g, one array of
+    size + 1 shell sums per part of the ring's array lane.
+    """
+    f, g = data.initial.data, data.velocity.data
+    ring = data.initial.ring
+    words = list(f)
+    words += [y for y in g if y not in f]
+    scale, columns = ring.encode([[f.get(y, ring.zero) for y in words],
+                                  [g.get(y, ring.zero) for y in words]])
+    dist = np.array([distance(x, y) for y in words], dtype=int)
+    near = dist <= size
+    shells = []
+    for parts in columns:
+        sums = []
+        for part in parts:
+            out = np.zeros(size + 1, dtype=part.dtype)
+            np.add.at(out, dist[near], part[near])
+            sums.append(out)
+        shells.append(sums)
+    return scale, shells
+
+
+def _inv_dual_coeffs(params: GraphParams, m: int) -> list[int]:
+    # 2k sqrt(q)^m times the inverse dual Abel transform at m, as integer
+    # weights on the shell sums 0..m (at m = 0 half the value at the centre)
+    k, r, q = params.k, params.r, params.q
+    return [-(q - 1 + (r - k) * (1 - k) ** (m - ell)) for ell in range(m)] + [k]
+
+
+def _closed_value(data: CauchyData, x: ReducedWord, n: int, velocity_coeffs: list[int]):
+    """u(x, n) = (P + sqrt(q) Q) / (2k D sqrt(q)^|n|), n != 0.
+
+    P is the f shells dotted with ``_inv_dual_coeffs`` at |n|, and Q the g
+    shells 0..|n|-1 dotted with 2 sign(n) ``velocity_coeffs``; both are
+    integer linear maps of the parts, so the value costs one ``times_root``
+    and one ``decode``.
+    """
+    params, ring = data.params, data.initial.ring
+    size = abs(n)
+    sign = 1 if n > 0 else -1
+    scale, (f_shells, g_shells) = _shell_profile(data, x, size)
+
+    def dot(coeffs, shells):
+        row = np.array([coeffs], dtype=object)
+        return [row @ part[:len(coeffs)] for part in shells]
+
+    p_parts = dot(_inv_dual_coeffs(params, size), f_shells)
+    q_parts = ring.times_root(dot([2 * sign * c for c in velocity_coeffs], g_shells))
+    parts = [a + b for a, b in zip(p_parts, q_parts)]
+    return ring.decode(parts, 2 * params.k * scale, size)[0]
 
 
 def wave_via_dual_abel_at(params: GraphParams, data: CauchyData, x: ReducedWord, n: int):
     """Closed evaluation through the inverse dual Abel transform of spherical means.
 
-    Valid in every regime; the odd part accumulates the velocity solution over
-    times of opposite parity below |n|.
+    Valid in every regime.  The odd part adds the inverse transforms of the
+    velocity means at the radii ell < |n| of opposite parity; scaled by
+    2k sqrt(q)^|n| each carries the odd power sqrt(q)^(|n| - ell), so they
+    fold into one integer weight vector on the velocity shells with factors
+    q^((|n| - ell - 1)/2).  Each value is then one pass over the support
+    (see ``_closed_value``).
     """
     if n == 0:
         return data.initial.value(x)
-    ring = data.initial.ring
     size = abs(n)
-    sign = 1 if n > 0 else -1
-
-    def inv_dual(fun: VertexFun, m: int):
-        if m == 0:
-            return fun.value(x)
-        sums = _shell_sums(fun, x, m)
-        acc = sums[m] * Fraction(1, 2)
-        k, r, q = params.k, params.r, params.q
-        for j in range(m):
-            window = q - 1 + (r - k) * (1 - k) ** (m - j)
-            acc = acc - sums[j] * Fraction(window, 2 * k)
-        return ring.qpow(-m) * acc
-
-    total = inv_dual(data.initial, size)
-    if size % 2 == 0:
-        odd_part = ring.zero
-        for ell in range(1, size, 2):
-            odd_part = odd_part + inv_dual(data.velocity, ell)
-        total = total + odd_part * 2 * sign
-    else:
-        odd_part = data.velocity.value(x)
-        for ell in range(2, size, 2):
-            odd_part = odd_part + inv_dual(data.velocity, ell) * 2
-        total = total + odd_part * sign
-    return total
+    coeffs = [0] * size
+    for ell in range(1 - size % 2, size, 2):
+        lift = params.q ** ((size - ell - 1) // 2)
+        for j, c in enumerate(_inv_dual_coeffs(params, ell)):
+            coeffs[j] += lift * c
+    return _closed_value(data, x, n, coeffs)
 
 
 def _closed_small_k(params: GraphParams, data: CauchyData, x: ReducedWord, n: int):
     # sphere-sum solution for k <= r
-    ring = data.initial.ring
-    k, r, q = params.k, params.r, params.q
-    size = abs(n)
-    sign = 1 if n > 0 else -1
-    f_sums = _shell_sums(data.initial, x, size)
-    g_sums = _shell_sums(data.velocity, x, max(size - 1, 0))
-
-    total = ring.qpow(-size) * f_sums[size] * Fraction(1, 2)
-    for ell in range(size):
-        window = q - 1 + (r - k) * (1 - k) ** (size - ell)
-        total = total - ring.qpow(-size) * f_sums[ell] * Fraction(window, 2 * k)
-    if size >= 1:
-        total = total + ring.qpow(-(size - 1)) * g_sums[size - 1] * sign
-        inner = ring.zero
-        for ell in range(size - 1):
-            inner = inner + g_sums[ell]
-            inner = inner - g_sums[ell] * (1 - k) ** (size - ell)
-        total = total + ring.qpow(-(size - 1)) * inner * Fraction(sign, k)
-    return total
+    k, size = params.k, abs(n)
+    coeffs = [1 - (1 - k) ** (size - ell) for ell in range(size - 1)] + [k]
+    return _closed_value(data, x, n, coeffs)
 
 
 def wave_closed_at(params: GraphParams, data: CauchyData, x: ReducedWord, n: int):
     """Closed-form solution value u(x, n).
 
     Two formulas: sphere sums around x when k <= r, and the inverse dual
-    Abel transform of spherical means when k > r.
+    Abel transform of spherical means when k > r.  Both scale to
+    2k D sqrt(q)^|n| u(x, n) = P + sqrt(q) Q, with D the common denominator
+    of the data and P, Q integer combinations of the parts of f and g summed
+    over the distance shells around x, so each value walks the support once
+    and decodes once.
     """
     if n == 0:
         return data.initial.value(x)

@@ -3,8 +3,11 @@ import json
 import pytest
 
 import symgraph.cli
+import symgraph.spectral
 import symgraph.wave
 from symgraph.cli import main
+from symgraph.spectral import MAX_CYLINDERS, QuadratureError, check_depth
+from symgraph.words import GraphParams
 
 
 def run(capsys, *argv):
@@ -206,7 +209,12 @@ def test_usage_errors_exit_two(capsys, monkeypatch):
                  ["transform", "--k", "3", "--r", "4", "--radial", "1", "--grid", "0"],
                  ["table", "c2", "--k", "3", "--r", "4", "--grid", "0"],
                  ["dual", "--k", "3", "--r", "4", "--even", "1,0", "--nmax", "-3"],
-                 ["table", "delta", "--k", "3", "--r", "4", "--nmax", "-1"]):
+                 ["table", "delta", "--k", "3", "--r", "4", "--nmax", "-1"],
+                 ["ks-check", "--k", "3", "--r", "4", "--trials", "0"],
+                 ["ks-check", "--k", "3", "--r", "4", "--trials", "-5"],
+                 ["spherical", "--k", "3", "--r", "4", "--lambda", "0.4", "--oracle-depth", "-1"],
+                 ["invert", "--k", "3", "--r", "4", "--values", "e:1", "--at", "e",
+                  "--depth", "-2"]):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2, argv
@@ -218,6 +226,44 @@ def test_usage_errors_exit_two(capsys, monkeypatch):
     monkeypatch.setattr(symgraph.wave, "ball", refuse)
     assert main(["wave", "--k", "3", "--r", "4", "--f", "e:1", "--steps", "40"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cylinder_bound_refuses_before_walking(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("walked a sphere")
+
+    monkeypatch.setattr(symgraph.cli, "sphere", refuse)
+    monkeypatch.setattr(symgraph.spectral, "sphere", refuse)
+    base = ["--k", "3", "--r", "4"]
+    # delta(7) = 373248 cylinders at (3, 4), past the bound of 10^5
+    for argv in (["spherical", *base, "--lambda", "0.4", "--nmax", "2", "--oracle-depth", "7"],
+                 ["spherical", *base, "--lambda", "0.4", "--oracle-depth", "10000000000"],
+                 ["invert", *base, "--values", "e:1", "--at", "a0^1", "--depth", "7"],
+                 # the derived depth max(support, |at|) + 1 is bounded too
+                 ["invert", *base, "--values", "e:1", "--at", ".".join(["a0^1", "a1^1"] * 4)]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(MAX_CYLINDERS) in err
+    # the depths of the README examples and of the tests stay well inside it
+    check_depth(GraphParams(3, 4), 6)
+    check_depth(GraphParams(4, 4), 5)
+    with pytest.raises(ValueError):
+        check_depth(GraphParams(3, 4), 7)
+    with pytest.raises(ValueError):
+        check_depth(GraphParams(3, 4), -1)
+
+
+def test_quadrature_failure_exits_one(capsys, monkeypatch):
+    def diverge(*args, **kwargs):
+        raise QuadratureError("quadrature did not converge to 1e-09 by order 4096", 3.5e-07)
+
+    monkeypatch.setattr(symgraph.spectral, "gauss_legendre_adaptive", diverge)
+    code = main(["plancherel", "--k", "3", "--r", "4", "--radial", "1,1/2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "3.5e-07" in lines[0]
 
 
 def test_threads_flag_accepted(capsys):

@@ -182,10 +182,11 @@ def fractional_data(params, rng, radius=1):
 
 
 @pytest.mark.parametrize("params", [GraphParams(3, 3), GraphParams(2, 2),
-                                    GraphParams(3, 4), GraphParams(2, 3)])
+                                    GraphParams(3, 4), GraphParams(2, 3),
+                                    GraphParams(3, 2), GraphParams(4, 3)])
 def test_stepper_on_fractional_sqrt_data(params):
-    # the stepper scales by the common denominator and swaps the a and b
-    # parts on odd times; integer data would exercise neither
+    # the stepper and the closed forms scale by the common denominator and
+    # swap the a and b parts on odd times; integer data would exercise neither
     data = fractional_data(params, random.Random(45))
     if params.q not in (1, 4):
         assert all(v.b for v in data.initial.data.values())
@@ -193,7 +194,53 @@ def test_stepper_on_fractional_sqrt_data(params):
     for n in range(-4, 5):
         for x in ball(params, 2):
             assert wave_closed_at(params, data, x, n) == field.at(x, n)
+            assert wave_via_dual_abel_at(params, data, x, n) == field.at(x, n)
     field.check_recurrence(1)
+
+
+@pytest.mark.parametrize("params", [GraphParams(2, 3), GraphParams(3, 3), GraphParams(4, 3)])
+@pytest.mark.parametrize("layout", ["no velocity", "disjoint", "sparse velocity"])
+def test_closed_forms_on_different_supports(params, layout):
+    # the closed forms walk the union of the two supports once; a word in
+    # only one of them must count as zero in the other
+    rng = random.Random(55)
+    full = fractional_data(params, rng, radius=2)
+    words = list(ball(params, 2))
+    f, g = full.initial.data, full.velocity.data
+    if layout == "no velocity":
+        f = {w: f[w] for w in words[::3]}
+        g = {}
+    elif layout == "disjoint":
+        f = {w: f[w] for w in words[::2]}
+        g = {w: g[w] for w in words[1::2]}
+    else:
+        g = {w: g[w] for w in words[1::7]}
+    data = CauchyData(VertexFun.of(params, f), VertexFun.of(params, g))
+    field = wave_direct(params, data, 3, observe_radius=1)
+    for n in range(-3, 4):
+        for x in ball(params, 1):
+            assert wave_closed_at(params, data, x, n) == field.at(x, n)
+            assert wave_via_dual_abel_at(params, data, x, n) == field.at(x, n)
+
+
+def test_float_closed_forms_track_exact_when_k_exceeds_r():
+    params = GraphParams(4, 3)
+    rng = random.Random(57)
+    pool = list(ball(params, 1))
+    values_f = {w: rng.randint(-3, 3) for w in pool}
+    values_g = {w: rng.randint(-3, 3) for w in pool[::2]}
+    exact = CauchyData(VertexFun.of(params, values_f), VertexFun.of(params, values_g))
+    numeric = CauchyData(
+        VertexFun.of(params, {w: float(v) for w, v in values_f.items()}, exact=False),
+        VertexFun.of(params, {w: float(v) for w, v in values_g.items()}, exact=False),
+    )
+    field = wave_direct(params, exact, 4, observe_radius=1)
+    for n in range(-4, 5):
+        for x in ball(params, 1):
+            want = float(field.at(x, n))
+            assert isinstance(wave_closed_at(params, numeric, x, n), float)
+            assert wave_closed_at(params, numeric, x, n) == pytest.approx(want, rel=1e-9)
+            assert wave_via_dual_abel_at(params, numeric, x, n) == pytest.approx(want, rel=1e-9)
 
 
 @pytest.mark.parametrize("params", [GraphParams(2, 3), GraphParams(2, 2), GraphParams(3, 4),
