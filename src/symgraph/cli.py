@@ -4,7 +4,7 @@ Output is machine readable: a JSON object {command, params, inputs, outputs,
 diagnostics} where each output row carries the key, the exact ring value as
 text when one exists, and a float.  CSV emits the same rows.  Exit codes:
 0 pass, 1 failed verification/inequality or a quadrature that did not reach
---tol, 2 usage error.
+--tol, 2 usage error (a value outside the float range among them).
 
 Outputs are deterministic given the flags and seed; the one exception is
 diagnostics.runtime_ms, which reports wall time.
@@ -336,8 +336,11 @@ def cmd_wave(config: RunConfig, args) -> tuple[dict, list, dict, int]:
     targets: list[tuple[ReducedWord, int]] = []
     if args.at:
         word_text, _, n_text = args.at.rpartition(",")
-        targets.append((parse_word(params, word_text), int(n_text)))
-        observe = max(len(t[0]) for t in targets)
+        x, n = parse_word(params, word_text), int(n_text)
+        if abs(n) > args.steps:
+            raise ValueError(f"time {n} beyond --steps {args.steps}")
+        targets.append((x, n))
+        observe = len(x)
     else:
         observe = data.support_radius + args.steps
         check_window(params, data.support_radius, args.steps, observe)
@@ -351,8 +354,6 @@ def cmd_wave(config: RunConfig, args) -> tuple[dict, list, dict, int]:
         field = wave_direct(params, data, args.steps, observe_radius=observe)
     worst = 0.0
     for x, n in targets:
-        if abs(n) > args.steps:
-            raise ValueError(f"time {n} beyond --steps {args.steps}")
         if args.method == "direct":
             value = field.at(x, n)
         else:
@@ -494,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--f", default="", help="initial value, word:value list")
     p.add_argument("--g", default="", help="initial velocity, word:value list")
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=nonnegative_int, required=True)
     p.add_argument("--method", choices=("closed", "direct", "both"), default="both")
     p.add_argument("--at", default=None, help='evaluation point "word,n"')
 
@@ -552,6 +553,9 @@ def main(argv=None) -> int:
             text = _emit(config, args.command, inputs, outputs, diagnostics, started)
     except (ValueError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError:
+        print("error: value outside the float range", file=sys.stderr)
         return 2
     except QuadratureError as exc:
         print(f"error: {exc}; achieved error {exc.achieved:.3g}", file=sys.stderr)

@@ -81,7 +81,7 @@ def gauss_legendre_adaptive(fn, a: float, b: float, tol: float = 1e-9,
     the last two levels; raises ``QuadratureError`` when max_order is not
     enough, reporting the error it did achieve.
     """
-    previous = None
+    previous, change = None, math.inf
     order = start_order
     while order <= max_order:
         nodes, weights = np.polynomial.legendre.leggauss(order)
@@ -90,13 +90,14 @@ def gauss_legendre_adaptive(fn, a: float, b: float, tol: float = 1e-9,
         value = complex(total)
         if value.imag == 0:
             value = value.real
-        if previous is not None and abs(value - previous) <= tol:
-            return value, abs(value - previous)
+        if previous is not None:
+            change = abs(value - previous)
+            if change <= tol:
+                return value, change
         previous = value
         order *= 2
-    achieved = abs(value - previous) if previous is not None else math.inf
     raise QuadratureError(
-        f"quadrature did not converge to {tol} by order {max_order}", achieved
+        f"quadrature did not converge to {tol} by order {max_order}", change
     )
 
 

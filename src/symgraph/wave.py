@@ -15,20 +15,23 @@ in which a word's parent, polygon siblings and children sit at positions
 given by arithmetic on its index, so no neighbour table is built.  A window
 of more than ``MAX_WINDOW_VALUES`` vertex-values is refused up front.
 
-Closed-form evaluation has two formulas: sphere sums for k <= r, and for
-k > r the inverse dual Abel transform applied to spherical means, which is
-valid in every regime and doubles as a cross-check.  Both are integer linear
-in the shell sums of the data around x once scaled by 2k D sqrt(q)^|n|, so a
-value encodes f and g over their common denominator D, walks the union of
-their supports once (one ``distance`` call per word), combines the integer
-shell sums with integer weights and decodes once.  Nothing is cached across
-calls.
+Closed-form evaluation is one formula in every regime: Asgeirsson's mean
+value theorem and the inverse dual Abel transform of spherical means, whose
+velocity terms of every radius fold into one closed weight vector.  Scaled
+by 2k D sqrt(q)^|n| the value is integer linear in the shell sums of the data
+around x, so it encodes f and g over their common denominator D, walks the
+union of their supports once (one ``distance`` call per word), combines the
+integer shell sums with integer weights and decodes once.  A time whose
+weights would hold more than ``MAX_CLOSED_BITS`` bits is refused up front.
+Nothing is cached across calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
@@ -48,6 +51,7 @@ __all__ = [
     "MAX_WINDOW_VALUES",
     "wave_closed_at",
     "wave_via_dual_abel_at",
+    "MAX_CLOSED_BITS",
     "asgeirsson_means",
 ]
 
@@ -410,79 +414,71 @@ def _shell_profile(data: CauchyData, x: ReducedWord, size: int):
     return scale, shells
 
 
-def _inv_dual_coeffs(params: GraphParams, m: int) -> list[int]:
-    # 2k sqrt(q)^m times the inverse dual Abel transform at m, as integer
-    # weights on the shell sums 0..m (at m = 0 half the value at the centre)
+MAX_CLOSED_BITS = 10**8
+"""Most bits the weights of one closed-form value may hold.  Weight l at time
+n is about (1 - k)^(|n| - l), so the weights hold about |n|^2 log2(k) / 2 bits,
+and so does the work of the dot products."""
+
+
+def _weights(params: GraphParams, m: int) -> tuple[list[int], list[int]]:
+    # the integer weights c(m) of the f shells 0..m and v(m) of the g shells
+    # 0..m-1 in wave_closed_at, from m multiplications
     k, r, q = params.k, params.r, params.q
-    return [-(q - 1 + (r - k) * (1 - k) ** (m - ell)) for ell in range(m)] + [k]
+    powers = list(accumulate([1 - k] * m, mul))[::-1]  # (1 - k)^(m - l), l < m
+    return [-(q - 1 + (r - k) * p) for p in powers] + [k], [1 - p for p in powers]
 
 
-def _closed_value(data: CauchyData, x: ReducedWord, n: int, velocity_coeffs: list[int]):
-    """u(x, n) = (P + sqrt(q) Q) / (2k D sqrt(q)^|n|), n != 0.
+def wave_closed_at(params: GraphParams, data: CauchyData, x: ReducedWord, n: int):
+    """Closed-form solution value u(x, n), one formula in every regime.
 
-    P is the f shells dotted with ``_inv_dual_coeffs`` at |n|, and Q the g
-    shells 0..|n|-1 dotted with 2 sign(n) ``velocity_coeffs``; both are
-    integer linear maps of the parts, so the value costs one ``times_root``
-    and one ``decode``.
+    With D the common denominator of the data and F_l, G_l the sums of the
+    integer parts of D f and D g over the sphere of radius l around x,
+
+        2k D sqrt(q)^|n| u(x, n) = P + sqrt(q) Q,   n != 0,
+        P = sum_{l <= |n|} c_l F_l,   c(m) = [-(q - 1 + (r - k)(1 - k)^(m - l))]_{l < m} ++ [k],
+        Q = 2 sign(n) sum_{l < |n|} v_l G_l,   v(m) = [1 - (1 - k)^(m - l)]_{l < m}.
+
+    c(m) is 2k sqrt(q)^m times the inverse dual Abel transform at m, which
+    Asgeirsson's mean value theorem applies to the spherical means of f.  The
+    velocity adds the inverse transforms of the means of g at the radii
+    l < m of opposite parity, each lifted by sqrt(q)^(m - l), so
+    v(m) = sum_l q^((m - l - 1)/2) c(l), zero-padded to length m.  That fold
+    is the closed vector above for every k and r: v(1) = c(0) = [k],
+    v(2) = c(1) because q + (r - k)(1 - k) = (k - 1)^2, and both sides obey
+    v(m + 2) = q v(m) + c(m + 1), since
+    q (1 - t^j) - (q - 1 + (r - k) t^(j + 1)) = 1 - t^(j + 2) for t = 1 - k.
+
+    So each value walks the union of the supports once (one ``distance``
+    call per word, see ``_shell_profile``), builds both weight vectors in
+    O(|n|) multiplications and costs one ``times_root`` and one ``decode``.
+    A time whose weights would hold more than ``MAX_CLOSED_BITS`` bits
+    raises ``ValueError`` before any of that.
     """
-    params, ring = data.params, data.initial.ring
+    if n == 0:
+        return data.initial.value(x)
     size = abs(n)
-    sign = 1 if n > 0 else -1
+    if size * size * params.k.bit_length() > 2 * MAX_CLOSED_BITS:
+        raise ValueError(
+            f"time {n} on the ({params.k}, {params.r}) graph needs closed-form weights "
+            f"of more than {MAX_CLOSED_BITS} bits"
+        )
+    ring = data.initial.ring
     scale, (f_shells, g_shells) = _shell_profile(data, x, size)
+    c, v = _weights(params, size)
+    sign = 1 if n > 0 else -1
 
     def dot(coeffs, shells):
         row = np.array([coeffs], dtype=object)
         return [row @ part[:len(coeffs)] for part in shells]
 
-    p_parts = dot(_inv_dual_coeffs(params, size), f_shells)
-    q_parts = ring.times_root(dot([2 * sign * c for c in velocity_coeffs], g_shells))
+    p_parts = dot(c, f_shells)
+    q_parts = ring.times_root(dot([2 * sign * w for w in v], g_shells))
     parts = [a + b for a, b in zip(p_parts, q_parts)]
     return ring.decode(parts, 2 * params.k * scale, size)[0]
 
 
-def wave_via_dual_abel_at(params: GraphParams, data: CauchyData, x: ReducedWord, n: int):
-    """Closed evaluation through the inverse dual Abel transform of spherical means.
-
-    Valid in every regime.  The odd part adds the inverse transforms of the
-    velocity means at the radii ell < |n| of opposite parity; scaled by
-    2k sqrt(q)^|n| each carries the odd power sqrt(q)^(|n| - ell), so they
-    fold into one integer weight vector on the velocity shells with factors
-    q^((|n| - ell - 1)/2).  Each value is then one pass over the support
-    (see ``_closed_value``).
-    """
-    if n == 0:
-        return data.initial.value(x)
-    size = abs(n)
-    coeffs = [0] * size
-    for ell in range(1 - size % 2, size, 2):
-        lift = params.q ** ((size - ell - 1) // 2)
-        for j, c in enumerate(_inv_dual_coeffs(params, ell)):
-            coeffs[j] += lift * c
-    return _closed_value(data, x, n, coeffs)
-
-
-def _closed_small_k(params: GraphParams, data: CauchyData, x: ReducedWord, n: int):
-    # sphere-sum solution for k <= r
-    k, size = params.k, abs(n)
-    coeffs = [1 - (1 - k) ** (size - ell) for ell in range(size - 1)] + [k]
-    return _closed_value(data, x, n, coeffs)
-
-
-def wave_closed_at(params: GraphParams, data: CauchyData, x: ReducedWord, n: int):
-    """Closed-form solution value u(x, n).
-
-    Two formulas: sphere sums around x when k <= r, and the inverse dual
-    Abel transform of spherical means when k > r.  Both scale to
-    2k D sqrt(q)^|n| u(x, n) = P + sqrt(q) Q, with D the common denominator
-    of the data and P, Q integer combinations of the parts of f and g summed
-    over the distance shells around x, so each value walks the support once
-    and decodes once.
-    """
-    if n == 0:
-        return data.initial.value(x)
-    if params.k <= params.r:
-        return _closed_small_k(params, data, x, n)
-    return wave_via_dual_abel_at(params, data, x, n)
+# the inverse dual Abel route is the same formula (see wave_closed_at)
+wave_via_dual_abel_at = wave_closed_at
 
 
 def asgeirsson_means(params: GraphParams, U, x: ReducedWord, y: ReducedWord,

@@ -300,12 +300,12 @@ def _wave_case(params, rng, data_radius, observe, steps):
 
 def test_ac13_wave_closed_vs_direct():
     rng = random.Random(1313)
-    # k < r through the sphere-sum formula (full ball on the small graph)
+    # one closed formula in every regime; k < r (full ball on the small graph)
     _wave_case(GraphParams(2, 3), rng, data_radius=3, observe=9, steps=6)
     _wave_case(GraphParams(3, 4), rng, data_radius=3, observe=1, steps=6)
-    # k = r via the integer-root formula
+    # k = r
     _wave_case(GraphParams(3, 3), rng, data_radius=3, observe=2, steps=6)
-    # k > r via the inverse-dual route
+    # k > r, where the Plancherel measure has an atom
     _wave_case(GraphParams(3, 2), rng, data_radius=3, observe=9, steps=6)
     _wave_case(GraphParams(4, 3), rng, data_radius=3, observe=1, steps=6)
 

@@ -6,7 +6,8 @@ import symgraph.cli
 import symgraph.spectral
 import symgraph.wave
 from symgraph.cli import main
-from symgraph.spectral import MAX_CYLINDERS, QuadratureError, check_depth
+from symgraph.spectral import MAX_CYLINDERS, QuadratureError, VertexFun, check_depth
+from symgraph.wave import MAX_CLOSED_BITS, CauchyData, wave_closed_at
 from symgraph.words import GraphParams
 
 
@@ -214,10 +215,22 @@ def test_usage_errors_exit_two(capsys, monkeypatch):
                  ["ks-check", "--k", "3", "--r", "4", "--trials", "-5"],
                  ["spherical", "--k", "3", "--r", "4", "--lambda", "0.4", "--oracle-depth", "-1"],
                  ["invert", "--k", "3", "--r", "4", "--values", "e:1", "--at", "e",
-                  "--depth", "-2"]):
+                  "--depth", "-2"],
+                 ["wave", "--k", "3", "--r", "3", "--f", "e:1", "--steps", "-3",
+                  "--method", "closed"],
+                 ["wave", "--k", "3", "--r", "3", "--f", "e:1", "--steps", "-3",
+                  "--method", "direct"]):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2, argv
+    capsys.readouterr()
+    # exact values past the float range are one error line, not a traceback
+    for argv in (["abel", "--k", "3", "--r", "4", "--radial", str(10**400)],
+                 ["wave", "--k", "4", "--r", "3", "--f", "e:1", "--g", "a0^1:1",
+                  "--steps", "6000", "--method", "closed", "--at", "e,6000"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: value outside the float range\n"
     # a window past the stepper's bound is refused before any ball is walked
     def refuse(*args):
         raise AssertionError("enumerated a ball")
@@ -226,6 +239,37 @@ def test_usage_errors_exit_two(capsys, monkeypatch):
     monkeypatch.setattr(symgraph.wave, "ball", refuse)
     assert main(["wave", "--k", "3", "--r", "4", "--f", "e:1", "--steps", "40"]) == 2
     assert "error:" in capsys.readouterr().err
+    # so is an --at time past --steps, before any stepping
+    assert main(["wave", "--k", "3", "--r", "4", "--f", "e:1", "--steps", "3",
+                 "--at", "e,5"]) == 2
+    assert "beyond --steps" in capsys.readouterr().err
+
+
+def test_closed_form_bound_refuses_before_walking(capsys, monkeypatch):
+    base = ["--f", "e:1", "--g", "a0^1:1", "--method", "closed"]
+    # e,3000 at (4, 3) answers; its weights hold about 3000^2 log2(3) / 2 bits
+    code, doc = run_json(capsys, "wave", "--k", "4", "--r", "3", *base, "--steps", "3000",
+                         "--at", "e,3000")
+    assert code == 0 and doc["outputs"][0]["key"] == "u[3000][e]"
+
+    def refuse(*args):
+        raise AssertionError("walked the support or built a weight")
+
+    monkeypatch.setattr(symgraph.wave, "distance", refuse)
+    monkeypatch.setattr(symgraph.wave, "_weights", refuse)
+    for k in ("4", str(10**30)):
+        code = main(["wave", "--k", k, "--r", "3", *base, "--steps", "1000000",
+                     "--at", "e,1000000"])
+        assert code == 2, k
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(MAX_CLOSED_BITS) in err
+    # a huge k is refused at a time a small k answers
+    params = GraphParams(10**30, 3)
+    data = CauchyData(VertexFun.delta_at(params.identity()), VertexFun.of(params, {}))
+    with pytest.raises(ValueError, match=str(MAX_CLOSED_BITS)):
+        wave_closed_at(params, data, params.identity(), 3000)
+    with pytest.raises(ValueError, match=str(MAX_CLOSED_BITS)):
+        wave_closed_at(params, data, params.identity(), -3000)
 
 
 def test_cylinder_bound_refuses_before_walking(capsys, monkeypatch):

@@ -17,6 +17,7 @@ from symgraph.wave import (
     _neighbors,
     _position,
     _self_plus_neighbors,
+    _weights,
     asgeirsson_means,
     check_window,
     lap_full,
@@ -241,6 +242,26 @@ def test_float_closed_forms_track_exact_when_k_exceeds_r():
             assert isinstance(wave_closed_at(params, numeric, x, n), float)
             assert wave_closed_at(params, numeric, x, n) == pytest.approx(want, rel=1e-9)
             assert wave_via_dual_abel_at(params, numeric, x, n) == pytest.approx(want, rel=1e-9)
+
+
+def test_velocity_weights_equal_the_inverse_dual_fold():
+    # c(m) is 2k sqrt(q)^m times the inverse dual Abel transform at m; the
+    # velocity terms lift c(l) at each radius l < m of opposite parity by
+    # sqrt(q)^(m - l), and the closed velocity weights must equal that fold
+    for k in range(2, 7):
+        for r in range(2, 7):
+            params = GraphParams(k, r)
+            q = params.q
+
+            def c(m):
+                return [-(q - 1 + (r - k) * (1 - k) ** (m - ell)) for ell in range(m)] + [k]
+
+            for m in range(1, 17):
+                fold = [0] * m
+                for ell in range(1 - m % 2, m, 2):
+                    for j, coeff in enumerate(c(ell)):
+                        fold[j] += q ** ((m - ell - 1) // 2) * coeff
+                assert _weights(params, m) == (c(m), fold), (k, r, m)
 
 
 @pytest.mark.parametrize("params", [GraphParams(2, 3), GraphParams(2, 2), GraphParams(3, 4),
