@@ -262,6 +262,12 @@ class ExactRing:
 
         return scale, [(ints(v.a for v in col), ints(v.b for v in col)) for col in columns]
 
+    def row(self, weights, m: int) -> tuple:
+        """Integer weights over sqrt(q)^m as a row for ``row @ part``, and
+        the power of sqrt(q) that ``decode`` still divides by: here all of
+        m, since the exact row keeps the integers."""
+        return np.array([weights], dtype=object), m
+
     def times_root(self, parts) -> tuple:
         """Parts of sqrt(q) * value: (A, B) -> (q B, A)."""
         a, b = parts
@@ -302,6 +308,13 @@ class FloatRing:
     def encode(self, columns) -> tuple[int, list]:
         return 1, [(np.array([self.coerce(v) for v in col]),) for col in columns]
 
+    def row(self, weights, m: int) -> tuple:
+        """The weights divided by sqrt(q)^m before they become floats, so a
+        huge integer weight overflows only when its scaled value does;
+        ``decode`` has no power left to divide by."""
+        den, root = self.q ** (m // 2), self.qpow(m % 2)
+        return np.array([[w / den / root for w in weights]]), 0
+
     def times_root(self, parts) -> tuple:
         return (parts[0] * self.qpow(1),)
 
@@ -316,8 +329,9 @@ def ring_of(q: int, exact: bool = True) -> ExactRing | FloatRing:
     Rational constants need no help from the ring: an ``AlgebraicValue``, a
     float or a complex times ``Fraction(n, d)`` stays in its own lane.
     For array code each ring also has ``encode`` (value lists to parts over a
-    common denominator), ``times_root`` (multiply the parts by sqrt(q)) and
-    ``decode`` (parts over ``scale * sqrt(q)^m`` back to values); integer
+    common denominator), ``times_root`` (multiply the parts by sqrt(q)),
+    ``row`` (integer weights over sqrt(q)^m as a row that multiplies parts)
+    and ``decode`` (parts over ``scale * sqrt(q)^m`` back to values); integer
     linear maps act on the parts the same way in both lanes.
     """
     return ExactRing(q) if exact else FloatRing(q)

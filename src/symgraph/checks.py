@@ -2,8 +2,14 @@
 
 Each suite replays the defining identities of one layer against an
 independent evaluation path (vertex enumeration, adjoint pairing, direct
-stepping) on deterministic pseudorandom fixtures.  A failed check produces a
-witness dict with the inputs, the expected value and the value obtained.
+stepping) on deterministic pseudorandom fixtures.
+
+A check is a generator of failures: for each discrepancy it yields a pair
+(failure name, witness), the witness holding the inputs, the expected value
+and the value obtained.  ``_check`` reads the first pair and stops there, so
+a failed check does no further work and draws no further random numbers;
+a check that yields nothing passes under its own name.  A suite is a short
+list of ``_check`` calls sharing one seeded ``random.Random``.
 
 The environment variable SYMGRAPH_FAULT exists for meta-testing: setting it
 to "abel-coeff" perturbs one coefficient inside the Abel suite's candidate
@@ -15,6 +21,8 @@ from __future__ import annotations
 
 import os
 import random
+from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -46,6 +54,8 @@ from .words import GraphParams, ball, distance, sphere
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "grid_params"]
 
+_Failures = Iterator[tuple[str, dict]]
+
 
 @dataclass
 class CheckResult:
@@ -62,55 +72,43 @@ def _random_fractions(rng: random.Random, count: int) -> list[Fraction]:
     return [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3])) for _ in range(count)]
 
 
-def _fault(name: str) -> bool:
-    return os.environ.get("SYMGRAPH_FAULT", "") == name
-
-
-def _fail(name: str, **witness) -> CheckResult:
-    return CheckResult(name, False, {k: str(v) for k, v in witness.items()})
+def _check(name: str, failures: _Failures) -> CheckResult:
+    """The first failure that ``failures`` yields, with its witness as text,
+    or a pass under ``name`` when it yields none."""
+    for failed, witness in failures:
+        return CheckResult(failed, False, {k: str(v) for k, v in witness.items()})
+    return CheckResult(name, True)
 
 
 # -- group suite ---------------------------------------------------------------
 
 
-def suite_group(params: GraphParams, seed: int) -> list[CheckResult]:
-    rng = random.Random(seed)
-    results = []
-
+def _sphere_failures(params: GraphParams) -> _Failures:
     for n in range(5):
         words = list(sphere(params, n))
         if len(words) != params.delta(n) or any(len(w) != n for w in words):
-            results.append(_fail("sphere-count", n=n, got=len(words), expected=params.delta(n)))
-            break
+            yield "sphere-count", dict(n=n, got=len(words), expected=params.delta(n))
         if len(set(words)) != len(words):
-            results.append(_fail("sphere-distinct", n=n))
-            break
-    else:
-        results.append(CheckResult("sphere-count", True))
+            yield "sphere-distinct", dict(n=n)
 
+
+def _word_failures(params: GraphParams, rng: random.Random) -> _Failures:
     pool = list(ball(params, 3))
-    ok = True
     for _ in range(60):
         x, y, z = (rng.choice(pool) for _ in range(3))
         if (x * y) * z != x * (y * z):
-            results.append(_fail("associativity", x=x, y=y, z=z))
-            ok = False
-            break
+            yield "associativity", dict(x=x, y=y, z=z)
         if (x * ~x).syllables or distance(x, y) != len(~x * y):
-            results.append(_fail("inverse-distance", x=x, y=y))
-            ok = False
-            break
+            yield "inverse-distance", dict(x=x, y=y)
         if distance(x * y, x * z) != distance(y, z):
-            results.append(_fail("left-invariance", x=x, y=y, z=z))
-            ok = False
-            break
+            yield "left-invariance", dict(x=x, y=y, z=z)
         if distance(x, z) > distance(x, y) + distance(y, z):
-            results.append(_fail("triangle", x=x, y=y, z=z))
-            ok = False
-            break
-    if ok:
-        results.append(CheckResult("word-algebra", True))
-    return results
+            yield "triangle", dict(x=x, y=y, z=z)
+
+
+def suite_group(params: GraphParams, seed: int) -> list[CheckResult]:
+    return [_check("sphere-count", _sphere_failures(params)),
+            _check("word-algebra", _word_failures(params, random.Random(seed)))]
 
 
 # -- boundary suite ---------------------------------------------------------------
@@ -124,103 +122,77 @@ def _fixture_rays(params: GraphParams, depth: int, rng: random.Random) -> list[B
     return [base, other]
 
 
-def suite_boundary(params: GraphParams, seed: int) -> list[CheckResult]:
-    rng = random.Random(seed)
-    results = []
+def _horocycle_failures(params: GraphParams, rng: random.Random) -> _Failures:
     nmax = 4
-
     for ray in _fixture_rays(params, nmax + 1, rng):
-        counts: dict[tuple[int, int], int] = {}
-        for x in ball(params, nmax):
-            h = busemann(x, ray)
-            counts[(len(x), h)] = counts.get((len(x), h), 0) + 1
+        counts = Counter((len(x), busemann(x, ray)) for x in ball(params, nmax))
         for n in range(nmax + 1):
             for h in range(-nmax, nmax + 1):
                 expected = sphere_horocycle_count(params, n, h)
-                if counts.get((n, h), 0) != expected:
-                    return results + [_fail(
-                        "horocycle-count", ray=ray.prefix, n=n, h=h,
-                        got=counts.get((n, h), 0), expected=expected,
-                    )]
+                if counts[n, h] != expected:
+                    yield "horocycle-count", dict(ray=ray.prefix, n=n, h=h,
+                                                  got=counts[n, h], expected=expected)
         for n in range(nmax + 1):
             total = sum(c for (m, _), c in counts.items() if m == n)
             if total != params.delta(n):
-                return results + [_fail("horocycle-partition", n=n, got=total)]
-    results.append(CheckResult("horocycle-count", True))
+                yield "horocycle-partition", dict(n=n, got=total)
 
+
+def _cocycle_failures(params: GraphParams, rng: random.Random) -> _Failures:
     deep = BoundaryRay.alternating(params, 8)
-    ok = True
     pool = list(ball(params, 2))
     for _ in range(40):
         x, y = rng.choice(pool), rng.choice(pool)
         lhs = busemann(x * y, deep)
         rhs = busemann(y, translate_ray(x, deep)) + busemann(x, deep)
         if lhs != rhs:
-            results.append(_fail("cocycle", x=x, y=y, got=lhs, expected=rhs))
-            ok = False
-            break
-    if ok:
-        results.append(CheckResult("cocycle", True))
-    return results
+            yield "cocycle", dict(x=x, y=y, got=lhs, expected=rhs)
+
+
+def suite_boundary(params: GraphParams, seed: int) -> list[CheckResult]:
+    rng = random.Random(seed)
+    horocycles = _check("horocycle-count", _horocycle_failures(params, rng))
+    if not horocycles.ok:  # a horocycle failure skips the cocycle check
+        return [horocycles]
+    return [horocycles, _check("cocycle", _cocycle_failures(params, rng))]
 
 
 # -- Abel suite ----------------------------------------------------------------------
 
 
-def suite_abel(params: GraphParams, seed: int) -> list[CheckResult]:
-    rng = random.Random(seed)
-    results = []
-
-    ok = True
+def _abel_failures(params: GraphParams, rng: random.Random) -> _Failures:
     for trial in range(6):
         f = RadialSeq.of(params, _random_fractions(rng, rng.randint(1, 5)))
         g = abel(f)
-        if _fault("abel-coeff"):
-            bumped = list(g.values)
-            bumped[0] = bumped[0] + 1
-            g = EvenSeq(params, tuple(bumped), True)
+        if os.environ.get("SYMGRAPH_FAULT") == "abel-coeff":
+            g = EvenSeq(params, (g.values[0] + 1, *g.values[1:]), True)
         for ray in _fixture_rays(params, f.support_radius + 1, rng):
             oracle = abel_via_radon(f, ray)
             if g.values != oracle.values:
-                results.append(_fail(
-                    "abel-oracle", trial=trial, ray=ray.prefix,
-                    got=[str(v) for v in g.values],
-                    expected=[str(v) for v in oracle.values],
-                ))
-                ok = False
-                break
-        if not ok:
-            break
+                yield "abel-oracle", dict(trial=trial, ray=ray.prefix,
+                                          got=[str(v) for v in g.values],
+                                          expected=[str(v) for v in oracle.values])
         back = abel_inv(g)
-        rearranged = abel_inv_rearranged(g)
         if back.values != f.values:
-            results.append(_fail("abel-roundtrip", trial=trial, f=[str(v) for v in f.values]))
-            ok = False
-            break
-        if rearranged.values != back.values:
-            results.append(_fail("abel-inv-variants", trial=trial))
-            ok = False
-            break
-    if ok:
-        results.append(CheckResult("abel-forward-inverse", True))
-    return results
+            yield "abel-roundtrip", dict(trial=trial, f=[str(v) for v in f.values])
+        if abel_inv_rearranged(g).values != back.values:
+            yield "abel-inv-variants", dict(trial=trial)
+
+
+def suite_abel(params: GraphParams, seed: int) -> list[CheckResult]:
+    return [_check("abel-forward-inverse", _abel_failures(params, random.Random(seed)))]
 
 
 # -- dual suite -----------------------------------------------------------------------
 
 
-def suite_dual(params: GraphParams, seed: int) -> list[CheckResult]:
-    rng = random.Random(seed)
-    results = []
-    ok = True
+def _dual_failures(params: GraphParams, rng: random.Random) -> _Failures:
     for trial in range(6):
         g = EvenSeq.of(params, _random_fractions(rng, rng.randint(1, 6)))
         f = RadialSeq.of(params, _random_fractions(rng, g.support_radius + 1))
         fwd = dual_abel(g)
         if fwd.values != dual_abel_via_counts(g).values:
-            results.append(_fail("dual-closed-vs-counts", trial=trial))
-            ok = False
-            break
+            yield "dual-closed-vs-counts", dict(trial=trial)
         lhs = AlgebraicValue(0, 0, params.q)
         for n in range(fwd.support_radius + 1):
             lhs = lhs + fwd.value(n) * f.value(n) * params.delta(n)
@@ -229,110 +201,87 @@ def suite_dual(params: GraphParams, seed: int) -> list[CheckResult]:
         for h in range(1, max(af.support_radius, g.support_radius) + 1):
             rhs = rhs + af.value(h) * g.value(h) * 2
         if lhs != rhs:
-            results.append(_fail("dual-pairing", trial=trial, got=lhs, expected=rhs))
-            ok = False
-            break
+            yield "dual-pairing", dict(trial=trial, got=lhs, expected=rhs)
         back = dual_abel_inv(fwd)
         if back.values != g.values:
-            results.append(_fail("dual-roundtrip", trial=trial))
-            ok = False
-            break
+            yield "dual-roundtrip", dict(trial=trial)
         if dual_abel_inv_recurrence(fwd).values != back.values:
-            results.append(_fail("dual-inv-variants", trial=trial))
-            ok = False
-            break
-    if ok:
-        results.append(CheckResult("dual-abel", True))
-    return results
+            yield "dual-inv-variants", dict(trial=trial)
+
+
+def suite_dual(params: GraphParams, seed: int) -> list[CheckResult]:
+    return [_check("dual-abel", _dual_failures(params, random.Random(seed)))]
 
 
 # -- spectral suite ---------------------------------------------------------------------
 
 
-def suite_spectral(params: GraphParams, seed: int) -> list[CheckResult]:
-    if params.q < 2:
-        return [CheckResult("spectral-skipped-q1", True)]
-    rng = random.Random(seed)
-    results = []
-
-    f = RadialSeq.of(params, _random_fractions(rng, 4))
+def _factorization_failures(params: GraphParams, f: RadialSeq) -> _Failures:
     af = abel(f)
-    ok = True
     for j in range(16):
         lam = (j + 0.5) * params.tau / 32.0
         gap = abs(spherical_transform(f, lam) - complex(fourier_z(af, lam)))
         if gap > 1e-10:
-            results.append(_fail("factorization", lam=lam, gap=gap))
-            ok = False
-            break
-    if ok:
-        results.append(CheckResult("factorization", True))
+            yield "factorization", dict(lam=lam, gap=gap)
 
+
+def _phi_failures(params: GraphParams) -> _Failures:
     lam = 0.25 * params.tau
     table = spherical_phi(params, gamma_of(params, lam), 3)
-    ok = True
     for n in range(4):
-        x = next(iter(sphere(params, n)))
-        oracle = phi_oracle(params, lam, x, n + 1)
+        oracle = phi_oracle(params, lam, next(iter(sphere(params, n))), n + 1)
         if abs(table[n] - oracle) > 1e-12:
-            results.append(_fail("phi-oracle", n=n, got=oracle, expected=table[n]))
-            ok = False
-            break
-    if ok:
-        results.append(CheckResult("phi-oracle", True))
+            yield "phi-oracle", dict(n=n, got=oracle, expected=table[n])
 
+
+def _plancherel_failures(params: GraphParams) -> _Failures:
     result = plancherel_norm(RadialSeq.delta_origin(params), tol=1e-9)
     if abs(result.value - 1.0) > 1e-6:
-        results.append(_fail("plancherel-mass", got=result.value))
-    else:
-        results.append(CheckResult("plancherel-mass", True))
-    return results
+        yield "plancherel-mass", dict(got=result.value)
+
+
+def suite_spectral(params: GraphParams, seed: int) -> list[CheckResult]:
+    if params.q < 2:
+        return [CheckResult("spectral-skipped-q1", True)]
+    f = RadialSeq.of(params, _random_fractions(random.Random(seed), 4))
+    return [_check("factorization", _factorization_failures(params, f)),
+            _check("phi-oracle", _phi_failures(params)),
+            _check("plancherel-mass", _plancherel_failures(params))]
 
 
 # -- wave suite -------------------------------------------------------------------------
+
+
+def _closed_failures(params: GraphParams, data: CauchyData, pool: list, steps: int) -> _Failures:
+    field = wave_direct(params, data, steps, observe_radius=1)
+    for n in range(-steps, steps + 1):
+        for x in pool:
+            got, expected = wave_closed_at(params, data, x, n), field.at(x, n)
+            if got != expected:
+                yield "wave-closed-vs-direct", dict(n=n, x=x, got=got, expected=expected)
+
+
+def _symmetry_failures(params: GraphParams, data: CauchyData, pool: list,
+                       steps: int) -> _Failures:
+    still = CauchyData(data.initial, VertexFun.of(params, {}))
+    field = wave_direct(params, still, steps, observe_radius=1)
+    for n in range(1, steps + 1):
+        for x in pool:
+            if field.at(x, n) != field.at(x, -n):
+                yield "wave-time-symmetry", dict(n=n, x=x)
 
 
 def suite_wave(params: GraphParams, seed: int) -> list[CheckResult]:
     if params.q < 2:
         return [CheckResult("wave-skipped-q1", True)]
     rng = random.Random(seed)
-    results = []
-    steps = 3
-
     pool = list(ball(params, 1))
     data = CauchyData(
         VertexFun.of(params, {w: rng.randint(-3, 3) for w in pool}),
         VertexFun.of(params, {w: rng.randint(-3, 3) for w in pool}),
     )
-    field = wave_direct(params, data, steps, observe_radius=1)
-    ok = True
-    for n in range(-steps, steps + 1):
-        for x in pool:
-            got = wave_closed_at(params, data, x, n)
-            expected = field.at(x, n)
-            if got != expected:
-                results.append(_fail("wave-closed-vs-direct", n=n, x=x, got=got, expected=expected))
-                ok = False
-                break
-        if not ok:
-            break
-    if ok:
-        results.append(CheckResult("wave-closed-vs-direct", True))
-
-    still = CauchyData(data.initial, VertexFun.of(params, {}))
-    field = wave_direct(params, still, steps, observe_radius=1)
-    ok = True
-    for n in range(1, steps + 1):
-        for x in pool:
-            if field.at(x, n) != field.at(x, -n):
-                results.append(_fail("wave-time-symmetry", n=n, x=x))
-                ok = False
-                break
-        if not ok:
-            break
-    if ok:
-        results.append(CheckResult("wave-time-symmetry", True))
-    return results
+    return [_check("wave-closed-vs-direct", _closed_failures(params, data, pool, 3)),
+            _check("wave-time-symmetry", _symmetry_failures(params, data, pool, 3))]
 
 
 SUITES = {
@@ -348,15 +297,11 @@ SUITES = {
 def run_suite(name: str, params_list: list[GraphParams], seed: int):
     """Run one suite (or "all") over a parameter grid.
 
-    Returns (ok, results) where results is a list of (params, CheckResult).
+    Returns (ok, results) where results is a list of
+    (params, suite name, CheckResult).
     """
     names = list(SUITES) if name == "all" else [name]
-    collected = []
-    ok = True
-    for suite_name in names:
-        suite = SUITES[suite_name]
-        for params in params_list:
-            for result in suite(params, seed):
-                collected.append((params, suite_name, result))
-                ok = ok and result.ok
-    return ok, collected
+    collected = [(params, suite_name, result)
+                 for suite_name in names for params in params_list
+                 for result in SUITES[suite_name](params, seed)]
+    return all(result.ok for _, _, result in collected), collected

@@ -4,7 +4,8 @@ Output is machine readable: a JSON object {command, params, inputs, outputs,
 diagnostics} where each output row carries the key, the exact ring value as
 text when one exists, and a float.  CSV emits the same rows.  Exit codes:
 0 pass, 1 failed verification/inequality or a quadrature that did not reach
---tol, 2 usage error (a value outside the float range among them).
+--tol, 2 usage error (a value outside the float range and a request past a
+work bound among them).
 
 Outputs are deterministic given the flags and seed; the one exception is
 diagnostics.runtime_ms, which reports wall time.
@@ -77,9 +78,7 @@ class RunConfig:
 
 
 def _rows(key: str, value) -> list[dict]:
-    if isinstance(value, AlgebraicValue):
-        return [{"key": key, "exact": str(value), "float": float(value)}]
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, (AlgebraicValue, int, Fraction)):
         return [{"key": key, "exact": str(value), "float": float(value)}]
     if isinstance(value, complex):
         if value.imag == 0.0:
@@ -131,6 +130,11 @@ def _parse_vertex_fun(params: GraphParams, text: str) -> VertexFun:
 
 
 # -- command handlers -------------------------------------------------------------
+
+# Work bounds of the commands whose cost is linear in one flag: refused with
+# exit 2 before any work, like the stepper's window and the cylinder walks.
+_MAX_PHI_TERMS = 100_000  # spherical --nmax: one float and one output row per term
+_MAX_TRIALS = 10_000  # ks-check --trials: about 2 ms per trial at (3, 4)
 
 
 def cmd_info(config: RunConfig, args) -> tuple[dict, list, dict, int]:
@@ -227,6 +231,8 @@ def cmd_dual_inv(config: RunConfig, args) -> tuple[dict, list, dict, int]:
 
 def cmd_spherical(config: RunConfig, args) -> tuple[dict, list, dict, int]:
     params = config.params
+    if args.nmax > _MAX_PHI_TERMS:
+        raise ValueError(f"--nmax {args.nmax} is past the bound of {_MAX_PHI_TERMS} terms")
     table = spherical_phi(params, gamma_of(params, args.lam), args.nmax)
     outputs = []
     for n, value in enumerate(table):
@@ -300,6 +306,8 @@ def cmd_ks_check(config: RunConfig, args) -> tuple[dict, list, dict, int]:
     params = config.params
     if params.k > params.r:
         raise ValueError("the smoothing inequality is checked for k <= r only")
+    if args.trials > _MAX_TRIALS:
+        raise ValueError(f"--trials {args.trials} is past the bound of {_MAX_TRIALS} trials")
     rng = random.Random(config.seed)
     worst = {"core": 0.0, "young": 0.0, "holder": 0.0}
     witness = None
@@ -367,7 +375,7 @@ def cmd_wave(config: RunConfig, args) -> tuple[dict, list, dict, int]:
     return inputs, outputs, diagnostics, 0
 
 
-def cmd_verify(config_args, args) -> tuple[dict, list, dict, int]:
+def cmd_verify(config: RunConfig | None, args) -> tuple[dict, list, dict, int]:
     if args.k is not None and args.r is not None:
         grid = [GraphParams(args.k, args.r)]
     else:
@@ -545,12 +553,8 @@ def main(argv=None) -> int:
         parser.error("--k and --r are required")
 
     try:
-        if args.command == "verify":
-            inputs, outputs, diagnostics, code = cmd_verify(None, args)
-            text = _emit(config, args.command, inputs, outputs, diagnostics, started)
-        else:
-            inputs, outputs, diagnostics, code = _HANDLERS[args.command](config, args)
-            text = _emit(config, args.command, inputs, outputs, diagnostics, started)
+        inputs, outputs, diagnostics, code = _HANDLERS[args.command](config, args)
+        text = _emit(config, args.command, inputs, outputs, diagnostics, started)
     except (ValueError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,7 +7,8 @@ eigenvalue is 1/(1-k); the atom is always handled through that rational
 eigenvalue rather than a complex spectral parameter.
 
 Quadrature is adaptive Gauss-Legendre: the order doubles until two successive
-levels agree to the requested tolerance, and every result carries the
+levels agree to the requested tolerance, or to the rounding bound of the float
+sum when a large integral puts that above it, and every result carries the
 achieved error estimate.  Integrands vanish at both endpoints (zeros of the
 Plancherel density), so no endpoint handling is needed.
 """
@@ -59,6 +60,9 @@ __all__ = [
 ]
 
 
+_EPS = np.finfo(float).eps
+
+
 class QuadratureError(RuntimeError):
     """Quadrature failed to reach the requested tolerance."""
 
@@ -78,21 +82,27 @@ def gauss_legendre_adaptive(fn, a: float, b: float, tol: float = 1e-9,
     """Integrate a vectorized callable on [a, b], doubling the order until stable.
 
     Returns (value, error_estimate) where the estimate is the difference of
-    the last two levels; raises ``QuadratureError`` when max_order is not
-    enough, reporting the error it did achieve.
+    the last two levels.  Two levels agree when they differ by at most
+    ``tol``, or by at most the rounding bound of the level's float sum,
+    order * machine epsilon * sum |weight * f(node)|, when that is larger:
+    no order resolves a large integral more finely than its own rounding,
+    so the tolerance grows with the integral's magnitude.  Raises
+    ``QuadratureError`` when max_order is not enough, reporting the error it
+    did achieve.
     """
     previous, change = None, math.inf
     order = start_order
     while order <= max_order:
         nodes, weights = np.polynomial.legendre.leggauss(order)
         xs = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-        total = 0.5 * (b - a) * np.sum(weights * fn(xs))
-        value = complex(total)
+        terms = weights * fn(xs)
+        value = complex(0.5 * (b - a) * np.sum(terms))
         if value.imag == 0:
             value = value.real
         if previous is not None:
             change = abs(value - previous)
-            if change <= tol:
+            rounding = order * _EPS * 0.5 * abs(b - a) * float(np.sum(np.abs(terms)))
+            if change <= max(tol, rounding):
                 return value, change
         previous = value
         order *= 2

@@ -451,6 +451,9 @@ def wave_closed_at(params: GraphParams, data: CauchyData, x: ReducedWord, n: int
     So each value walks the union of the supports once (one ``distance``
     call per word, see ``_shell_profile``), builds both weight vectors in
     O(|n|) multiplications and costs one ``times_root`` and one ``decode``.
+    The ring's ``row`` turns the weights into the row of each dot product;
+    the float lane divides them by sqrt(q)^|n| first, so it overflows only
+    where the value itself is past the float range.
     A time whose weights would hold more than ``MAX_CLOSED_BITS`` bits
     raises ``ValueError`` before any of that.
     """
@@ -467,14 +470,12 @@ def wave_closed_at(params: GraphParams, data: CauchyData, x: ReducedWord, n: int
     c, v = _weights(params, size)
     sign = 1 if n > 0 else -1
 
-    def dot(coeffs, shells):
-        row = np.array([coeffs], dtype=object)
-        return [row @ part[:len(coeffs)] for part in shells]
-
-    p_parts = dot(c, f_shells)
-    q_parts = ring.times_root(dot([2 * sign * w for w in v], g_shells))
+    c_row, owed = ring.row(c, size)
+    v_row, _ = ring.row([2 * sign * w for w in v], size)
+    p_parts = [c_row @ part[:len(c)] for part in f_shells]
+    q_parts = ring.times_root([v_row @ part[:len(v)] for part in g_shells])
     parts = [a + b for a, b in zip(p_parts, q_parts)]
-    return ring.decode(parts, 2 * params.k * scale, size)[0]
+    return ring.decode(parts, 2 * params.k * scale, owed)[0]
 
 
 # the inverse dual Abel route is the same formula (see wave_closed_at)

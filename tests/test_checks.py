@@ -1,0 +1,108 @@
+"""Every ``verify`` check must be able to fail: perturb one compared path and
+the suite has to name the failure, drop the pass and carry a witness."""
+
+import dataclasses
+
+import pytest
+
+import symgraph.checks as checks
+from symgraph.checks import run_suite
+from symgraph.spectral import QuadResult
+from symgraph.words import GraphParams
+
+P34 = GraphParams(3, 4)
+
+
+def plus_one(fn):
+    return lambda *args, **kwargs: fn(*args, **kwargs) + 1
+
+
+def first_value_plus_one(fn):
+    def bumped(*args, **kwargs):
+        seq = fn(*args, **kwargs)
+        return dataclasses.replace(seq, values=(seq.values[0] + 1, *seq.values[1:]))
+    return bumped
+
+
+def first_word_dropped(fn):
+    return lambda params, n: list(fn(params, n))[1:]
+
+
+def last_word_repeats_first(fn):
+    def repeated(params, n):
+        words = list(fn(params, n))
+        return words[:-1] + words[:1]
+    return repeated
+
+
+def untranslated(fn):
+    return lambda x, ray: ray
+
+
+def mass_plus_one(fn):
+    def heavier(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        return QuadResult(result.value + 1.0, result.error)
+    return heavier
+
+
+class _Lopsided:
+    """A wave field whose past is off by one."""
+
+    def __init__(self, field):
+        self.field = field
+
+    def at(self, x, n):
+        return self.field.at(x, n) + (1 if n < 0 else 0)
+
+
+def past_off_when_still(fn):
+    # only the zero-velocity solve of the time-symmetry check is perturbed
+    def stepped(params, data, steps, observe_radius=None):
+        field = fn(params, data, steps, observe_radius=observe_radius)
+        return field if data.velocity.data else _Lopsided(field)
+    return stepped
+
+
+CASES = [
+    ("group", "sphere", first_word_dropped, "sphere-count", "sphere-count"),
+    ("group", "sphere", last_word_repeats_first, "sphere-distinct", "sphere-count"),
+    ("group", "distance", plus_one, "inverse-distance", "word-algebra"),
+    ("boundary", "sphere_horocycle_count", plus_one, "horocycle-count", "horocycle-count"),
+    ("boundary", "translate_ray", untranslated, "cocycle", "cocycle"),
+    ("abel", "abel_via_radon", first_value_plus_one, "abel-oracle", "abel-forward-inverse"),
+    ("abel", "abel_inv", first_value_plus_one, "abel-roundtrip", "abel-forward-inverse"),
+    ("abel", "abel_inv_rearranged", first_value_plus_one, "abel-inv-variants",
+     "abel-forward-inverse"),
+    ("dual", "dual_abel_via_counts", first_value_plus_one, "dual-closed-vs-counts", "dual-abel"),
+    ("dual", "abel", first_value_plus_one, "dual-pairing", "dual-abel"),
+    ("dual", "dual_abel_inv", first_value_plus_one, "dual-roundtrip", "dual-abel"),
+    ("dual", "dual_abel_inv_recurrence", first_value_plus_one, "dual-inv-variants", "dual-abel"),
+    ("spectral", "fourier_z", plus_one, "factorization", "factorization"),
+    ("spectral", "phi_oracle", plus_one, "phi-oracle", "phi-oracle"),
+    ("spectral", "plancherel_norm", mass_plus_one, "plancherel-mass", "plancherel-mass"),
+    ("wave", "wave_closed_at", plus_one, "wave-closed-vs-direct", "wave-closed-vs-direct"),
+    ("wave", "wave_direct", past_off_when_still, "wave-time-symmetry", "wave-time-symmetry"),
+]
+
+
+@pytest.mark.parametrize("suite, path, perturb, failure, success", CASES,
+                         ids=[f"{case[0]}-{case[3]}" for case in CASES])
+def test_every_check_can_fail(monkeypatch, suite, path, perturb, failure, success):
+    assert run_suite(suite, [P34], 0)[0]
+    monkeypatch.setattr(checks, path, perturb(getattr(checks, path)))
+    ok, collected = run_suite(suite, [P34], 0)
+    results = [result for _, _, result in collected]
+    assert not ok
+    assert not any(result.ok and result.name == success for result in results)
+    failed = [result for result in results if not result.ok]
+    assert [result.name for result in failed] == [failure]
+    assert failed[0].witness and all(isinstance(v, str) for v in failed[0].witness.values())
+
+
+def test_horocycle_failure_skips_the_cocycle_check(monkeypatch):
+    monkeypatch.setattr(checks, "sphere_horocycle_count",
+                        plus_one(checks.sphere_horocycle_count))
+    _, collected = run_suite("boundary", [P34], 0)
+    assert [(result.name, result.ok) for _, _, result in collected] == [
+        ("horocycle-count", False)]

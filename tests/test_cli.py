@@ -297,6 +297,35 @@ def test_cylinder_bound_refuses_before_walking(capsys, monkeypatch):
         check_depth(GraphParams(3, 4), -1)
 
 
+def test_linear_work_bounds_refuse_before_work(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("started the work")
+
+    monkeypatch.setattr(symgraph.cli, "spherical_phi", refuse)
+    monkeypatch.setattr(symgraph.cli, "kunze_stein_check", refuse)
+    monkeypatch.setattr(symgraph.cli, "ball", refuse)
+    base = ["--k", "3", "--r", "4"]
+    for argv, bound in (
+            (["spherical", *base, "--lambda", "0.4", "--nmax", str(10**8)],
+             symgraph.cli._MAX_PHI_TERMS),
+            (["ks-check", *base, "--trials", str(10**8)], symgraph.cli._MAX_TRIALS)):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and str(bound) in captured.err
+
+
+def test_plancherel_tolerance_scales_with_the_norm(capsys):
+    # ||f||^2 = 2687385: an absolute 1e-9 sits below the rounding of the sum
+    code, doc = run_json(capsys, "plancherel", "--k", "3", "--r", "4",
+                         "--radial", "1,1,1,1,1,1,1,1,1")
+    assert code == 0
+    direct, spectral = (row["float"] for row in doc["outputs"])
+    assert direct == 2687385.0
+    assert spectral == pytest.approx(direct, rel=1e-9)
+    assert doc["diagnostics"]["quadrature_error"] <= 1e-9 * direct
+
+
 def test_quadrature_failure_exits_one(capsys, monkeypatch):
     def diverge(*args, **kwargs):
         raise QuadratureError("quadrature did not converge to 1e-09 by order 4096", 3.5e-07)

@@ -244,6 +244,23 @@ def test_float_closed_forms_track_exact_when_k_exceeds_r():
             assert wave_via_dual_abel_at(params, numeric, x, n) == pytest.approx(want, rel=1e-9)
 
 
+def test_float_closed_form_scales_before_it_rounds():
+    # the integer weights near (k - 1)^|n| = 3^700 are past the float range,
+    # the value (about 1.4e61 at n = 700) is not
+    params = GraphParams(4, 3)
+    e, a = params.identity(), params.generator(0)
+
+    def data(exact):
+        return CauchyData(VertexFun.delta_at(e, exact=exact), VertexFun.delta_at(a, exact=exact))
+
+    for n in (600, 700, -700):
+        want = float(wave_closed_at(params, data(True), e, n))
+        got = wave_closed_at(params, data(False), e, n)
+        assert isinstance(got, float)
+        assert got == pytest.approx(want, rel=1e-12)
+    assert abs(want) > 1e60
+
+
 def test_velocity_weights_equal_the_inverse_dual_fold():
     # c(m) is 2k sqrt(q)^m times the inverse dual Abel transform at m; the
     # velocity terms lift c(l) at each radius l < m of opposite parity by
