@@ -136,6 +136,11 @@ class AlgebraicValue:
         return AlgebraicValue(self.a / norm, -self.b / norm, self.q)
 
     def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a rational divisor divides both parts; no inverse to build
+            if not other:
+                raise ZeroDivisionError("division by zero in quadratic ring")
+            return AlgebraicValue(self.a / other, self.b / other, self.q)
         o = self._coerce(other)
         if o is None:
             return NotImplemented

@@ -135,6 +135,12 @@ def _parse_vertex_fun(params: GraphParams, text: str) -> VertexFun:
 # exit 2 before any work, like the stepper's window and the cylinder walks.
 _MAX_PHI_TERMS = 100_000  # spherical --nmax: one float and one output row per term
 _MAX_TRIALS = 10_000  # ks-check --trials: about 2 ms per trial at (3, 4)
+# ks-check, one trial: |ball(1)| * |ball(2)| convolution products, 513 at (3, 4)
+# (about 2 ms); 10^4 admits k = r <= 5 and refuses (10, 10), 3 s per trial.
+_MAX_TRIAL_PRODUCTS = 10_000
+# verify --k --r: every suite walks at most the ball of radius 4, 9841 words at
+# (4, 4), the largest point of the default grid; (10, 10) took minutes.
+_MAX_VERIFY_BALL = 20_000
 
 
 def cmd_info(config: RunConfig, args) -> tuple[dict, list, dict, int]:
@@ -308,6 +314,11 @@ def cmd_ks_check(config: RunConfig, args) -> tuple[dict, list, dict, int]:
         raise ValueError("the smoothing inequality is checked for k <= r only")
     if args.trials > _MAX_TRIALS:
         raise ValueError(f"--trials {args.trials} is past the bound of {_MAX_TRIALS} trials")
+    ball_1 = 1 + params.delta(1)
+    products = ball_1 * (ball_1 + params.delta(2))
+    if products > _MAX_TRIAL_PRODUCTS:
+        raise ValueError(f"one trial at ({params.k}, {params.r}) takes {products} products, "
+                         f"past the bound of {_MAX_TRIAL_PRODUCTS}")
     rng = random.Random(config.seed)
     worst = {"core": 0.0, "young": 0.0, "holder": 0.0}
     witness = None
@@ -377,7 +388,11 @@ def cmd_wave(config: RunConfig, args) -> tuple[dict, list, dict, int]:
 
 def cmd_verify(config: RunConfig | None, args) -> tuple[dict, list, dict, int]:
     if args.k is not None and args.r is not None:
-        grid = [GraphParams(args.k, args.r)]
+        grid = [config.params]
+        words = sum(config.params.delta(n) for n in range(5))
+        if words > _MAX_VERIFY_BALL:
+            raise ValueError(f"the ball of radius 4 at ({args.k}, {args.r}) holds {words} words, "
+                             f"past the bound of {_MAX_VERIFY_BALL}")
     else:
         grid = grid_params()
     ok, collected = run_suite(args.suite, grid, args.seed)

@@ -16,6 +16,15 @@ Conventions:
 * the dual transform is adjoint to the Abel transform under the pairing
   sum_n A*g(n) f(n) delta(n) = sum_h g(h) Af(h), which is the identity that
   fixes every coefficient below.
+
+The closed forms state the paper's formulas as double sums.  Each kernel is a
+sum of at most two geometric series, with ratios q and 1-k, so each form is
+evaluated with running prefix or suffix sums in O(N) ring operations; the
+float lane scales the sums to the size of the values and multiplies them by
+no rounded constant repeatedly.  The oracles (``radon``, ``abel_via_radon``,
+``dual_abel_via_counts``, ``dual_abel_inv_recurrence``) keep their direct
+paths.  A closed form of N values holds about N^2 log2(q) bits, and one past
+``MAX_CLOSED_BITS`` is refused with ``ValueError`` before any arithmetic.
 """
 
 from __future__ import annotations
@@ -106,6 +115,23 @@ class EvenSeq(_Seq):
         return self.ring.zero
 
 
+MAX_CLOSED_BITS = 10**8
+"""Most bits one closed form may hold, refused up front: the N values of a
+radial transform, whose n-th value carries q^(n/2) in the numerators and
+denominators of both parts, hold about N^2 log2(q) bits; the weights of one
+closed-form wave value at time n hold about n^2 log2(k) / 2.  The work of
+either grows with its bits."""
+
+
+def _check_size(params: GraphParams, length: int) -> None:
+    # the work bound of the radial closed forms, before any arithmetic
+    if length * length * params.q.bit_length() > MAX_CLOSED_BITS:
+        raise ValueError(
+            f"{length} values on the ({params.k}, {params.r}) graph need a closed form "
+            f"of more than {MAX_CLOSED_BITS} bits"
+        )
+
+
 # -- Radon transform ----------------------------------------------------------
 
 
@@ -146,22 +172,20 @@ def abel(f: RadialSeq) -> EvenSeq:
     Af(h) collects f(|h|) with weight q^(|h|/2), the odd offsets f(|h|+2j-1)
     with weight (k-2) q^(|h|/2+j-1), and the even offsets f(|h|+2j) with
     weight (r-2)/(r-1) q^(|h|/2+j).  The support radius is preserved.
+
+    Evaluated as Af(h) = q^(h/2) T(h) with the suffix recurrence
+    T(h) = f(h) + (k-2) f(h+1) - (k-1) f(h+2) + q T(h+2), since
+    ((r-2)/(r-1) - 1) q = -(k-1): O(N) ring operations.  N values past
+    ``MAX_CLOSED_BITS`` raise ``ValueError`` first.
     """
     params, ring = f.params, f.ring
     N = f.support_radius
-    sigma = params.sigma
-    even_weight = Fraction(params.r - 2, params.r - 1)
-    out = []
-    for h in range(N + 1):
-        total = ring.qpow(h) * f.value(h)
-        j = 1
-        while h + 2 * j - 1 <= N:
-            total = total + ring.qpow(h + 2 * j - 2) * f.value(h + 2 * j - 1) * sigma
-            if h + 2 * j <= N:
-                total = total + ring.qpow(h + 2 * j) * f.value(h + 2 * j) * even_weight
-            j += 1
-        out.append(total)
-    return EvenSeq(params, tuple(out), f.exact)
+    _check_size(params, N + 1)
+    k, q, value = params.k, params.q, f.value
+    t = [ring.zero] * (N + 3)
+    for h in range(N, -1, -1):
+        t[h] = value(h) + value(h + 1) * (k - 2) - value(h + 2) * (k - 1) + t[h + 2] * q
+    return EvenSeq(params, tuple(ring.qpow(h) * t[h] for h in range(N + 1)), f.exact)
 
 
 def abel_via_radon(f: RadialSeq, ray: BoundaryRay) -> EvenSeq:
@@ -185,21 +209,25 @@ def abel_inv(g: EvenSeq) -> RadialSeq:
 
     f(n) = (1/k) q^(-(n-1)/2) sum_{m>=1} [1 + (-1)^(m-1) (k-1)^m] q^(-m/2)
            [g(n+m-1) - g(n+m+1)]; the sum is finite on finitely supported g.
+
+    Evaluated as f(n) = (1/k) q^(1/2) (U(n) - V(n)) over e(j) = q^(-j/2)
+    [g(j-1) - g(j+1)], with the suffix sums U(n) = U(n+1) + e(n+1) and
+    V(n) = (1-k) (V(n+1) + e(n+1)): O(N) ring operations.  N values past
+    ``MAX_CLOSED_BITS`` raise ``ValueError`` first.
     """
     params, ring = g.params, g.ring
     k = params.k
     M = g.support_radius
+    _check_size(params, M + 1)
+    scale = ring.qpow(1) * Fraction(1, k)
+    plain = geometric = ring.zero  # U(n), V(n)
     out = []
-    for n in range(M + 1):
-        acc = ring.zero
-        for m in range(1, M - n + 3):
-            coeff = 1 + (-1) ** (m - 1) * (k - 1) ** m
-            if coeff == 0:
-                continue
-            diff = g.value(n + m - 1) - g.value(n + m + 1)
-            acc = acc + ring.qpow(-m) * diff * coeff
-        out.append(ring.qpow(-(n - 1)) * acc * Fraction(1, k))
-    return RadialSeq(params, tuple(out), g.exact)
+    for n in range(M, -1, -1):
+        e = ring.qpow(-n - 1) * (g.value(n) - g.value(n + 2))
+        plain = plain + e
+        geometric = (geometric + e) * (1 - k)
+        out.append((plain - geometric) * scale)
+    return RadialSeq(params, tuple(reversed(out)), g.exact)
 
 
 def abel_inv_rearranged(g: EvenSeq) -> RadialSeq:
@@ -210,20 +238,26 @@ def abel_inv_rearranged(g: EvenSeq) -> RadialSeq:
 
     The m = 1 term of the bracketed sum is exactly the explicit g(n+1) term,
     so the sum starts at m = 2.  Agrees with ``abel_inv`` identically.
+
+    Evaluated over e(j) = q^(-j/2) g(j) as f(n) = e(n) - (k-2) e(n+1)
+    - ((q-1)/k) U(n) - ((r-k)/k) V(n), with the suffix sums
+    U(n) = U(n+1) + e(n+2) and V(n) = (1-k) (V(n+1) + (1-k) e(n+2)):
+    O(N) ring operations.  N values past ``MAX_CLOSED_BITS`` raise
+    ``ValueError`` first.
     """
     params, ring = g.params, g.ring
     k, r, q = params.k, params.r, params.q
     M = g.support_radius
+    _check_size(params, M + 1)
+    e = [ring.qpow(-j) * g.value(j) for j in range(M + 1)] + [ring.zero, ring.zero]
+    plain = geometric = ring.zero  # U(n), V(n)
     out = []
-    for n in range(M + 1):
-        acc = g.value(n) - ring.qpow(-1) * g.value(n + 1) * (k - 2)
-        for m in range(2, M - n + 1):
-            gm = g.value(n + m)
-            acc = acc - ring.qpow(-m) * gm * Fraction(q - 1, k)
-            sign = (-1) ** m * (k - 1) ** m
-            acc = acc - ring.qpow(-m) * gm * sign * Fraction(r - k, k)
-        out.append(ring.qpow(-n) * acc)
-    return RadialSeq(params, tuple(out), g.exact)
+    for n in range(M, -1, -1):
+        plain = plain + e[n + 2]
+        geometric = (geometric + e[n + 2] * (1 - k)) * (1 - k)
+        out.append(e[n] - e[n + 1] * (k - 2)
+                   - plain * Fraction(q - 1, k) - geometric * Fraction(r - k, k))
+    return RadialSeq(params, tuple(reversed(out)), g.exact)
 
 
 # -- dual Abel transform and inverses ---------------------------------------------
@@ -242,24 +276,24 @@ def dual_abel(g: EvenSeq, n_max: int | None = None) -> RadialSeq:
     (j = 0 once).  The middle exponent -(n+1)/2 is the one forced by the
     duality pairing, which the tests enforce against the counting definition.
     The result is generally not finitely supported, hence ``n_max``.
+
+    The two parity sums are running sums: from n to n+1 the window gains
+    j = +-n, so (same, diff) becomes (diff, same + 2 g(n)).  O(n_max) ring
+    operations; an n_max past ``MAX_CLOSED_BITS`` raises ``ValueError`` first.
     """
     params, ring = g.params, g.ring
     r = params.r
     if n_max is None:
         n_max = g.support_radius
+    _check_size(params, n_max + 1)
     out = [g.value(0)]
+    same, diff = ring.zero, g.value(0)
     for n in range(1, n_max + 1):
-        same = ring.zero
-        diff = ring.zero
-        for j in range(-n + 1, n):
-            if (n - j) % 2:
-                diff = diff + g.value(j)
-            else:
-                same = same + g.value(j)
-        acc = ring.qpow(-n) * g.value(n) * 2 * Fraction(r - 1, r)
-        acc = acc + ring.qpow(-(n + 1)) * diff * params.sigma * Fraction(r - 1, r)
-        acc = acc + ring.qpow(-n) * same * Fraction(r - 2, r)
+        gn = g.value(n)
+        acc = ring.qpow(-n) * (gn * Fraction(2 * (r - 1), r) + same * Fraction(r - 2, r))
+        acc = acc + ring.qpow(-(n + 1)) * diff * Fraction(params.sigma * (r - 1), r)
         out.append(acc)
+        same, diff = diff, same + gn * 2
     return RadialSeq(params, tuple(out), g.exact)
 
 
@@ -295,19 +329,35 @@ def dual_abel_inv(f: RadialSeq, n_max: int | None = None) -> EvenSeq:
     The inverse image of compactly supported data is not compactly
     supported; ``n_max`` (default: the input support radius, which keeps
     windowed round trips exact) bounds the returned values.
+
+    The window splits into two prefix sums over j <= n-2, both scaled by
+    q^(-(n+2)/2) so that neither outgrows the values:
+    P(n) = sum q^(j-(n+2)/2) f~(j) and Q(n) = sum (1-k)^(n-j) q^(j-(n+2)/2) f~(j),
+    where f~(0) = ((r-1)/r) f(0) folds the f(0) term in and f~(j) = f(j)
+    after.  Each sum steps from n-2 to n: divide by q (times (1-k)^2 for Q)
+    and add the terms j = n-3, n-2, so no rounded constant compounds in the
+    float lane.  O(N) ring operations; N past ``MAX_CLOSED_BITS`` raises
+    ``ValueError`` first.
     """
     params, ring = f.params, f.ring
     k, r, q = params.k, params.r, params.q
     deg = params.degree
     sigma = params.sigma
     N = f.support_radius if n_max is None else n_max
+    _check_size(params, N + 1)
     out = [f.value(0)]
     out.append(ring.qpow(-1) * (f.value(1) * Fraction(deg, 2) - f.value(0) * Fraction(sigma, 2)))
+    root_inv = ring.qpow(-1)
+    t = (1 - k) ** 2
+    plain = [ring.zero, ring.zero]  # P(n) at the last even and the last odd n
+    geometric = [ring.zero, ring.zero]  # Q(n) likewise
+    newest = ring.zero  # the j = n-3 term of P(n-1)
     for n in range(2, N + 1):
-        acc = ring.qpow(-n) * f.value(0) * Fraction(-(q - 1 + (r - k) * (1 - k) ** n), 2 * k)
-        for j in range(1, n - 1):
-            window = q - 1 + (r - k) * (1 - k) ** (n - j)
-            acc = acc - ring.qpow(2 * j - n - 2) * f.value(j) * window * Fraction(deg, 2 * k)
+        previous = newest * root_inv  # the j = n-3 term of P(n)
+        newest = ring.qpow(n - 6) * (f.value(n - 2) if n > 2 else f.value(0) * Fraction(r - 1, r))
+        plain[n % 2] = plain[n % 2] / q + previous + newest
+        geometric[n % 2] = geometric[n % 2] * t / q + (previous * (1 - k) + newest) * t
+        acc = (plain[n % 2] * (q - 1) + geometric[n % 2] * (r - k)) * Fraction(-deg, 2 * k)
         acc = acc - ring.qpow(n - 4) * f.value(n - 1) * Fraction(deg * sigma, 2)
         acc = acc + ring.qpow(n - 2) * f.value(n) * Fraction(deg, 2)
         out.append(acc)

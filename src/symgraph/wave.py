@@ -37,7 +37,7 @@ import numpy as np
 
 from .algebraic import AlgebraicValue
 from .spectral import VertexFun
-from .transforms import RadialSeq
+from .transforms import MAX_CLOSED_BITS, RadialSeq
 from .words import GraphParams, ReducedWord, ball, distance, sphere
 
 __all__ = [
@@ -412,12 +412,6 @@ def _shell_profile(data: CauchyData, x: ReducedWord, size: int):
             sums.append(out)
         shells.append(sums)
     return scale, shells
-
-
-MAX_CLOSED_BITS = 10**8
-"""Most bits the weights of one closed-form value may hold.  Weight l at time
-n is about (1 - k)^(|n| - l), so the weights hold about |n|^2 log2(k) / 2 bits,
-and so does the work of the dot products."""
 
 
 def _weights(params: GraphParams, m: int) -> tuple[list[int], list[int]]:

@@ -185,7 +185,7 @@ def distance(x: ReducedWord, y: ReducedWord) -> int:
     Computed through the longest common prefix; the first differing syllable
     pair merges into one syllable exactly when it shares a generator.
     """
-    if x.params != y.params:
+    if x.params is not y.params and x.params != y.params:
         raise ValueError("cannot measure distance between different graphs")
     a, b = x.syllables, y.syllables
     common = 0

@@ -61,6 +61,15 @@ def test_division_by_zero():
         AlgebraicValue(1, 0, 6) / AlgebraicValue(0, 0, 6)
 
 
+def test_division_by_a_rational_matches_the_ring_inverse():
+    x = AlgebraicValue(Fraction(-3, 4), Fraction(5, 7), 6)
+    for d in (3, -6, Fraction(2, 9)):
+        assert x / d == x / AlgebraicValue(d, 0, 6) == AlgebraicValue(x.a / d, x.b / d, 6)
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            x / zero
+
+
 @given(values(6), values(6))
 def test_float_respects_products(x, y):
     lhs = float(x * y)

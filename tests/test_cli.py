@@ -1,12 +1,26 @@
+import contextlib
+import io
 import json
+import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import symgraph.cli
 import symgraph.spectral
 import symgraph.wave
+from symgraph.algebraic import AlgebraicValue
 from symgraph.cli import main
 from symgraph.spectral import MAX_CYLINDERS, QuadratureError, VertexFun, check_depth
+from symgraph.transforms import (
+    EvenSeq,
+    RadialSeq,
+    abel,
+    abel_inv_rearranged,
+    dual_abel,
+    dual_abel_inv,
+)
 from symgraph.wave import MAX_CLOSED_BITS, CauchyData, wave_closed_at
 from symgraph.words import GraphParams
 
@@ -304,15 +318,58 @@ def test_linear_work_bounds_refuse_before_work(capsys, monkeypatch):
     monkeypatch.setattr(symgraph.cli, "spherical_phi", refuse)
     monkeypatch.setattr(symgraph.cli, "kunze_stein_check", refuse)
     monkeypatch.setattr(symgraph.cli, "ball", refuse)
+    monkeypatch.setattr(symgraph.cli, "run_suite", refuse)
     base = ["--k", "3", "--r", "4"]
+    # every point of the default verify grid stays inside the verify bound
+    assert sum(GraphParams(4, 4).delta(n) for n in range(5)) <= symgraph.cli._MAX_VERIFY_BALL
     for argv, bound in (
             (["spherical", *base, "--lambda", "0.4", "--nmax", str(10**8)],
              symgraph.cli._MAX_PHI_TERMS),
-            (["ks-check", *base, "--trials", str(10**8)], symgraph.cli._MAX_TRIALS)):
+            (["ks-check", *base, "--trials", str(10**8)], symgraph.cli._MAX_TRIALS),
+            # one trial at (10, 10) convolves 91 * 7381 pairs; at (14, 14) still more
+            (["ks-check", "--k", "10", "--r", "10", "--trials", "1"],
+             symgraph.cli._MAX_TRIAL_PRODUCTS),
+            (["ks-check", "--k", "14", "--r", "14", "--trials", "1"],
+             symgraph.cli._MAX_TRIAL_PRODUCTS),
+            # every suite walks the ball of radius 4: 166726 words at (10, 3)
+            (["verify", "--k", "10", "--r", "3", "--suite", "abel"], symgraph.cli._MAX_VERIFY_BALL),
+            (["verify", "--k", "10", "--r", "10"], symgraph.cli._MAX_VERIFY_BALL)):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and str(bound) in captured.err
+
+
+def test_radial_work_bound_refuses_before_arithmetic(capsys, monkeypatch):
+    # 3000 values at (3, 4) answer: their values pass the float range, one line
+    started = time.perf_counter()
+    assert main(["abel", "--k", "3", "--r", "4", "--radial", ",".join(["1"] * 3000)]) == 2
+    assert time.perf_counter() - started < 5
+    assert capsys.readouterr().err == "error: value outside the float range\n"
+
+    def refuse(*args):
+        raise AssertionError("did ring arithmetic")
+
+    for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__truediv__"):
+        monkeypatch.setattr(AlgebraicValue, name, refuse)
+    long_list = ",".join(["1/2+1/3*sqrt(6)"] * 6000)  # 6000^2 log2(6) bits
+    base = ["--k", "3", "--r", "4"]
+    for argv in (["dual", *base, "--even", "1,0", "--nmax", "100000"],
+                 ["abel", *base, "--radial", long_list],
+                 ["abel-inv", *base, "--even", long_list],
+                 ["dual", *base, "--even", long_list],
+                 ["dual-inv", *base, "--radial", long_list]):
+        assert main(argv) == 2, argv[0]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and str(MAX_CLOSED_BITS) in captured.err
+    params = GraphParams(3, 4)
+    g = EvenSeq.of(params, [1, 0])
+    f = RadialSeq.of(params, [0] * 6000)
+    for call in (lambda: dual_abel(g, n_max=10**5), lambda: dual_abel_inv(g, n_max=10**5),
+                 lambda: abel(f), lambda: abel_inv_rearranged(EvenSeq.of(params, f.values))):
+        with pytest.raises(ValueError, match=str(MAX_CLOSED_BITS)):
+            call()
 
 
 def test_plancherel_tolerance_scales_with_the_norm(capsys):
@@ -342,3 +399,85 @@ def test_quadrature_failure_exits_one(capsys, monkeypatch):
 def test_threads_flag_accepted(capsys):
     code, doc = run_json(capsys, "info", "--k", "3", "--r", "4", "--threads", "2")
     assert code == 0
+
+
+# -- argv fuzz -----------------------------------------------------------------------
+#
+# Commands, flags and values drawn from edge sets: in-budget values are small and
+# out-of-budget values are huge, so every example answers quickly or is refused.
+
+_SEQUENCES = ("1", "0", "1,1/2,0", "1/2+1/3*sqrt(6)", "sqrt(6),-1", "", "1/0", "abc", "1,,2",
+              "1e5", "sqrt(7)", " 2 , -3/4 ")
+_RADIAL_SEQUENCES = _SEQUENCES + (",".join(["1"] * 3000), ",".join(["-1/3*sqrt(6)"] * 20000))
+_VERTEX_VALUES = ("e:1", "e:1;a0^1:1/2", "", "e:", "x:1", "a9^1:1", "e:1;e:2", "a0^1.a1^2:sqrt(6)")
+_LAMBDAS = ("0.4", "0", "-1", "nan", "inf", "1e308", "x")
+_FLAGS = {
+    "info": {},
+    "table": {"--nmax": ("0", "6", "12", "13", "-1"), "--hmax": ("0", "6", "13"),
+              "--grid": ("1", "16", "1024", "1025", "0"), "--lambda": _LAMBDAS},
+    "abel": {"--radial": _RADIAL_SEQUENCES},
+    "abel-inv": {"--even": _RADIAL_SEQUENCES},
+    "dual": {"--even": _RADIAL_SEQUENCES, "--nmax": ("0", "3", "100", "100000", str(10**12), "-3")},
+    "dual-inv": {"--radial": _RADIAL_SEQUENCES},
+    "spherical": {"--lambda": _LAMBDAS, "--nmax": ("0", "8", "100001", str(10**9), "-1"),
+                  "--oracle-depth": ("1", "4", "7", "0", str(10**10))},
+    "transform": {"--radial": _SEQUENCES, "--grid": ("1", "33", "0")},
+    "plancherel": {"--radial": _SEQUENCES},
+    "helgason": {"--values": _VERTEX_VALUES, "--lambda": _LAMBDAS,
+                 "--ray": ("a0^1.a1^1", "e", "a9^1", "x", "a0^1.a0^1")},
+    "invert": {"--at": ("e", "a0^1", "a0^1.a1^2", "x", ".".join(["a0^1", "a1^1"] * 4)),
+               "--radial": _SEQUENCES, "--values": _VERTEX_VALUES,
+               "--depth": ("0", "2", "7", "-2", str(10**10))},
+    "ks-check": {"--trials": ("1", "3", "0", "-5", str(10**8))},
+    "wave": {"--f": _VERTEX_VALUES, "--g": _VERTEX_VALUES,
+             "--steps": ("0", "1", "3", "-3", "40", str(10**6)),
+             "--method": ("closed", "direct", "both", "x"),
+             "--at": ("e,1", "e,3", "a0^1,-2", "e,5", "x,1", "e,x", f"e,{10**6}")},
+    "verify": {"--suite": ("group", "boundary", "abel", "dual", "spectral", "wave", "x")},
+}
+_COMMON = {"--k": ("2", "3", "4", "1", "0", "-1", "x", "10", "14", str(10**30)),
+           "--r": ("2", "3", "4", "1", "0", "x", "10", "14"),
+           "--seed": ("0", "1", "-1", "x"), "--tol": ("1e-9", "0", "-1", "nan", "1e-300", "1"),
+           "--threads": ("1", "2", "0")}
+_TABLES = ("delta", "b", "phi", "c2", "x")
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    if command == "table":
+        argv.append(draw(st.sampled_from(_TABLES)))
+    flags = {**_COMMON, **_FLAGS[command]}
+    for flag in sorted(flags):
+        # the graph is mostly given, every other flag about half the time
+        if draw(st.integers(0, 9)) < (9 if flag in ("--k", "--r") else 5):
+            argv += [flag, draw(st.sampled_from(flags[flag]))]
+    return argv
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-strict JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@settings(max_examples=60, derandomize=True, deadline=2000,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_argv())
+def test_argv_fuzz_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 0 or (code == 1 and out.getvalue()):
+        doc = _strict_json(out.getvalue())
+        assert doc["command"] == argv[0], argv
+    if code == 2:
+        assert out.getvalue() == "", argv
+        assert err.getvalue(), argv

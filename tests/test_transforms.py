@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symgraph.algebraic import AlgebraicValue, q_half_power
@@ -190,3 +190,157 @@ def test_numeric_flavour_matches_exact():
     back = abel_inv(numeric)
     for n in range(5):
         assert back.value(n) == pytest.approx(values[n], abs=1e-9)
+
+
+# -- the running-sum closed forms against their direct O(N^2) sums ------------------
+#
+# The five closed forms above are evaluated by running sums.  These are the
+# direct double sums they replace, term by term as the paper states them:
+# the exact lane must agree with ==, the float lane to rounding.
+
+
+def _reference_abel(f):
+    params, ring = f.params, f.ring
+    N = f.support_radius
+    sigma = params.sigma
+    even_weight = Fraction(params.r - 2, params.r - 1)
+    out = []
+    for h in range(N + 1):
+        total = ring.qpow(h) * f.value(h)
+        j = 1
+        while h + 2 * j - 1 <= N:
+            total = total + ring.qpow(h + 2 * j - 2) * f.value(h + 2 * j - 1) * sigma
+            if h + 2 * j <= N:
+                total = total + ring.qpow(h + 2 * j) * f.value(h + 2 * j) * even_weight
+            j += 1
+        out.append(total)
+    return tuple(out)
+
+
+def _reference_abel_inv(g):
+    params, ring = g.params, g.ring
+    k = params.k
+    M = g.support_radius
+    out = []
+    for n in range(M + 1):
+        acc = ring.zero
+        for m in range(1, M - n + 3):
+            coeff = 1 + (-1) ** (m - 1) * (k - 1) ** m
+            if coeff == 0:
+                continue
+            diff = g.value(n + m - 1) - g.value(n + m + 1)
+            acc = acc + ring.qpow(-m) * diff * coeff
+        out.append(ring.qpow(-(n - 1)) * acc * Fraction(1, k))
+    return tuple(out)
+
+
+def _reference_abel_inv_rearranged(g):
+    params, ring = g.params, g.ring
+    k, r, q = params.k, params.r, params.q
+    M = g.support_radius
+    out = []
+    for n in range(M + 1):
+        acc = g.value(n) - ring.qpow(-1) * g.value(n + 1) * (k - 2)
+        for m in range(2, M - n + 1):
+            gm = g.value(n + m)
+            acc = acc - ring.qpow(-m) * gm * Fraction(q - 1, k)
+            sign = (-1) ** m * (k - 1) ** m
+            acc = acc - ring.qpow(-m) * gm * sign * Fraction(r - k, k)
+        out.append(ring.qpow(-n) * acc)
+    return tuple(out)
+
+
+def _reference_dual_abel(g, n_max):
+    params, ring = g.params, g.ring
+    r = params.r
+    out = [g.value(0)]
+    for n in range(1, n_max + 1):
+        same = ring.zero
+        diff = ring.zero
+        for j in range(-n + 1, n):
+            if (n - j) % 2:
+                diff = diff + g.value(j)
+            else:
+                same = same + g.value(j)
+        acc = ring.qpow(-n) * g.value(n) * 2 * Fraction(r - 1, r)
+        acc = acc + ring.qpow(-(n + 1)) * diff * params.sigma * Fraction(r - 1, r)
+        acc = acc + ring.qpow(-n) * same * Fraction(r - 2, r)
+        out.append(acc)
+    return tuple(out)
+
+
+def _reference_dual_abel_inv(f, n_max):
+    params, ring = f.params, f.ring
+    k, r, q = params.k, params.r, params.q
+    deg = params.degree
+    sigma = params.sigma
+    N = n_max
+    out = [f.value(0)]
+    out.append(ring.qpow(-1) * (f.value(1) * Fraction(deg, 2) - f.value(0) * Fraction(sigma, 2)))
+    for n in range(2, N + 1):
+        acc = ring.qpow(-n) * f.value(0) * Fraction(-(q - 1 + (r - k) * (1 - k) ** n), 2 * k)
+        for j in range(1, n - 1):
+            window = q - 1 + (r - k) * (1 - k) ** (n - j)
+            acc = acc - ring.qpow(2 * j - n - 2) * f.value(j) * window * Fraction(deg, 2 * k)
+        acc = acc - ring.qpow(n - 4) * f.value(n - 1) * Fraction(deg * sigma, 2)
+        acc = acc + ring.qpow(n - 2) * f.value(n) * Fraction(deg, 2)
+        out.append(acc)
+    return tuple(out[: N + 1])
+
+
+def _running_and_reference(values, params, exact, offsets=(-2, 0, 3)):
+    """(running sum, reference) output pairs of all five closed forms on one
+    input; the dual forms at n_max = support radius + each offset."""
+    f = RadialSeq.of(params, values, exact)
+    g = EvenSeq.of(params, values, exact)
+    N = f.support_radius
+    pairs = [(abel(f).values, _reference_abel(f)),
+             (abel_inv(g).values, _reference_abel_inv(g)),
+             (abel_inv_rearranged(g).values, _reference_abel_inv_rearranged(g))]
+    for n_max in sorted({max(N + offset, 0) for offset in offsets}):
+        pairs.append((dual_abel(g, n_max).values, _reference_dual_abel(g, n_max)))
+        pairs.append((dual_abel_inv(f, n_max).values, _reference_dual_abel_inv(f, n_max)))
+    return pairs
+
+
+REFERENCE_PAIRS = [(2, 2), (2, 3), (3, 2), (3, 4), (4, 3), (5, 2)]
+ring_parts = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+LONGEST = [(Fraction(n % 7 - 3, n % 5 + 1), Fraction(4 - n % 9, n % 4 + 2)) for n in range(41)]
+
+
+@pytest.mark.parametrize("k, r", REFERENCE_PAIRS)
+@settings(max_examples=6, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(ring_parts, ring_parts), min_size=1, max_size=41))
+@example(LONGEST)
+@example(LONGEST[:1])
+def test_running_sums_equal_the_direct_sums(k, r, parts):
+    params = GraphParams(k, r)
+    values = [AlgebraicValue(a, b, params.q) for a, b in parts]
+    for running, reference in _running_and_reference(values, params, exact=True):
+        assert running == reference
+    floats = [float(v) for v in values]
+    for running, reference in _running_and_reference(floats, params, exact=False):
+        assert len(running) == len(reference)
+        scale = max(abs(v) for v in reference)
+        for got, want in zip(running, reference):
+            assert abs(got - want) <= 1e-13 * scale
+
+
+def test_float_running_sums_stay_in_range_where_the_values_do():
+    # at (3, 4) and N = 420, Af and the inverse dual transform reach
+    # q^(N/2) ~ 1e163, which the direct sums handle; a sum carried unscaled
+    # as q^N ~ 1e327 would overflow.  g grows like an Abel image.
+    rng = random.Random(29)
+    f_values = [rng.uniform(-1, 1) for _ in range(421)]
+    g_values = [rng.uniform(-1, 1) * P34.q ** (n / 2) for n in range(421)]
+    cases = [(abel, RadialSeq, f_values), (dual_abel_inv, RadialSeq, f_values),
+             (abel_inv, EvenSeq, g_values), (abel_inv_rearranged, EvenSeq, g_values),
+             (dual_abel, EvenSeq, g_values)]
+    for transform, kind, values in cases:
+        want = transform(kind.of(P34, [Fraction(v) for v in values])).values
+        want = [float(v) for v in want]
+        scale = max(abs(v) for v in want)
+        got = transform(kind.of(P34, values, exact=False)).values
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-13 * scale, transform.__name__
+        if kind is RadialSeq:
+            assert 1e160 < scale < 1e300

@@ -62,6 +62,18 @@ def test_distance_examples():
     assert distance(P34.identity(), x) == 2
 
 
+def test_distance_compares_graphs_not_param_objects():
+    x = P34.generator(0) * P34.generator(1)
+    twin = GraphParams(3, 4)
+    assert twin is not P34
+    assert distance(twin.generator(0), x) == 1
+    for other in (GraphParams(4, 3), GraphParams(3, 5)):
+        with pytest.raises(ValueError, match="different graphs"):
+            distance(other.generator(0), x)
+        with pytest.raises(ValueError, match="different graphs"):
+            distance(x, other.identity())
+
+
 def test_sphere_counts_by_enumeration():
     assert [len(list(sphere(P34, n))) for n in range(3)] == [1, 8, 48]
     assert P34.delta(1) == 8 and P34.delta(2) == 48
