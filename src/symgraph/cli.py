@@ -51,7 +51,7 @@ from .transforms import (
     dual_abel_inv,
 )
 from .wave import CauchyData, check_window, wave_closed_at, wave_direct
-from .words import GraphParams, ReducedWord, ball, parse_word, sphere
+from .words import GraphParams, ReducedWord, ball, ball_size, parse_word, sphere
 
 __all__ = ["main", "RunConfig"]
 
@@ -314,16 +314,15 @@ def cmd_ks_check(config: RunConfig, args) -> tuple[dict, list, dict, int]:
         raise ValueError("the smoothing inequality is checked for k <= r only")
     if args.trials > _MAX_TRIALS:
         raise ValueError(f"--trials {args.trials} is past the bound of {_MAX_TRIALS} trials")
-    ball_1 = 1 + params.delta(1)
-    products = ball_1 * (ball_1 + params.delta(2))
+    products = ball_size(params, 1) * ball_size(params, 2)
     if products > _MAX_TRIAL_PRODUCTS:
         raise ValueError(f"one trial at ({params.k}, {params.r}) takes {products} products, "
                          f"past the bound of {_MAX_TRIAL_PRODUCTS}")
     rng = random.Random(config.seed)
     worst = {"core": 0.0, "young": 0.0, "holder": 0.0}
     witness = None
+    pool = list(ball(params, 1))
     for trial in range(args.trials):
-        pool = list(ball(params, 1))
         f = VertexFun.of(
             params, {w: rng.uniform(-1, 1) for w in pool if rng.random() < 0.8}, exact=False
         )
@@ -389,7 +388,7 @@ def cmd_wave(config: RunConfig, args) -> tuple[dict, list, dict, int]:
 def cmd_verify(config: RunConfig | None, args) -> tuple[dict, list, dict, int]:
     if args.k is not None and args.r is not None:
         grid = [config.params]
-        words = sum(config.params.delta(n) for n in range(5))
+        words = ball_size(config.params, 4)
         if words > _MAX_VERIFY_BALL:
             raise ValueError(f"the ball of radius 4 at ({args.k}, {args.r}) holds {words} words, "
                              f"past the bound of {_MAX_VERIFY_BALL}")

@@ -114,6 +114,14 @@ def gauss_legendre_adaptive(fn, a: float, b: float, tol: float = 1e-9,
 # -- spectral parameters ------------------------------------------------------
 
 
+def _finite(phase):
+    """phase, a multiple of lam ln q about to go into cos or exp; raises
+    ``ValueError`` when it is past the float range, where they give nan."""
+    if not np.all(np.isfinite(phase)):
+        raise ValueError("the spectral parameter times ln q is past the float range")
+    return phase
+
+
 def gamma_of(params: GraphParams, lam) -> float:
     """Averaging eigenvalue (2 sqrt(q) cos(lam ln q) + k - 2) / (r(k-1)).
 
@@ -122,7 +130,7 @@ def gamma_of(params: GraphParams, lam) -> float:
     """
     params.require_spectral()
     q = params.q
-    return (2.0 * math.sqrt(q) * np.cos(lam * math.log(q)) + params.sigma) / params.degree
+    return (2.0 * math.sqrt(q) * np.cos(_finite(lam * math.log(q))) + params.sigma) / params.degree
 
 
 def gamma_atom(params: GraphParams) -> Fraction:
@@ -374,7 +382,7 @@ def helgason_transform(f: VertexFun, lam: float, ray: BoundaryRay) -> complex:
     lnq = math.log(f.params.q)
     total = 0.0 + 0.0j
     for x, v in f.items():
-        total += complex(v) * np.exp(s * busemann(x, ray) * lnq)
+        total += complex(v) * np.exp(_finite(s * busemann(x, ray) * lnq))
     return complex(total)
 
 
@@ -390,7 +398,7 @@ def helgason_via_horocycles(f: VertexFun, lam: float, ray: BoundaryRay) -> compl
         sums[h] = sums.get(h, 0.0 + 0.0j) + complex(v)
     s = 0.5 + 1j * lam
     lnq = math.log(f.params.q)
-    return complex(sum(total * np.exp(s * h * lnq) for h, total in sums.items()))
+    return complex(sum(total * np.exp(_finite(s * h * lnq)) for h, total in sums.items()))
 
 
 # -- Plancherel and inversion -----------------------------------------------------

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebraic import ring_of
-from .boundary import BoundaryRay, DepthError, sphere_horocycle_count
+from .boundary import BoundaryRay, DepthError, horocycle_section, sphere_horocycle_count
 from .words import GraphParams, ball, distance
 
 __all__ = [
@@ -138,19 +138,11 @@ def _check_size(params: GraphParams, length: int) -> None:
 def radon(f: RadialSeq, ray: BoundaryRay, h: int):
     """Horocycle sum of f by explicit vertex enumeration (the oracle path).
 
-    Walks the ball of the support radius and adds f(|x|) whenever x lies on
-    the h-th horocycle of the ray; needs ray depth > support radius.
+    Adds f(|x|) over the section of the h-th horocycle of the ray by the
+    ball of the support radius; needs ray depth > support radius.
     """
-    radius = f.support_radius
-    if ray.depth <= radius:
-        raise DepthError(f"radon over support radius {radius} needs ray depth > {radius}")
-    m = ray.depth
-    prefix = ray.prefix
-    total = f.ring.zero
-    for x in ball(f.params, radius):
-        if m - distance(x, prefix) == h:
-            total = total + f.value(len(x))
-    return total
+    section = horocycle_section(ray, h, f.support_radius)
+    return sum((f.value(len(x)) for x in section), f.ring.zero)
 
 
 def radon_via_counts(f: RadialSeq, h: int):

@@ -10,9 +10,8 @@ light cone.
 The stepper works on arrays, not on words.  Scaled by 2D sqrt(q)^|n|, with D
 the common denominator of the data, the solution obeys an integer recurrence,
 so the exact lane steps two Python-int arrays (the rational and the sqrt(q)
-parts) and decodes each time slice once.  Its arrays follow ``ball()`` order,
-in which a word's parent, polygon siblings and children sit at positions
-given by arithmetic on its index, so no neighbour table is built.  A window
+parts) and decodes each time slice once.  Its arrays follow ``ball()`` order
+(see ``words.position``), in which the neighbour sum needs no table.  A window
 of more than ``MAX_WINDOW_VALUES`` vertex-values is refused up front.
 
 Closed-form evaluation is one formula in every regime: Asgeirsson's mean
@@ -38,7 +37,17 @@ import numpy as np
 from .algebraic import AlgebraicValue
 from .spectral import VertexFun
 from .transforms import MAX_CLOSED_BITS, RadialSeq
-from .words import GraphParams, ReducedWord, ball, distance, sphere
+from .words import (
+    GraphParams,
+    ReducedWord,
+    _self_plus_neighbors,
+    ball,
+    ball_size,
+    distance,
+    neighbors,
+    position,
+    sphere,
+)
 
 __all__ = [
     "CauchyData",
@@ -56,33 +65,8 @@ __all__ = [
 ]
 
 
-def _neighbors(x: ReducedWord) -> list[ReducedWord]:
-    params = x.params
-    k, r = params.k, params.r
-    syl = x.syllables
-    out = []
-    if syl:
-        head, (last_g, last_e) = syl[:-1], syl[-1]
-        for e in range(1, k):
-            merged = (last_e + e) % k
-            if merged:
-                out.append(ReducedWord._make(params, head + ((last_g, merged),)))
-            else:
-                out.append(ReducedWord._make(params, head))
-        for g in range(r):
-            if g == last_g:
-                continue
-            for e in range(1, k):
-                out.append(ReducedWord._make(params, syl + ((g, e),)))
-    else:
-        for g in range(r):
-            for e in range(1, k):
-                out.append(ReducedWord._make(params, ((g, e),)))
-    return out
-
-
 def _neighbor_sum(fun: VertexFun, x: ReducedWord):
-    return sum((fun.value(y) for y in _neighbors(x)), fun.ring.zero)
+    return sum((fun.value(y) for y in neighbors(x)), fun.ring.zero)
 
 
 def lap_full(f: VertexFun) -> VertexFun:
@@ -91,7 +75,7 @@ def lap_full(f: VertexFun) -> VertexFun:
     scale = Fraction(1, params.degree)
     domain = set(f.data)
     for x in f.data:
-        domain.update(_neighbors(x))
+        domain.update(neighbors(x))
     out = {x: f.value(x) - _neighbor_sum(f, x) * scale for x in domain}
     return VertexFun(params, out, f.exact)
 
@@ -220,16 +204,6 @@ MAX_WINDOW_VALUES = 1_000_000
 size of the ball it covers at time n."""
 
 
-def _ball_size(params: GraphParams, radius: int, cap: int) -> int:
-    # |ball(radius)| from the sphere counts, stopping once it passes cap
-    size = 0
-    for m in range(radius + 1):
-        size += params.delta(m)
-        if size > cap:
-            break
-    return size
-
-
 def _cone_radius(support_radius: int, steps: int, observe_radius: int, n: int) -> int:
     return min(support_radius + abs(n), observe_radius + steps - abs(n))
 
@@ -241,7 +215,7 @@ def check_window(params: GraphParams, support_radius: int, steps: int,
     total = 0
     for n in range(-steps, steps + 1):
         radius = _cone_radius(support_radius, steps, observe_radius, n)
-        total += _ball_size(params, radius, MAX_WINDOW_VALUES)
+        total += ball_size(params, radius, MAX_WINDOW_VALUES)
         if total > MAX_WINDOW_VALUES:
             raise ValueError(
                 f"a {steps}-step window over support radius {support_radius} on the "
@@ -249,58 +223,13 @@ def check_window(params: GraphParams, support_radius: int, steps: int,
             )
 
 
-def _position(x: ReducedWord) -> int:
-    """Index of x within its sphere in ``sphere()`` order.
-
-    The first syllable a_g^e takes slot g(k-1) + e - 1 of r(k-1); every later
-    one takes a slot of q = (r-1)(k-1), skipping the previous generator.
-    """
-    k, q = x.params.k, x.params.q
-    index, last = 0, -1
-    for g, e in x.syllables:
-        slot = g - 1 if 0 <= last < g else g
-        index = index * q + slot * (k - 1) + e - 1
-        last = g
-    return index
-
-
 def _on_ball(fun: VertexFun, radius: int, offsets: list[int]) -> list:
     # values of fun on ball(radius), in ball() order
     column = [fun.ring.zero] * offsets[radius + 1]
     for x, v in fun.items():
         if len(x) <= radius:
-            column[offsets[len(x)] + _position(x)] = v
+            column[offsets[len(x)] + position(x)] = v
     return column
-
-
-def _self_plus_neighbors(part, radius: int, target: int, params: GraphParams,
-                         offsets: list[int]):
-    """(2 - k) w + (neighbour sum of w) on ball(target), for w given on
-    ball(radius) in ball() order and zero beyond; target <= radius + 1.
-
-    Word j of sphere m >= 1 is p a_g^e.  Its neighbours are its parent p
-    (entry j // q of sphere m - 1, the origin when m = 1), its k - 2
-    polygon siblings (the rest of its aligned block of k - 1 entries) and
-    its q children (the block at j q of sphere m + 1).  The origin's
-    neighbours are all of sphere 1.
-    """
-    k = params.k
-    pieces = []
-    for m in range(target + 1):
-        size = offsets[m + 1] - offsets[m]
-        terms = []
-        if m <= radius and k > 2:
-            here = part[offsets[m]:offsets[m + 1]]
-            block = k - 1 if m else 1
-            # self and siblings: (2 - k) w + (block sum - w)
-            terms.append(np.repeat(here.reshape(-1, block).sum(axis=1), block) - here * (k - 1))
-        if 1 <= m <= radius + 1:
-            parents = part[offsets[m - 1]:offsets[m]]
-            terms.append(np.repeat(parents, size // len(parents)))
-        if m + 1 <= radius:
-            terms.append(part[offsets[m + 1]:offsets[m + 2]].reshape(size, -1).sum(axis=1))
-        pieces.append(sum(terms[1:], terms[0]) if terms else np.zeros(size, dtype=part.dtype))
-    return np.concatenate(pieces)
 
 
 def wave_direct(params: GraphParams, data: CauchyData, steps: int,
@@ -325,7 +254,7 @@ def wave_direct(params: GraphParams, data: CauchyData, steps: int,
     ring's ``encode`` gives: two Python-int arrays (the rational and the
     sqrt(q) parts) in the exact lane, one float or complex array in the
     float lane.  Each time slice is an array over a ball in ``ball()`` order,
-    where S needs no table (see ``_self_plus_neighbors``), and is decoded
+    where S needs no table (see ``words._self_plus_neighbors``), and is decoded
     into values once.
     """
     if steps < 0:
@@ -350,9 +279,7 @@ def wave_direct(params: GraphParams, data: CauchyData, steps: int,
 
     cone = [_cone_radius(supp, steps, observe_radius, m) for m in range(steps + 1)]
     top = max(cone[1:])
-    offsets = [0]
-    for m in range(top + 2):
-        offsets.append(offsets[-1] + params.delta(m))
+    offsets = [ball_size(params, m - 1) for m in range(top + 3)]
     words = list(ball(params, top))
     q = params.q
     # f is needed on the first cone plus one shell, g on the first cone
@@ -487,8 +414,8 @@ def asgeirsson_means(params: GraphParams, U, x: ReducedWord, y: ReducedWord,
     """
     if check_pde:
         deg = params.degree
-        lap_x = U(x, y) * deg - sum(U(xx, y) for xx in _neighbors(x))
-        lap_y = U(x, y) * deg - sum(U(x, yy) for yy in _neighbors(y))
+        lap_x = U(x, y) * deg - sum(U(xx, y) for xx in neighbors(x))
+        lap_y = U(x, y) * deg - sum(U(x, yy) for yy in neighbors(y))
         diff = lap_x - lap_y
         if isinstance(diff, (AlgebraicValue, int, Fraction)):
             bad = bool(diff)

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
+import numpy as np
+
 from .algebraic import AlgebraicValue, q_half_power
 
 __all__ = [
@@ -200,41 +202,113 @@ def distance(x: ReducedWord, y: ReducedWord) -> int:
     return la + lb
 
 
-def sphere(params: GraphParams, n: int) -> Iterator[ReducedWord]:
-    """Yield every reduced word of exactly n syllables once.
+def _children(params: GraphParams, syllables: tuple) -> list[tuple]:
+    """The reduced words one syllable longer than ``syllables``, in increasing
+    order: a_g^e appended for every generator g but the last and every e in
+    [1, k-1].
 
-    Depth-first over syllables, lexicographic by (generator, exponent); the
-    order is deterministic and is part of the CLI output contract.
+    This rule is the ball layout.  ``sphere`` and ``ball`` list each level as
+    the children of the level before, so a sphere is in increasing syllable
+    order, the q children of word j of sphere m >= 1 are words jq..jq+q-1 of
+    sphere m+1, its parent is word j // q of sphere m-1 and its k-2 polygon
+    siblings share its aligned block of k-1.  ``position``, ``neighbors`` and
+    ``_self_plus_neighbors`` read it back.
     """
+    last = syllables[-1][0] if syllables else -1
+    return [syllables + ((g, e),) for g in range(params.r) if g != last
+            for e in range(1, params.k)]
+
+
+def sphere(params: GraphParams, n: int) -> Iterator[ReducedWord]:
+    """Yield every reduced word of exactly n syllables once, in increasing
+    syllable order; the order is part of the CLI output contract."""
     if n < 0:
         raise ValueError(f"radius must be nonnegative, got {n}")
-    if n == 0:
-        yield params.identity()
-        return
-    k, r = params.k, params.r
-    stack: list = [((), 0)]
-    while stack:
-        prefix, depth = stack.pop()
-        last = prefix[-1][0] if prefix else -1
-        # push in reverse so that words come out in lexicographic order
-        children = [
-            prefix + ((g, e),)
-            for g in range(r)
-            if g != last
-            for e in range(1, k)
-        ]
-        if depth + 1 == n:
-            for child in children:
-                yield ReducedWord._make(params, child)
-        else:
-            for child in reversed(children):
-                stack.append((child, depth + 1))
+    level = iter([()])
+    for _ in range(n):
+        level = (child for word in level for child in _children(params, word))
+    for syllables in level:
+        yield ReducedWord._make(params, syllables)
 
 
 def ball(params: GraphParams, n: int) -> Iterator[ReducedWord]:
     """Yield every word of length <= n, sphere by sphere."""
+    level = [()]
     for m in range(n + 1):
-        yield from sphere(params, m)
+        for syllables in level:
+            yield ReducedWord._make(params, syllables)
+        if m < n:
+            level = [child for word in level for child in _children(params, word)]
+
+
+def ball_size(params: GraphParams, radius: int, cap: int | None = None) -> int:
+    """Number of words of length <= radius (0 for a negative radius).  A ball
+    of more than ``cap`` words may be reported by any size above cap, so a
+    capped call is cheap at any radius."""
+    q, degree = params.q, params.degree
+    if radius < 0:
+        return 0
+    if q == 1:
+        return 1 + degree * radius
+    if cap is not None:
+        # the sphere of radius cap.bit_length() alone holds more than cap words
+        radius = min(radius, cap.bit_length())
+    return 1 + degree * (q ** radius - 1) // (q - 1)
+
+
+def position(x: ReducedWord) -> int:
+    """Index of x within its sphere in ``sphere()`` order.
+
+    The first syllable a_g^e takes slot g(k-1) + e - 1 of r(k-1); every later
+    one takes a slot of q = (r-1)(k-1), skipping the previous generator.
+    """
+    k, q = x.params.k, x.params.q
+    index, last = 0, -1
+    for g, e in x.syllables:
+        slot = g - 1 if 0 <= last < g else g
+        index = index * q + slot * (k - 1) + e - 1
+        last = g
+    return index
+
+
+def neighbors(x: ReducedWord) -> list[ReducedWord]:
+    """The r(k-1) polygon neighbours of x: the k-1 other exponents of its
+    last syllable (its parent where the exponent cancels, its polygon
+    siblings otherwise), then its children."""
+    params, syllables = x.params, x.syllables
+    near = []
+    if syllables:
+        head, (g, e), k = syllables[:-1], syllables[-1], params.k
+        near = [head + ((g, (e + d) % k),) if (e + d) % k else head for d in range(1, k)]
+    return [ReducedWord._make(params, s) for s in near + _children(params, syllables)]
+
+
+def _self_plus_neighbors(part, radius: int, target: int, params: GraphParams,
+                         offsets: list[int]):
+    """(2 - k) w + (neighbour sum of w) on ball(target), for w given on
+    ball(radius) in ball() order and zero beyond; target <= radius + 1.
+    ``offsets[m]`` is ``ball_size(params, m - 1)``, where sphere m starts.
+    Each word's neighbours sit where ``_children`` puts them: its parent, the
+    rest of its block of k - 1 siblings and its block of q children; the
+    origin's are all of sphere 1.
+    """
+    k = params.k
+    pieces = []
+    for m in range(target + 1):
+        size = offsets[m + 1] - offsets[m]
+        terms = []
+        if m <= radius and k > 2:
+            here = part[offsets[m]:offsets[m + 1]]
+            block = k - 1 if m else 1
+            # self and siblings: (2 - k) w + (block sum - w)
+            terms.append(np.repeat(here.reshape(-1, block).sum(axis=1), block) - here * (k - 1))
+        if 1 <= m <= radius + 1:
+            parents = part[offsets[m - 1]:offsets[m]]
+            terms.append(np.repeat(parents, size // len(parents)))
+        if m + 1 <= radius:
+            terms.append(part[offsets[m + 1]:offsets[m + 2]].reshape(size, -1).sum(axis=1))
+        pieces.append(sum(terms[1:], terms[0]) if terms else np.zeros(size, dtype=part.dtype))
+    return np.concatenate(pieces)
 
 
 _SYLLABLE_RE = re.compile(r"^a(\d+)\^(\d+)$")

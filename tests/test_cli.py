@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import sys
 import time
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -396,6 +398,35 @@ def test_quadrature_failure_exits_one(capsys, monkeypatch):
     assert len(lines) == 1 and lines[0].startswith("error:") and "3.5e-07" in lines[0]
 
 
+@contextlib.contextmanager
+def warnings_to_stderr():
+    """Write every warning to sys.stderr, as a shell run of the CLI does, not
+    to the record pytest keeps of them."""
+    def show(message, category, filename, lineno, file=None, line=None):
+        sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = show
+        yield
+
+
+@pytest.mark.parametrize("argv", [
+    ("spherical",),
+    ("table", "phi"),
+    ("helgason", "--values", "e:1;a0^1:1/2", "--ray", "a0^1.a1^1"),
+], ids=("spherical", "table-phi", "helgason"))
+def test_lambda_past_float_range_is_one_error_line(capsys, argv):
+    # at (4, 4) lambda ln q overflows, where cos and exp would give nan
+    with warnings_to_stderr():
+        code = main([*argv, "--k", "4", "--r", "4", "--lambda", "1e308"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
+
 def test_threads_flag_accepted(capsys):
     code, doc = run_json(capsys, "info", "--k", "3", "--r", "4", "--threads", "2")
     assert code == 0
@@ -468,13 +499,14 @@ def _strict_json(text):
 @given(_argv())
 def test_argv_fuzz_exits_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings_to_stderr():
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue(), argv
+    assert "Warning" not in err.getvalue(), argv
     if code == 0 or (code == 1 and out.getvalue()):
         doc = _strict_json(out.getvalue())
         assert doc["command"] == argv[0], argv

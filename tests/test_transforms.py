@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symgraph.algebraic import AlgebraicValue, q_half_power
-from symgraph.boundary import BoundaryRay
+from symgraph.boundary import BoundaryRay, DepthError
 from symgraph.transforms import (
     EvenSeq,
     RadialSeq,
@@ -48,6 +48,8 @@ def test_radon_of_unit_sphere():
     f = radial(P34, [0, 1])
     ray = BoundaryRay.alternating(P34, 3)
     assert radon(f, ray, 0) == 1  # the sigma = 1 same-horocycle neighbour
+    with pytest.raises(DepthError):
+        radon(f, BoundaryRay.alternating(P34, 1), 0)
 
 
 def test_abel_examples():

@@ -14,9 +14,6 @@ from symgraph.wave import (
     MAX_WINDOW_VALUES,
     CauchyData,
     _neighbor_sum,
-    _neighbors,
-    _position,
-    _self_plus_neighbors,
     _weights,
     asgeirsson_means,
     check_window,
@@ -27,7 +24,7 @@ from symgraph.wave import (
     wave_direct,
     wave_via_dual_abel_at,
 )
-from symgraph.words import GraphParams, ball, sphere
+from symgraph.words import GraphParams, _self_plus_neighbors, ball, neighbors, position, sphere
 
 P34 = GraphParams(3, 4)
 REGIMES = [GraphParams(2, 3), GraphParams(2, 4), GraphParams(3, 4), GraphParams(2, 2),
@@ -291,7 +288,7 @@ def test_ball_layout_matches_neighbors(params):
     where = {y: (m, j) for m in range(6) for j, y in enumerate(sphere(params, m))}
     for x in ball(params, 4):
         m, j = where[x]
-        assert _position(x) == j
+        assert position(x) == j
         if m == 0:
             rule = {(1, i) for i in range(params.degree)}
         else:
@@ -299,7 +296,7 @@ def test_ball_layout_matches_neighbors(params):
             rule = {(m - 1, j // q if m > 1 else 0)}
             rule |= {(m, i) for i in range(block, block + k - 1) if i != j}
             rule |= {(m + 1, j * q + i) for i in range(q)}
-        found = [where[y] for y in _neighbors(x)]
+        found = [where[y] for y in neighbors(x)]
         assert len(found) == params.degree and set(found) == rule
 
     # the array operator of the stepper against the word-level neighbour sum

@@ -4,7 +4,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from symgraph.words import GraphParams, ReducedWord, ball, distance, parse_word, sphere
+from symgraph.words import (
+    GraphParams,
+    ReducedWord,
+    ball,
+    ball_size,
+    distance,
+    neighbors,
+    parse_word,
+    sphere,
+)
 
 P34 = GraphParams(3, 4)
 
@@ -96,6 +105,31 @@ def test_sphere_order_deterministic():
     first = [w.syllables for w in sphere(P34, 2)]
     second = [w.syllables for w in sphere(P34, 2)]
     assert first == second == sorted(first)
+
+
+@pytest.mark.parametrize("params", [GraphParams(2, 3), GraphParams(2, 2), GraphParams(3, 4),
+                                    GraphParams(3, 2), GraphParams(4, 3), GraphParams(5, 2)])
+def test_ball_contract(params):
+    # the sizes are the closed-form delta, the neighbours are group products
+    spheres = []
+    for n in range(5):
+        words = list(sphere(params, n))
+        tuples = [w.syllables for w in words]
+        assert len(words) == params.delta(n)
+        assert all(a < b for a, b in zip(tuples, tuples[1:]))
+        spheres.append(words)
+        joined = [w for level in spheres for w in level]
+        assert list(ball(params, n)) == joined
+        assert ball_size(params, n) == len(joined)
+    steps = list(sphere(params, 1))
+    for x in ball(params, 4):
+        near = neighbors(x)
+        assert len(near) == params.degree
+        assert set(near) == {x * s for s in steps}
+    # a cap bounds the work at any radius, and a capped size still passes the cap
+    assert ball_size(GraphParams(2, 2), 10**9, 10**6) > 10**6
+    assert ball_size(params, 10**9, 10**6) > 10**6
+    assert ball_size(params, -1) == 0
 
 
 def test_word_parsing():
