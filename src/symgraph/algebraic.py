@@ -76,6 +76,17 @@ class AlgebraicValue:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
+    def _make(cls, a: Fraction, b: Fraction, q: int) -> "AlgebraicValue":
+        """A value from parts already in canonical form: ``Fraction`` a and b,
+        an int q >= 1, and b = 0 whenever q is a perfect square.  No coercion
+        and no root check."""
+        value = object.__new__(cls)
+        value.a = a
+        value.b = b
+        value.q = q
+        return value
+
+    @classmethod
     def rational(cls, value, q: int) -> "AlgebraicValue":
         return cls(value, 0, q)
 
@@ -282,6 +293,8 @@ class ExactRing:
         """The values (A + B sqrt(q)) / (scale * sqrt(q)^m), m >= 0.
 
         For odd m the parts swap: (A + B sqrt(q)) / sqrt(q) = B + (A/q) sqrt(q).
+        Unless q is a perfect square, where the sqrt(q) part must fold, the
+        two ``Fraction`` are already canonical and skip the constructor.
         """
         q = self.q
         a, b = parts
@@ -289,7 +302,8 @@ class ExactRing:
         root_den = den
         if m % 2:
             a, b, root_den = b, a, den * q
-        return [AlgebraicValue(Fraction(x, den), Fraction(y, root_den), q)
+        make = AlgebraicValue if _exact_root(q) is not None else AlgebraicValue._make
+        return [make(Fraction(x, den), Fraction(y, root_den), q)
                 for x, y in zip(a.tolist(), b.tolist())]
 
 

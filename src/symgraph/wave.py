@@ -7,28 +7,33 @@ solution observed on a ball of radius R up to time N needs data on the ball
 of radius R + N and nothing else; the stepping solver works on exactly that
 light cone.
 
-The stepper works on arrays, not on words.  Scaled by 2D sqrt(q)^|n|, with D
-the common denominator of the data, the solution obeys an integer recurrence,
-so the exact lane steps two Python-int arrays (the rational and the sqrt(q)
-parts) and decodes each time slice once.  Its arrays follow ``ball()`` order
-(see ``words.position``), in which the neighbour sum needs no table.  A window
-of more than ``MAX_WINDOW_VALUES`` vertex-values is refused up front.
+A ``CauchyData`` is encoded once, on first use: f and g over their common
+denominator D, as integer parts on the union of their supports.  Both solvers
+read that form.
+
+The stepper works on arrays, not on words.  Scaled by 2D sqrt(q)^|n| the
+solution obeys an integer recurrence, so the exact lane steps two Python-int
+arrays (the rational and the sqrt(q) parts) and decodes each time slice once.
+Its arrays follow ``ball()`` order (see ``words.position``), in which the
+neighbour sum needs no table.  A window of more than ``MAX_WINDOW_VALUES``
+vertex-values is refused up front.
 
 Closed-form evaluation is one formula in every regime: Asgeirsson's mean
 value theorem and the inverse dual Abel transform of spherical means, whose
 velocity terms of every radius fold into one closed weight vector.  Scaled
 by 2k D sqrt(q)^|n| the value is integer linear in the shell sums of the data
-around x, so it encodes f and g over their common denominator D, walks the
-union of their supports once (one ``distance`` call per word), combines the
-integer shell sums with integer weights and decodes once.  A time whose
-weights would hold more than ``MAX_CLOSED_BITS`` bits is refused up front.
-Nothing is cached across calls.
+around x, so it walks the union of the supports once (one ``distance`` call
+per word), combines the integer shell sums with integer weights and decodes
+once.  A time whose weights would hold more than ``MAX_CLOSED_BITS`` bits is
+refused up front.  Apart from the encoded data nothing is kept between calls;
+in particular no value or distance is remembered per point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from operator import mul
 
@@ -113,7 +118,12 @@ def lap_z(values: dict) -> dict:
 
 @dataclass(frozen=True)
 class CauchyData:
-    """Initial value f = u(., 0) and centred velocity g = (u(., 1) - u(., -1))/2."""
+    """Initial value f = u(., 0) and centred velocity g = (u(., 1) - u(., -1))/2.
+
+    The data is encoded for the array lane once, on first use (see
+    ``_encoded``), and every solver reads that form, so the two ``VertexFun``
+    must not be mutated after construction.
+    """
 
     initial: VertexFun
     velocity: VertexFun
@@ -139,6 +149,22 @@ class CauchyData:
             if fun.data:
                 radius = max(radius, fun.support_radius())
         return radius
+
+    @cached_property
+    def _encoded(self) -> tuple[list[ReducedWord], int, list]:
+        """The union of the supports (f's words, then the words only in g),
+        the common denominator D of f and g, and the parts of D f and D g on
+        those words, as the ring's ``encode`` gives them.  Every call shares
+        the part arrays, so they are read-only."""
+        f, g = self.initial.data, self.velocity.data
+        ring = self.initial.ring
+        words = list(f)
+        words += [y for y in g if y not in f]
+        scale, columns = ring.encode([[f.get(y, ring.zero) for y in words],
+                                      [g.get(y, ring.zero) for y in words]])
+        for part in (part for parts in columns for part in parts):
+            part.flags.writeable = False
+        return words, scale, columns
 
 
 class WaveField:
@@ -223,13 +249,21 @@ def check_window(params: GraphParams, support_radius: int, steps: int,
             )
 
 
-def _on_ball(fun: VertexFun, radius: int, offsets: list[int]) -> list:
-    # values of fun on ball(radius), in ball() order
-    column = [fun.ring.zero] * offsets[radius + 1]
-    for x, v in fun.items():
-        if len(x) <= radius:
-            column[offsets[len(x)] + position(x)] = v
-    return column
+def _on_ball(column, words: list[ReducedWord], radius: int, offsets: list[int]):
+    # column holds one entry per word; those of the words in ball(radius),
+    # placed in ball() order, zero elsewhere
+    out = np.zeros(offsets[radius + 1], dtype=column.dtype)
+    near = [i for i, y in enumerate(words) if len(y) <= radius]
+    out[[offsets[len(words[i])] + position(words[i]) for i in near]] = column[near]
+    return out
+
+
+def _require_graph(params: GraphParams, data: CauchyData) -> None:
+    if params is not data.params and params != data.params:
+        raise ValueError(
+            f"the data lives on the ({data.params.k}, {data.params.r}) graph, "
+            f"not on ({params.k}, {params.r})"
+        )
 
 
 def wave_direct(params: GraphParams, data: CauchyData, steps: int,
@@ -250,13 +284,14 @@ def wave_direct(params: GraphParams, data: CauchyData, steps: int,
         w(n+d) = (2-k) w(n) + S w(n) - q w(n-d),
         w(d) = D ((2-k) f + S f) + d 2D sqrt(q) g.
 
-    Both are integer linear maps, so they act part by part on what the
-    ring's ``encode`` gives: two Python-int arrays (the rational and the
-    sqrt(q) parts) in the exact lane, one float or complex array in the
+    Both are integer linear maps, so they act part by part on the encoded
+    data (``CauchyData._encoded``): two Python-int arrays (the rational and
+    the sqrt(q) parts) in the exact lane, one float or complex array in the
     float lane.  Each time slice is an array over a ball in ``ball()`` order,
     where S needs no table (see ``words._self_plus_neighbors``), and is decoded
-    into values once.
+    into values once.  ``params`` must be the graph of the data.
     """
+    _require_graph(params, data)
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     exact, ring = data.exact, data.initial.ring
@@ -271,8 +306,7 @@ def wave_direct(params: GraphParams, data: CauchyData, steps: int,
         cone = observe_radius + steps - abs(n)
         return cone if cone < supp + abs(n) else 10**9
 
-    f0, vel = data.initial, data.velocity
-    fields = {0: VertexFun(params, dict(f0.data), exact)}
+    fields = {0: VertexFun(params, dict(data.initial.data), exact)}
     valid = {0: valid_radius(0)}
     if steps == 0:
         return WaveField(params, fields, valid)
@@ -284,9 +318,10 @@ def wave_direct(params: GraphParams, data: CauchyData, steps: int,
     q = params.q
     # f is needed on the first cone plus one shell, g on the first cone
     start = min(supp, cone[1] + 1)
-    scale, (f_parts, g_parts) = ring.encode(
-        [_on_ball(f0, start, offsets), _on_ball(vel, cone[1], offsets)])
+    support, scale, (f_columns, g_columns) = data._encoded
     scale *= 2
+    f_parts = [_on_ball(column, support, start, offsets) for column in f_columns]
+    g_parts = [_on_ball(column, support, cone[1], offsets) for column in g_columns]
 
     def store(n: int, parts) -> None:
         values = ring.decode(parts, scale, abs(n))
@@ -317,17 +352,12 @@ def _shell_profile(data: CauchyData, x: ReducedWord, size: int):
     """Common denominator D of f and g, and the sums of their integer parts
     over the distance shells 0..size around x.
 
-    f and g are encoded together over D, the union of their supports is
+    The union of the supports, in the order of ``CauchyData._encoded``, is
     walked once with one ``distance`` call per word, and each word's parts
     are added into its shell.  Returns D and, for f and for g, one array of
     size + 1 shell sums per part of the ring's array lane.
     """
-    f, g = data.initial.data, data.velocity.data
-    ring = data.initial.ring
-    words = list(f)
-    words += [y for y in g if y not in f]
-    scale, columns = ring.encode([[f.get(y, ring.zero) for y in words],
-                                  [g.get(y, ring.zero) for y in words]])
+    words, scale, columns = data._encoded
     dist = np.array([distance(x, y) for y in words], dtype=int)
     near = dist <= size
     shells = []
@@ -376,8 +406,10 @@ def wave_closed_at(params: GraphParams, data: CauchyData, x: ReducedWord, n: int
     the float lane divides them by sqrt(q)^|n| first, so it overflows only
     where the value itself is past the float range.
     A time whose weights would hold more than ``MAX_CLOSED_BITS`` bits
-    raises ``ValueError`` before any of that.
+    raises ``ValueError`` before any of that, and so does a ``params`` that is
+    not the graph of the data.
     """
+    _require_graph(params, data)
     if n == 0:
         return data.initial.value(x)
     size = abs(n)

@@ -10,6 +10,7 @@ from symgraph.algebraic import (
     RingMismatchError,
     parse_value,
     q_half_power,
+    ring_of,
     sqrt_q,
 )
 
@@ -117,3 +118,22 @@ def test_parse_plain_forms():
             parse_value(text, 6)
     with pytest.raises(RingMismatchError):
         parse_value("sqrt(5)", 6)
+
+
+@pytest.mark.parametrize("k, r", [(3, 4), (2, 3), (3, 3), (2, 5), (2, 2)])
+def test_decode_matches_the_public_constructor(k, r):
+    # decode skips the constructor unless q is a perfect square, where the
+    # sqrt(q) part must fold: q = 4 at (3, 3) and (2, 5), q = 1 at (2, 2)
+    q = (k - 1) * (r - 1)
+    ring = ring_of(q)
+    values = [AlgebraicValue(a, b, q) for a, b in [
+        (0, 0), (3, 0), (Fraction(-5, 6), 0), (0, 1), (0, Fraction(2, 7)),
+        (Fraction(1, 2), Fraction(-3, 14)), (Fraction(-4, 9), Fraction(5, 3))]]
+    scale, [parts] = ring.encode([values])
+    for m in range(5):
+        decoded = ring.decode(parts, scale, m)
+        for got, value in zip(decoded, values):
+            want = value / q_half_power(q, m)
+            assert got == want and hash(got) == hash(want)
+            assert str(got) == str(want) and repr(got) == repr(want)
+            assert type(got.a) is Fraction and type(got.b) is Fraction

@@ -6,7 +6,7 @@ import pytest
 
 import symgraph.wave as wave_module
 
-from symgraph.algebraic import AlgebraicValue, q_half_power
+from symgraph.algebraic import AlgebraicValue, ExactRing, q_half_power
 from symgraph.boundary import BoundaryRay, busemann
 from symgraph.spectral import VertexFun, radialize, spherical_means_at, spherical_phi
 from symgraph.transforms import RadialSeq
@@ -24,7 +24,15 @@ from symgraph.wave import (
     wave_direct,
     wave_via_dual_abel_at,
 )
-from symgraph.words import GraphParams, _self_plus_neighbors, ball, neighbors, position, sphere
+from symgraph.words import (
+    GraphParams,
+    ReducedWord,
+    _self_plus_neighbors,
+    ball,
+    neighbors,
+    position,
+    sphere,
+)
 
 P34 = GraphParams(3, 4)
 REGIMES = [GraphParams(2, 3), GraphParams(2, 4), GraphParams(3, 4), GraphParams(2, 2),
@@ -196,29 +204,139 @@ def test_stepper_on_fractional_sqrt_data(params):
     field.check_recurrence(1)
 
 
-@pytest.mark.parametrize("params", [GraphParams(2, 3), GraphParams(3, 3), GraphParams(4, 3)])
-@pytest.mark.parametrize("layout", ["no velocity", "disjoint", "sparse velocity"])
-def test_closed_forms_on_different_supports(params, layout):
-    # the closed forms walk the union of the two supports once; a word in
-    # only one of them must count as zero in the other
-    rng = random.Random(55)
-    full = fractional_data(params, rng, radius=2)
+def stepped_reference(params, data, steps, radius):
+    """u(., n) on ball(radius + steps - |n|) for |n| <= steps, stepped word by
+    word from the definition with the lane's own arithmetic:
+    u(+-1) = ((2 - k) f + S f) / (2 sqrt q) +- g and
+    u(n + d) = ((2 - k) u(n) + S u(n)) / sqrt q - u(n - d)."""
+    ring = data.initial.ring
+    inv_root = 1 / ring.qpow(1)
+    k = params.k
+
+    def spread(u, size):
+        # (2 - k) u + S u on ball(size)
+        return {x: u.get(x, ring.zero) * (2 - k)
+                + sum((u.get(y, ring.zero) for y in neighbors(x)), ring.zero)
+                for x in ball(params, size)}
+
+    f, g = data.initial.data, data.velocity.data
+    out = {0: {x: f.get(x, ring.zero) for x in ball(params, radius + steps)}}
+    if steps == 0:
+        return out
+    base = spread(f, radius + steps - 1)
+    for d in (1, -1):
+        out[d] = {x: v * inv_root * Fraction(1, 2) + g.get(x, ring.zero) * d
+                  for x, v in base.items()}
+        for m in range(1, steps):
+            now, old = out[d * m], out[d * (m - 1)]
+            out[d * (m + 1)] = {x: v * inv_root - old[x]
+                                for x, v in spread(now, radius + steps - m - 1).items()}
+    return out
+
+
+SUPPORT_LAYOUTS = ["no velocity", "disjoint", "sparse velocity", "far", "far disjoint"]
+
+
+def support_layout(params, layout):
+    # f and g on ball(2) from fractional_data, thinned per layout; the "far"
+    # layouts add words at radius 3, 4 and 5 (generators 0, 1 for f and 1, 2
+    # for g) whose values carry denominators found nowhere else
+    full = fractional_data(params, random.Random(55), radius=2)
     words = list(ball(params, 2))
     f, g = full.initial.data, full.velocity.data
     if layout == "no velocity":
         f = {w: f[w] for w in words[::3]}
         g = {}
-    elif layout == "disjoint":
+    elif layout in ("disjoint", "far disjoint"):
         f = {w: f[w] for w in words[::2]}
         g = {w: g[w] for w in words[1::2]}
-    else:
+    elif layout == "sparse velocity":
         g = {w: g[w] for w in words[1::7]}
-    data = CauchyData(VertexFun.of(params, f), VertexFun.of(params, g))
+    if layout.startswith("far"):
+        def far(first, length):
+            return ReducedWord(params, tuple((first + i % 2, 1) for i in range(length)))
+
+        def value(den):
+            return AlgebraicValue(Fraction(1, den), Fraction(-2, den + 2), params.q)
+
+        f = {**f, **{far(0, m): value(den) for m, den in zip((3, 4, 5), (11, 17, 29))}}
+        g = {**g, **{far(1, m): value(den) for m, den in zip((3, 4, 5), (37, 41, 59))}}
+    return CauchyData(VertexFun.of(params, f), VertexFun.of(params, g))
+
+
+@pytest.mark.parametrize("params", [GraphParams(2, 3), GraphParams(3, 3), GraphParams(4, 3)])
+@pytest.mark.parametrize("layout", SUPPORT_LAYOUTS)
+def test_closed_forms_on_different_supports(params, layout):
+    # the closed forms walk the union of the two supports once; a word in
+    # only one of them must count as zero in the other.  In the far layouts
+    # the support radius 5 passes the stepper's first cone (3 steps seen on
+    # ball(1) need f on ball(4) and g on ball(3)), so its denominator covers
+    # data it never places
+    data = support_layout(params, layout)
+    reference = stepped_reference(params, data, 3, 1)
     field = wave_direct(params, data, 3, observe_radius=1)
     for n in range(-3, 4):
         for x in ball(params, 1):
-            assert wave_closed_at(params, data, x, n) == field.at(x, n)
-            assert wave_via_dual_abel_at(params, data, x, n) == field.at(x, n)
+            want = reference[n][x]
+            assert field.at(x, n) == want
+            assert wave_closed_at(params, data, x, n) == want
+            assert wave_via_dual_abel_at(params, data, x, n) == want
+
+
+@pytest.mark.parametrize("layout", SUPPORT_LAYOUTS)
+def test_float_closed_forms_on_different_supports(layout):
+    params = GraphParams(4, 3)
+    exact = support_layout(params, layout)
+    numeric = CauchyData(
+        *(VertexFun.of(params, {w: float(v) for w, v in fun.items()}, exact=False)
+          for fun in (exact.initial, exact.velocity)))
+    reference = stepped_reference(params, exact, 3, 1)
+    field = wave_direct(params, numeric, 3, observe_radius=1)
+    for n in range(-3, 4):
+        for x in ball(params, 1):
+            want = float(reference[n][x])
+            assert field.at(x, n) == pytest.approx(want, rel=1e-9)
+            assert wave_closed_at(params, numeric, x, n) == pytest.approx(want, rel=1e-9)
+
+
+def test_cauchy_data_is_encoded_once(monkeypatch):
+    calls = []
+    encode = ExactRing.encode
+
+    def counted(self, columns):
+        calls.append(len(columns))
+        return encode(self, columns)
+
+    monkeypatch.setattr(ExactRing, "encode", counted)
+    params, steps = GraphParams(3, 3), 3
+    data = fractional_data(params, random.Random(61))
+    pool = list(ball(params, 1))
+    closed = {(x, n): wave_closed_at(params, data, x, n)
+              for n in range(-steps, steps + 1) if n for x in pool}
+    field = wave_direct(params, data, steps, observe_radius=1)
+    assert len(closed) == 2 * steps * len(pool)
+    assert len(calls) <= 1
+    for (x, n), value in closed.items():
+        assert field.at(x, n) == value
+
+
+def test_solvers_refuse_data_from_another_graph(monkeypatch):
+    # (3, 4) and (4, 3) share q = 6, so nothing downstream would notice
+    data = CauchyData(VertexFun.delta_at(P34.identity()), VertexFun.of(P34, {}))
+    assert wave_closed_at(P34, data, P34.identity(), 2) == Fraction(-1, 4)
+    assert wave_direct(P34, data, 2).at(P34.identity(), 2) == Fraction(-1, 4)
+
+    def refuse(*args):
+        raise AssertionError("started work")
+
+    for name in ("ball", "distance"):
+        monkeypatch.setattr(wave_module, name, refuse)
+    other = GraphParams(4, 3)
+    for n in (2, 0):
+        with pytest.raises(ValueError, match=r"\(3, 4\) graph"):
+            wave_closed_at(other, data, other.identity(), n)
+        with pytest.raises(ValueError, match=r"\(3, 4\) graph"):
+            wave_direct(other, data, n)
 
 
 def test_float_closed_forms_track_exact_when_k_exceeds_r():
