@@ -2,10 +2,14 @@
 
 Output is machine readable: a JSON object {command, params, inputs, outputs,
 diagnostics} where each output row carries the key, the exact ring value as
-text when one exists, and a float.  CSV emits the same rows.  Exit codes:
-0 pass, 1 failed verification/inequality or a quadrature that did not reach
---tol, 2 usage error (a value outside the float range and a request past a
-work bound among them).
+text when one exists, and a float.  CSV emits the same rows, quoting a field
+that holds a comma.  Exit codes: 0 pass, 1 failed verification/inequality or
+a quadrature that did not reach --tol, 2 usage error (a value outside the
+float range, a request past a work bound, an --out that cannot be written
+and a lone --k or --r among them).
+
+Every handler takes the graph (``None`` for ``verify`` over the default grid)
+and the parsed arguments, and returns (inputs, outputs, diagnostics, code).
 
 Outputs are deterministic given the flags and seed; the one exception is
 diagnostics.runtime_ms, which reports wall time.
@@ -14,13 +18,13 @@ diagnostics.runtime_ms, which reports wall time.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
-import os
 import random
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebraic import AlgebraicValue, parse_value, sqrt_q
@@ -53,28 +57,7 @@ from .transforms import (
 from .wave import CauchyData, check_window, wave_closed_at, wave_direct
 from .words import GraphParams, ReducedWord, ball, ball_size, parse_word, sphere
 
-__all__ = ["main", "RunConfig"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    k: int
-    r: int
-    seed: int = 0
-    tol: float = 1e-9
-    threads: int = 1
-    fmt: str = "json"
-    out: str | None = None
-
-    def __post_init__(self):
-        if self.k < 2 or self.r < 2:
-            raise ValueError("k and r must be >= 2")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-
-    @property
-    def params(self) -> GraphParams:
-        return GraphParams(self.k, self.r)
+__all__ = ["main"]
 
 
 def _rows(key: str, value) -> list[dict]:
@@ -92,21 +75,19 @@ def _rows(key: str, value) -> list[dict]:
     return [{"key": key, "exact": None, "float": float(value)}]
 
 
-def _emit(config: RunConfig | None, command: str, inputs: dict, outputs: list[dict],
+def _emit(params: GraphParams | None, args, inputs: dict, outputs: list[dict],
           diagnostics: dict, started: float) -> str:
+    if args.fmt == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(("key", "exact", "float"))
+        writer.writerows((row["key"], row["exact"], row["float"]) for row in outputs)
+        return buffer.getvalue()
     diagnostics = dict(diagnostics)
     diagnostics["runtime_ms"] = round(1000.0 * (time.perf_counter() - started), 3)
-    params = {"k": config.k, "r": config.r, "q": config.params.q} if config else {}
-    if config and config.fmt == "csv":
-        lines = ["key,exact,float"]
-        for row in outputs:
-            exact = "" if row["exact"] is None else row["exact"]
-            fl = "" if row["float"] is None else repr(row["float"])
-            lines.append(f"{row['key']},{exact},{fl}")
-        return "\n".join(lines) + "\n"
     payload = {
-        "command": command,
-        "params": params,
+        "command": args.command,
+        "params": {"k": params.k, "r": params.r, "q": params.q} if params else {},
         "inputs": inputs,
         "outputs": outputs,
         "diagnostics": diagnostics,
@@ -143,8 +124,7 @@ _MAX_TRIAL_PRODUCTS = 10_000
 _MAX_VERIFY_BALL = 20_000
 
 
-def cmd_info(config: RunConfig, args) -> tuple[dict, list, dict, int]:
-    params = config.params
+def cmd_info(params: GraphParams, args) -> tuple[dict, list, dict, int]:
     deg = params.degree
     outputs = []
     outputs += _rows("q", params.q)
@@ -169,8 +149,7 @@ def cmd_info(config: RunConfig, args) -> tuple[dict, list, dict, int]:
     return {}, outputs, {}, 0
 
 
-def cmd_table(config: RunConfig, args) -> tuple[dict, list, dict, int]:
-    params = config.params
+def cmd_table(params: GraphParams, args) -> tuple[dict, list, dict, int]:
     outputs = []
     if args.table == "delta":
         for n in range(args.nmax + 1):
@@ -195,48 +174,33 @@ def cmd_table(config: RunConfig, args) -> tuple[dict, list, dict, int]:
     return inputs, outputs, {}, 0
 
 
-def cmd_abel(config: RunConfig, args) -> tuple[dict, list, dict, int]:
-    params = config.params
-    f = RadialSeq.of(params, _parse_seq(params, args.radial))
-    g = abel(f)
-    outputs = []
-    for h, value in enumerate(g.values):
-        outputs += _rows(f"A[{h}]", value)
+def _radial(params: GraphParams, text: str, seq_type, transform, key: str, **kwargs) -> list:
+    """Rows key[n] of a radial transform applied to the parsed sequence."""
+    result = transform(seq_type.of(params, _parse_seq(params, text)), **kwargs)
+    return [row for n, value in enumerate(result.values) for row in _rows(f"{key}[{n}]", value)]
+
+
+def cmd_abel(params: GraphParams, args) -> tuple[dict, list, dict, int]:
+    outputs = _radial(params, args.radial, RadialSeq, abel, "A")
     return {"radial": args.radial}, outputs, {}, 0
 
 
-def cmd_abel_inv(config: RunConfig, args) -> tuple[dict, list, dict, int]:
-    params = config.params
-    g = EvenSeq.of(params, _parse_seq(params, args.even))
-    f = abel_inv(g)
-    outputs = []
-    for n, value in enumerate(f.values):
-        outputs += _rows(f"f[{n}]", value)
+def cmd_abel_inv(params: GraphParams, args) -> tuple[dict, list, dict, int]:
+    outputs = _radial(params, args.even, EvenSeq, abel_inv, "f")
     return {"even": args.even}, outputs, {}, 0
 
 
-def cmd_dual(config: RunConfig, args) -> tuple[dict, list, dict, int]:
-    params = config.params
-    g = EvenSeq.of(params, _parse_seq(params, args.even))
-    f = dual_abel(g, n_max=args.nmax if args.nmax is not None else g.support_radius)
-    outputs = []
-    for n, value in enumerate(f.values):
-        outputs += _rows(f"dual[{n}]", value)
+def cmd_dual(params: GraphParams, args) -> tuple[dict, list, dict, int]:
+    outputs = _radial(params, args.even, EvenSeq, dual_abel, "dual", n_max=args.nmax)
     return {"even": args.even, "nmax": args.nmax}, outputs, {}, 0
 
 
-def cmd_dual_inv(config: RunConfig, args) -> tuple[dict, list, dict, int]:
-    params = config.params
-    f = RadialSeq.of(params, _parse_seq(params, args.radial))
-    g = dual_abel_inv(f)
-    outputs = []
-    for n, value in enumerate(g.values):
-        outputs += _rows(f"g[{n}]", value)
+def cmd_dual_inv(params: GraphParams, args) -> tuple[dict, list, dict, int]:
+    outputs = _radial(params, args.radial, RadialSeq, dual_abel_inv, "g")
     return {"radial": args.radial}, outputs, {}, 0
 
 
-def cmd_spherical(config: RunConfig, args) -> tuple[dict, list, dict, int]:
-    params = config.params
+def cmd_spherical(params: GraphParams, args) -> tuple[dict, list, dict, int]:
     if args.nmax > _MAX_PHI_TERMS:
         raise ValueError(f"--nmax {args.nmax} is past the bound of {_MAX_PHI_TERMS} terms")
     table = spherical_phi(params, gamma_of(params, args.lam), args.nmax)
@@ -256,8 +220,7 @@ def cmd_spherical(config: RunConfig, args) -> tuple[dict, list, dict, int]:
     return {"lambda": args.lam, "nmax": args.nmax}, outputs, diagnostics, 0
 
 
-def cmd_transform(config: RunConfig, args) -> tuple[dict, list, dict, int]:
-    params = config.params
+def cmd_transform(params: GraphParams, args) -> tuple[dict, list, dict, int]:
     f = RadialSeq.of(params, _parse_seq(params, args.radial))
     half = params.tau / 2.0
     outputs = []
@@ -268,19 +231,17 @@ def cmd_transform(config: RunConfig, args) -> tuple[dict, list, dict, int]:
     return inputs, outputs, {}, 0
 
 
-def cmd_plancherel(config: RunConfig, args) -> tuple[dict, list, dict, int]:
-    params = config.params
+def cmd_plancherel(params: GraphParams, args) -> tuple[dict, list, dict, int]:
     f = RadialSeq.of(params, _parse_seq(params, args.radial))
     direct = f.norm_sq()
-    spectral = plancherel_norm(f, tol=config.tol)
+    spectral = plancherel_norm(f, tol=args.tol)
     outputs = _rows("norm_sq_direct", direct) + _rows("norm_sq_spectral", spectral.value)
     diagnostics = {"quadrature_error": spectral.error,
                    "mismatch": abs(spectral.value - float(direct))}
     return {"radial": args.radial}, outputs, diagnostics, 0
 
 
-def cmd_helgason(config: RunConfig, args) -> tuple[dict, list, dict, int]:
-    params = config.params
+def cmd_helgason(params: GraphParams, args) -> tuple[dict, list, dict, int]:
     f = _parse_vertex_fun(params, args.values)
     ray = BoundaryRay(parse_word(params, args.ray))
     value = helgason_transform(f, args.lam, ray)
@@ -288,19 +249,18 @@ def cmd_helgason(config: RunConfig, args) -> tuple[dict, list, dict, int]:
     return {"values": args.values, "lambda": args.lam, "ray": args.ray}, outputs, {}, 0
 
 
-def cmd_invert(config: RunConfig, args) -> tuple[dict, list, dict, int]:
-    params = config.params
+def cmd_invert(params: GraphParams, args) -> tuple[dict, list, dict, int]:
     x = parse_word(params, args.at)
     if args.radial is None and args.values is None:
         raise ValueError("invert needs --radial (spherical) or --values (boundary transform)")
     if args.radial is not None:
         f = RadialSeq.of(params, _parse_seq(params, args.radial))
-        res = invert_spherical(f, x, tol=config.tol)
+        res = invert_spherical(f, x, tol=args.tol)
         direct = f.value(len(x))
     else:
         fun = _parse_vertex_fun(params, args.values)
         depth = args.depth if args.depth else max(fun.support_radius(), len(x)) + 1
-        res = invert_helgason(fun, x, depth, tol=config.tol)
+        res = invert_helgason(fun, x, depth, tol=args.tol)
         direct = fun.value(x)
     outputs = _rows("recovered", res.value) + _rows("direct", direct)
     diagnostics = {"quadrature_error": res.error,
@@ -308,8 +268,7 @@ def cmd_invert(config: RunConfig, args) -> tuple[dict, list, dict, int]:
     return {"at": args.at}, outputs, diagnostics, 0
 
 
-def cmd_ks_check(config: RunConfig, args) -> tuple[dict, list, dict, int]:
-    params = config.params
+def cmd_ks_check(params: GraphParams, args) -> tuple[dict, list, dict, int]:
     if params.k > params.r:
         raise ValueError("the smoothing inequality is checked for k <= r only")
     if args.trials > _MAX_TRIALS:
@@ -318,7 +277,7 @@ def cmd_ks_check(config: RunConfig, args) -> tuple[dict, list, dict, int]:
     if products > _MAX_TRIAL_PRODUCTS:
         raise ValueError(f"one trial at ({params.k}, {params.r}) takes {products} products, "
                          f"past the bound of {_MAX_TRIAL_PRODUCTS}")
-    rng = random.Random(config.seed)
+    rng = random.Random(args.seed)
     worst = {"core": 0.0, "young": 0.0, "holder": 0.0}
     witness = None
     pool = list(ball(params, 1))
@@ -342,11 +301,10 @@ def cmd_ks_check(config: RunConfig, args) -> tuple[dict, list, dict, int]:
     if witness:
         diagnostics["witness"] = witness
         code = 1
-    return {"trials": args.trials, "seed": config.seed}, outputs, diagnostics, code
+    return {"trials": args.trials, "seed": args.seed}, outputs, diagnostics, code
 
 
-def cmd_wave(config: RunConfig, args) -> tuple[dict, list, dict, int]:
-    params = config.params
+def cmd_wave(params: GraphParams, args) -> tuple[dict, list, dict, int]:
     data = CauchyData(
         _parse_vertex_fun(params, args.f),
         _parse_vertex_fun(params, args.g),
@@ -385,24 +343,24 @@ def cmd_wave(config: RunConfig, args) -> tuple[dict, list, dict, int]:
     return inputs, outputs, diagnostics, 0
 
 
-def cmd_verify(config: RunConfig | None, args) -> tuple[dict, list, dict, int]:
-    if args.k is not None and args.r is not None:
-        grid = [config.params]
-        words = ball_size(config.params, 4)
+def cmd_verify(params: GraphParams | None, args) -> tuple[dict, list, dict, int]:
+    if params is not None:
+        grid = [params]
+        words = ball_size(params, 4)
         if words > _MAX_VERIFY_BALL:
-            raise ValueError(f"the ball of radius 4 at ({args.k}, {args.r}) holds {words} words, "
-                             f"past the bound of {_MAX_VERIFY_BALL}")
+            raise ValueError(f"the ball of radius 4 at ({params.k}, {params.r}) holds {words} "
+                             f"words, past the bound of {_MAX_VERIFY_BALL}")
     else:
         grid = grid_params()
     ok, collected = run_suite(args.suite, grid, args.seed)
     outputs = []
     diagnostics = {}
-    for params, suite_name, result in collected:
-        key = f"{suite_name}[k={params.k},r={params.r}]:{result.name}"
+    for point, suite_name, result in collected:
+        key = f"{suite_name}[k={point.k},r={point.r}]:{result.name}"
         outputs.append({"key": key, "exact": None, "float": 1.0 if result.ok else 0.0})
         if not result.ok and "witness" not in diagnostics:
             diagnostics["witness"] = {
-                "suite": suite_name, "k": params.k, "r": params.r,
+                "suite": suite_name, "k": point.k, "r": point.r,
                 "check": result.name, **result.witness,
             }
     return {"suite": args.suite, "seed": args.seed}, outputs, diagnostics, 0 if ok else 1
@@ -443,108 +401,82 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_params=True):
+    def command(name, handler, help, need_params=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         p.add_argument("--k", type=int, required=need_params, help="polygon side count (>= 2)")
         p.add_argument("--r", type=int, required=need_params, help="polygons per vertex (>= 2)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol", type=positive_float, default=1e-9)
-        p.add_argument("--threads", type=int,
-                       default=int(os.environ.get("SYMGRAPH_THREADS", "1")))
+        p.add_argument("--threads", type=positive_int, default=1,
+                       help="accepted for compatibility; work runs on one thread")
         p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")
+        return p
 
-    common(sub.add_parser("info", help="derived constants of the (k, r) graph"))
+    command("info", cmd_info, "derived constants of the (k, r) graph")
 
-    p = sub.add_parser("table", help="tabulate sphere counts, horocycle counts, phi or the density")
-    common(p)
+    p = command("table", cmd_table, "tabulate sphere counts, horocycle counts, phi or the density")
     p.add_argument("table", choices=("delta", "b", "phi", "c2"))
     p.add_argument("--nmax", type=nonnegative_int, default=6)
     p.add_argument("--hmax", type=nonnegative_int, default=6)
     p.add_argument("--grid", type=positive_int, default=16)
     p.add_argument("--lambda", dest="lam", type=finite_float, default=0.5)
 
-    p = sub.add_parser("abel", help="Abel transform of a radial sequence")
-    common(p)
+    p = command("abel", cmd_abel, "Abel transform of a radial sequence")
     p.add_argument("--radial", required=True, help='comma list, e.g. "1,1/2,0"')
 
-    p = sub.add_parser("abel-inv", help="inverse Abel transform of an even sequence")
-    common(p)
+    p = command("abel-inv", cmd_abel_inv, "inverse Abel transform of an even sequence")
     p.add_argument("--even", required=True)
 
-    p = sub.add_parser("dual", help="dual Abel transform of an even sequence")
-    common(p)
+    p = command("dual", cmd_dual, "dual Abel transform of an even sequence")
     p.add_argument("--even", required=True)
     p.add_argument("--nmax", type=nonnegative_int, default=None)
 
-    p = sub.add_parser("dual-inv", help="inverse dual Abel transform of a radial sequence")
-    common(p)
+    p = command("dual-inv", cmd_dual_inv, "inverse dual Abel transform of a radial sequence")
     p.add_argument("--radial", required=True)
 
-    p = sub.add_parser("spherical", help="spherical function values, optionally vs the boundary oracle")
-    common(p)
+    p = command("spherical", cmd_spherical,
+                "spherical function values, optionally vs the boundary oracle")
     p.add_argument("--lambda", dest="lam", type=finite_float, required=True)
     p.add_argument("--nmax", type=nonnegative_int, default=8)
     p.add_argument("--oracle-depth", type=positive_int, default=None)
 
-    p = sub.add_parser("transform", help="spherical transform on a lambda grid")
-    common(p)
+    p = command("transform", cmd_transform, "spherical transform on a lambda grid")
     p.add_argument("--radial", required=True)
     p.add_argument("--grid", type=positive_int, default=33)
 
-    p = sub.add_parser("plancherel", help="compare direct and spectral L2 norms")
-    common(p)
+    p = command("plancherel", cmd_plancherel, "compare direct and spectral L2 norms")
     p.add_argument("--radial", required=True)
 
-    p = sub.add_parser("helgason", help="boundary Fourier transform of a vertex function")
-    common(p)
+    p = command("helgason", cmd_helgason, "boundary Fourier transform of a vertex function")
     p.add_argument("--values", required=True, help='semicolon list, e.g. "e:1;a0^1:1/2"')
     p.add_argument("--lambda", dest="lam", type=finite_float, required=True)
     p.add_argument("--ray", required=True, help='ray prefix word, e.g. "a0^1.a1^1.a0^1"')
 
-    p = sub.add_parser("invert", help="recover a function value from its transform")
-    common(p)
+    p = command("invert", cmd_invert, "recover a function value from its transform")
     p.add_argument("--at", required=True, help="target word")
     p.add_argument("--radial", default=None)
     p.add_argument("--values", default=None)
     p.add_argument("--depth", type=nonnegative_int, default=None,
                    help="cylinder depth; 0 or absent means max(support, |at|) + 1")
 
-    p = sub.add_parser("ks-check", help="measure the convolution-smoothing ratios")
-    common(p)
+    p = command("ks-check", cmd_ks_check, "measure the convolution-smoothing ratios")
     p.add_argument("--trials", type=positive_int, default=100)
 
-    p = sub.add_parser("wave", help="solve the shifted wave equation")
-    common(p)
+    p = command("wave", cmd_wave, "solve the shifted wave equation")
     p.add_argument("--f", default="", help="initial value, word:value list")
     p.add_argument("--g", default="", help="initial velocity, word:value list")
     p.add_argument("--steps", type=nonnegative_int, required=True)
     p.add_argument("--method", choices=("closed", "direct", "both"), default="both")
     p.add_argument("--at", default=None, help='evaluation point "word,n"')
 
-    p = sub.add_parser("verify", help="run an invariant suite (exit 1 on failure)")
-    common(p, need_params=False)
+    p = command("verify", cmd_verify, "run an invariant suite (exit 1 on failure)",
+                need_params=False)
     p.add_argument("--suite", default="all",
                    choices=("group", "boundary", "abel", "dual", "spectral", "wave", "all"))
 
     return parser
-
-
-_HANDLERS = {
-    "info": cmd_info,
-    "table": cmd_table,
-    "abel": cmd_abel,
-    "abel-inv": cmd_abel_inv,
-    "dual": cmd_dual,
-    "dual-inv": cmd_dual_inv,
-    "spherical": cmd_spherical,
-    "transform": cmd_transform,
-    "plancherel": cmd_plancherel,
-    "helgason": cmd_helgason,
-    "invert": cmd_invert,
-    "ks-check": cmd_ks_check,
-    "wave": cmd_wave,
-    "verify": cmd_verify,
-}
 
 
 def main(argv=None) -> int:
@@ -556,19 +488,18 @@ def main(argv=None) -> int:
         if args.nmax > 12 or args.hmax > 12 or args.grid > 1024:
             parser.error("table ranges capped at nmax, hmax <= 12 and grid <= 1024")
 
-    config = None
-    if args.k is not None and args.r is not None:
+    if (args.k is None) != (args.r is None):
+        parser.error("give both --k and --r, or neither")
+    params = None
+    if args.k is not None:
         try:
-            config = RunConfig(k=args.k, r=args.r, seed=args.seed, tol=args.tol,
-                               threads=args.threads, fmt=args.fmt, out=args.out)
+            params = GraphParams(args.k, args.r)
         except ValueError as exc:
             parser.error(str(exc))
-    elif args.command != "verify":
-        parser.error("--k and --r are required")
 
     try:
-        inputs, outputs, diagnostics, code = _HANDLERS[args.command](config, args)
-        text = _emit(config, args.command, inputs, outputs, diagnostics, started)
+        inputs, outputs, diagnostics, code = args.handler(params, args)
+        text = _emit(params, args, inputs, outputs, diagnostics, started)
     except (ValueError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -579,11 +510,15 @@ def main(argv=None) -> int:
         print(f"error: {exc}; achieved error {exc.achieved:.3g}", file=sys.stderr)
         return 1
 
-    if args.out:
+    if not args.out:
+        sys.stdout.write(text)
+        return code
+    try:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write --out: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

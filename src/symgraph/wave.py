@@ -435,26 +435,24 @@ def wave_closed_at(params: GraphParams, data: CauchyData, x: ReducedWord, n: int
 wave_via_dual_abel_at = wave_closed_at
 
 
-def asgeirsson_means(params: GraphParams, U, x: ReducedWord, y: ReducedWord,
-                     m: int, n: int, check_pde: bool = True):
+def asgeirsson_means(params: GraphParams, U, x: ReducedWord, y: ReducedWord, m: int, n: int):
     """Double sphere sums of U over S(x, m) x S(y, n) and with radii swapped.
 
     U is a callable on vertex pairs that must satisfy L_x U = L_y U; the
     identity of the two returned sums is the mean-value symmetry under test.
-    ``check_pde`` verifies the hypothesis at the base pair (the full interior
-    is the caller's responsibility).
+    The hypothesis is checked at the base pair only, raising ``ValueError``
+    when it fails there (the full interior is the caller's responsibility).
     """
-    if check_pde:
-        deg = params.degree
-        lap_x = U(x, y) * deg - sum(U(xx, y) for xx in neighbors(x))
-        lap_y = U(x, y) * deg - sum(U(x, yy) for yy in neighbors(y))
-        diff = lap_x - lap_y
-        if isinstance(diff, (AlgebraicValue, int, Fraction)):
-            bad = bool(diff)
-        else:
-            bad = abs(diff) > 1e-9 * (1.0 + abs(lap_x))
-        if bad:
-            raise ValueError("U does not satisfy L_x U = L_y U at the base pair")
+    deg = params.degree
+    lap_x = U(x, y) * deg - sum(U(xx, y) for xx in neighbors(x))
+    lap_y = U(x, y) * deg - sum(U(x, yy) for yy in neighbors(y))
+    diff = lap_x - lap_y
+    if isinstance(diff, (AlgebraicValue, int, Fraction)):
+        bad = bool(diff)
+    else:
+        bad = abs(diff) > 1e-9 * (1.0 + abs(lap_x))
+    if bad:
+        raise ValueError("U does not satisfy L_x U = L_y U at the base pair")
 
     def double_sum(rad_x: int, rad_y: int):
         xs = [x * w for w in sphere(params, rad_x)]

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import sys
@@ -202,12 +203,58 @@ def test_csv_format(capsys):
     assert lines[1] == "delta[0],1,1.0"
 
 
+@pytest.mark.parametrize("argv", [
+    ("info", "--k", "2", "--r", "2"),
+    ("table", "b", "--k", "3", "--r", "4"),  # keys b[n,h] hold a comma
+    ("dual", "--k", "3", "--r", "4", "--even", "1,1/2+1/3*sqrt(6)", "--nmax", "3"),
+    ("transform", "--k", "3", "--r", "4", "--radial", "1,1/2", "--grid", "5"),
+    ("wave", "--k", "3", "--r", "4", "--f", "e:1", "--steps", "1", "--method", "closed"),
+    ("verify", "--suite", "abel", "--k", "3", "--r", "4"),
+], ids=("info", "table-b", "dual", "transform", "wave", "verify"))
+def test_csv_rows_match_json_rows(capsys, argv):
+    """Every CSV row reads back as three fields equal to its JSON row."""
+    code, doc = run_json(capsys, *argv)
+    assert code == 0
+    code, out = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    want = [[row["key"], row["exact"] or "", "" if row["float"] is None else repr(row["float"])]
+            for row in doc["outputs"]]
+    assert list(csv.reader(io.StringIO(out))) == [["key", "exact", "float"], *want]
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "result.json"
     code, out = run(capsys, "info", "--k", "3", "--r", "4", "--out", str(target))
     assert code == 0 and out == ""
     doc = json.loads(target.read_text())
     assert doc["command"] == "info"
+
+
+def test_unwritable_out_is_one_error_line(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "result.json", tmp_path):
+        code = main(["info", "--k", "3", "--r", "4", "--out", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2, target
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_over_the_default_grid(capsys):
+    # a lone --k or --r is refused, not ignored; --threads is checked without a graph too
+    for extra in (["--k", "3"], ["--r", "3"], ["--threads", "0"]):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--suite", "group", *extra])
+        assert err.value.code == 2, extra
+        assert capsys.readouterr().out == ""
+    code, out = run(capsys, "verify", "--suite", "group", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["key", "exact", "float"]
+    assert len(rows) == 1 + 18
+    assert all(len(row) == 3 and row[2] == "1.0" for row in rows[1:])
+    assert rows[1][0] == "group[k=2,r=2]:sphere-count"
 
 
 def test_usage_errors_exit_two(capsys, monkeypatch):
@@ -432,6 +479,12 @@ def test_threads_flag_accepted(capsys):
     assert code == 0
 
 
+def test_threads_environment_variable_is_not_read(capsys, monkeypatch):
+    monkeypatch.setenv("SYMGRAPH_THREADS", "abc")
+    code, doc = run_json(capsys, "info", "--k", "3", "--r", "4")
+    assert code == 0 and doc["command"] == "info"
+
+
 # -- argv fuzz -----------------------------------------------------------------------
 #
 # Commands, flags and values drawn from edge sets: in-budget values are small and
@@ -469,7 +522,7 @@ _FLAGS = {
 _COMMON = {"--k": ("2", "3", "4", "1", "0", "-1", "x", "10", "14", str(10**30)),
            "--r": ("2", "3", "4", "1", "0", "x", "10", "14"),
            "--seed": ("0", "1", "-1", "x"), "--tol": ("1e-9", "0", "-1", "nan", "1e-300", "1"),
-           "--threads": ("1", "2", "0")}
+           "--threads": ("1", "2", "0"), "--format": ("json", "csv", "x")}
 _TABLES = ("delta", "b", "phi", "c2", "x")
 
 
@@ -508,8 +561,13 @@ def test_argv_fuzz_exits_cleanly(argv):
     assert "Traceback" not in err.getvalue(), argv
     assert "Warning" not in err.getvalue(), argv
     if code == 0 or (code == 1 and out.getvalue()):
-        doc = _strict_json(out.getvalue())
-        assert doc["command"] == argv[0], argv
+        if "--format" in argv and argv[argv.index("--format") + 1] == "csv":
+            rows = list(csv.reader(io.StringIO(out.getvalue())))
+            assert rows[0] == ["key", "exact", "float"], argv
+            assert all(len(row) == 3 for row in rows[1:]), argv
+        else:
+            doc = _strict_json(out.getvalue())
+            assert doc["command"] == argv[0], argv
     if code == 2:
         assert out.getvalue() == "", argv
         assert err.getvalue(), argv
