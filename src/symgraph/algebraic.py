@@ -4,9 +4,16 @@ All combinatorial transforms in this package take values in the real
 quadratic ring generated by sqrt(q), where q = (r-1)(k-1) is the growth base
 of the graph.  Working in this ring keeps every half-integer power of q
 exact, so round-trip identities can be asserted with ``==`` rather than a
-tolerance.  Values are immutable and canonical: when q is a perfect square
-the sqrt(q) part is folded into the rational part at construction, which
-makes structural equality semantic equality.
+tolerance.
+
+Values are immutable and canonical.  A value is stored as one integer triple
+(A, B, D) with value (A + B*sqrt(q)) / D, where D > 0 and gcd(A, B, D) = 1;
+when q is a perfect square the sqrt(q) part is folded into the rational part
+at construction, so B = 0.  Structural equality is then semantic equality.
+Every ring operation forms integer products and reduces them with one
+three-way gcd (a sum first brings both values over the lcm of their
+denominators); no ``Fraction`` is built.  The rational parts a = A/D and
+b = B/D are ``Fraction`` properties, built only when asked for.
 """
 
 from __future__ import annotations
@@ -53,10 +60,37 @@ def _root_approx(q: int) -> Fraction:
         return approx
 
 
-class AlgebraicValue:
-    """An exact number a + b*sqrt(q) with rational a, b and integer q >= 1."""
+def _canonical(A: int, B: int, D: int, q: int) -> "AlgebraicValue":
+    """The value (A + B*sqrt(q)) / D for integers with D != 0, reduced by one
+    three-way gcd and a sign fix.  B must already be 0 when q is a perfect
+    square; the ring operations keep that, since they map B = 0 to B = 0."""
+    g = math.gcd(A, B, D)
+    if D < 0:
+        g = -g
+    if g != 1:
+        A //= g
+        B //= g
+        D //= g
+    value = object.__new__(AlgebraicValue)
+    value.triple = (A, B, D)
+    value.q = q
+    return value
 
-    __slots__ = ("a", "b", "q")
+
+def _sum(x: tuple, y: tuple, q: int) -> "AlgebraicValue":
+    """The sum of two triples over the lcm of their denominators, which keeps
+    the integers smaller than the product would on large values."""
+    (A, B, D), (A2, B2, D2) = x, y
+    g = math.gcd(D, D2)
+    s, t = D // g, D2 // g
+    return _canonical(A * t + A2 * s, B * t + B2 * s, s * D2, q)
+
+
+class AlgebraicValue:
+    """An exact number a + b*sqrt(q) with rational a, b and integer q >= 1,
+    held as the canonical integer triple (A, B, D) = (a*D, b*D, D)."""
+
+    __slots__ = ("triple", "q")
 
     def __init__(self, a=0, b=0, q: int = 1):
         q = int(q)
@@ -69,106 +103,108 @@ class AlgebraicValue:
             if root is not None:
                 a += b * root
                 b = Fraction(0)
-        self.a = a
-        self.b = b
+        # D = lcm of the reduced denominators makes gcd(A, B, D) = 1
+        den = math.lcm(a.denominator, b.denominator)
+        self.triple = (a.numerator * (den // a.denominator),
+                       b.numerator * (den // b.denominator), den)
         self.q = q
 
-    # -- construction helpers -------------------------------------------------
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.triple[0], self.triple[2])
 
-    @classmethod
-    def _make(cls, a: Fraction, b: Fraction, q: int) -> "AlgebraicValue":
-        """A value from parts already in canonical form: ``Fraction`` a and b,
-        an int q >= 1, and b = 0 whenever q is a perfect square.  No coercion
-        and no root check."""
-        value = object.__new__(cls)
-        value.a = a
-        value.b = b
-        value.q = q
-        return value
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.triple[1], self.triple[2])
 
     @classmethod
     def rational(cls, value, q: int) -> "AlgebraicValue":
         return cls(value, 0, q)
 
-    def _coerce(self, other) -> "AlgebraicValue | None":
+    def _parts(self, other) -> tuple | None:
+        """The triple of a ring element or a rational, or None for anything else."""
         if isinstance(other, AlgebraicValue):
             if other.q != self.q:
                 raise RingMismatchError(
                     f"cannot combine values over sqrt({self.q}) and sqrt({other.q})"
                 )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return AlgebraicValue(other, 0, self.q)
+            return other.triple
+        if isinstance(other, int):
+            return other, 0, 1
+        if isinstance(other, Fraction):
+            return other.numerator, 0, other.denominator
         return None
 
     # -- ring operations -------------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return AlgebraicValue(self.a + o.a, self.b + o.b, self.q)
+        return _sum(self.triple, o, self.q)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return AlgebraicValue(self.a - o.a, self.b - o.b, self.q)
+        A2, B2, D2 = o
+        return _sum(self.triple, (-A2, -B2, D2), self.q)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return AlgebraicValue(o.a - self.a, o.b - self.b, self.q)
+        A, B, D = self.triple
+        return _sum(o, (-A, -B, D), self.q)
 
     def __neg__(self):
-        return AlgebraicValue(-self.a, -self.b, self.q)
+        A, B, D = self.triple
+        return _canonical(-A, -B, D, self.q)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        if not self.b and not o.b:
-            return AlgebraicValue(self.a * o.a, 0, self.q)
-        return AlgebraicValue(
-            self.a * o.a + self.b * o.b * self.q,
-            self.a * o.b + self.b * o.a,
-            self.q,
-        )
+        (A, B, D), (A2, B2, D2) = self.triple, o
+        return _canonical(A * A2 + B * B2 * self.q, A * B2 + B * A2, D * D2, self.q)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "AlgebraicValue":
-        norm = self.a * self.a - self.b * self.b * self.q
+        # D / (A + B sqrt(q)) = D (A - B sqrt(q)) / (A^2 - q B^2)
+        A, B, D = self.triple
+        norm = A * A - B * B * self.q
         if norm == 0:
             raise ZeroDivisionError("division by zero in quadratic ring")
-        return AlgebraicValue(self.a / norm, -self.b / norm, self.q)
+        return _canonical(A * D, -B * D, norm, self.q)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             # a rational divisor divides both parts; no inverse to build
             if not other:
                 raise ZeroDivisionError("division by zero in quadratic ring")
-            return AlgebraicValue(self.a / other, self.b / other, self.q)
-        o = self._coerce(other)
+            n, d = other.numerator, other.denominator
+            A, B, D = self.triple
+            return _canonical(A * d, B * d, D * n, self.q)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return self * o.inverse()
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return o * self.inverse()
+        return _canonical(*o, self.q) * self.inverse()
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        out = AlgebraicValue(1, 0, self.q)
+        out = _canonical(1, 0, 1, self.q)
         base = self
         n = exponent
         while n:
@@ -181,7 +217,8 @@ class AlgebraicValue:
     # -- comparisons and conversions --------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.a and not self.b
+        A, B, _ = self.triple
+        return not A and not B
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -189,21 +226,28 @@ class AlgebraicValue:
     def __eq__(self, other) -> bool:
         if isinstance(other, AlgebraicValue):
             if other.q != self.q:
-                return self.b == 0 == other.b and self.a == other.a
-            return self.a == other.a and self.b == other.b
+                return self.triple[1] == 0 == other.triple[1] and self.triple == other.triple
+            return self.triple == other.triple
         if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
+            return self.triple == (other.numerator, 0, other.denominator)
         return NotImplemented
 
     def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.q))
+        A, B, D = self.triple
+        if B == 0:
+            # equal to hash(Fraction(A, D)) and hash(A) when D = 1, so a value
+            # hashes like the int or Fraction it equals
+            return hash(Fraction(A, D))
+        return hash((self.triple, self.q))
 
     def __float__(self) -> float:
-        if not self.b:
-            return float(self.a)
-        return float(self.a + self.b * _root_approx(self.q))
+        # one correctly rounded int division, of A/D or of the rational
+        # (A + B*root)/D with root the 60-digit approximation of sqrt(q)
+        A, B, D = self.triple
+        if not B:
+            return A / D
+        root = _root_approx(self.q)
+        return (A * root.denominator + B * root.numerator) / (D * root.denominator)
 
     def __complex__(self) -> complex:
         return complex(float(self))
@@ -214,11 +258,12 @@ class AlgebraicValue:
     # -- text form ---------------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.b:
-            return str(self.a)
-        tail = f"sqrt({self.q})" if abs(self.b) == 1 else f"{abs(self.b)}*sqrt({self.q})"
-        sign = "-" if self.b < 0 else ("+" if self.a else "")
-        head = str(self.a) if self.a else ""
+        a, b = self.a, self.b
+        if not b:
+            return str(a)
+        tail = f"sqrt({self.q})" if abs(b) == 1 else f"{abs(b)}*sqrt({self.q})"
+        sign = "-" if b < 0 else ("+" if a else "")
+        head = str(a) if a else ""
         return f"{head}{sign}{tail}"
 
     def __repr__(self) -> str:
@@ -228,14 +273,20 @@ class AlgebraicValue:
 def q_half_power(q: int, m: int) -> AlgebraicValue:
     """q**(m/2) as an exact ring element, for any integer m.
 
-    Even m gives a pure rational; odd m gives q**((m-1)/2) * sqrt(q).
+    Even m gives a pure rational; odd m gives q**((m-1)/2) * sqrt(q).  When q
+    is a perfect square the power is the rational root**m.
     """
     q = int(q)
     if q < 1:
         raise ValueError(f"ring parameter must be a positive integer, got {q}")
-    if m % 2 == 0:
-        return AlgebraicValue(Fraction(q) ** (m // 2), 0, q)
-    return AlgebraicValue(0, Fraction(q) ** ((m - 1) // 2), q)
+    root = _exact_root(q)
+    if root is not None:
+        base, e, odd = root, m, 0
+    else:
+        base, e, odd = q, m // 2, m % 2  # m = 2e + odd
+    power = base ** abs(e)
+    num, den = (power, 1) if e >= 0 else (1, power)
+    return _canonical(0, num, den, q) if odd else _canonical(num, 0, den, q)
 
 
 def sqrt_q(q: int) -> AlgebraicValue:
@@ -269,14 +320,17 @@ class ExactRing:
     # object arrays of Python ints, which never overflow.
 
     def encode(self, columns) -> tuple[int, list]:
-        """One common denominator D of every column, and each column's parts (A, B)."""
-        columns = [[self.coerce(v) for v in col] for col in columns]
-        scale = math.lcm(1, *{c.denominator for col in columns for v in col for c in (v.a, v.b)})
+        """One common denominator D of every column, and each column's parts (A, B).
 
-        def ints(parts):
-            return np.array([scale // c.denominator * c.numerator for c in parts], dtype=object)
+        Each value's triple already holds its parts over its own denominator,
+        so D is the lcm of those and each part is scaled by D over it."""
+        triples = [[self.coerce(v).triple for v in col] for col in columns]
+        scale = math.lcm(1, *{D for col in triples for _, _, D in col})
 
-        return scale, [(ints(v.a for v in col), ints(v.b for v in col)) for col in columns]
+        def ints(col, i):
+            return np.array([scale // t[2] * t[i] for t in col], dtype=object)
+
+        return scale, [(ints(col, 0), ints(col, 1)) for col in triples]
 
     def row(self, weights, m: int) -> tuple:
         """Integer weights over sqrt(q)^m as a row for ``row @ part``, and
@@ -292,19 +346,18 @@ class ExactRing:
     def decode(self, parts, scale: int, m: int) -> list[AlgebraicValue]:
         """The values (A + B sqrt(q)) / (scale * sqrt(q)^m), m >= 0.
 
-        For odd m the parts swap: (A + B sqrt(q)) / sqrt(q) = B + (A/q) sqrt(q).
-        Unless q is a perfect square, where the sqrt(q) part must fold, the
-        two ``Fraction`` are already canonical and skip the constructor.
+        For odd m the parts swap: (A + B sqrt(q)) / sqrt(q) = (qB + A sqrt(q)) / q.
+        When q is a perfect square the sqrt(q) part folds into A.
         """
-        q = self.q
-        a, b = parts
-        den = scale * q ** (m // 2)
-        root_den = den
-        if m % 2:
-            a, b, root_den = b, a, den * q
-        make = AlgebraicValue if _exact_root(q) is not None else AlgebraicValue._make
-        return [make(Fraction(x, den), Fraction(y, root_den), q)
-                for x, y in zip(a.tolist(), b.tolist())]
+        q, (a, b) = self.q, parts
+        root = _exact_root(q)
+        if root is not None:
+            a, b, den = a + b * root, b * 0, scale * root**m
+        else:
+            den = scale * q ** (m // 2)
+            if m % 2:
+                a, b, den = b * q, a, den * q
+        return [_canonical(x, y, den, q) for x, y in zip(a.tolist(), b.tolist())]
 
 
 class FloatRing:

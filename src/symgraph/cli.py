@@ -110,6 +110,19 @@ def _parse_vertex_fun(params: GraphParams, text: str) -> VertexFun:
     return VertexFun.of(params, data)
 
 
+def _phi_rows(params: GraphParams, lam: float, nmax: int) -> tuple[list, list[dict]]:
+    """The table phi[0..nmax] of the spherical function at lam, and its rows."""
+    table = spherical_phi(params, gamma_of(params, lam), nmax)
+    return table, [row for n, value in enumerate(table) for row in _rows(f"phi[{n}]", float(value))]
+
+
+def _on_lambda_grid(params: GraphParams, grid: int, key: str, value) -> list[dict]:
+    """Rows key[j] of value(lam) on grid points over [0, tau/2]; one point is 0."""
+    half = params.tau / 2.0
+    return [row for j in range(grid)
+            for row in _rows(f"{key}[{j}]", value(half * j / (grid - 1) if grid > 1 else 0.0))]
+
+
 # -- command handlers -------------------------------------------------------------
 
 # Work bounds of the commands whose cost is linear in one flag: refused with
@@ -161,14 +174,10 @@ def cmd_table(params: GraphParams, args) -> tuple[dict, list, dict, int]:
             for h in range(-args.hmax, args.hmax + 1):
                 outputs += _rows(f"b[{n},{h}]", sphere_horocycle_count(params, n, h))
     elif args.table == "phi":
-        table = spherical_phi(params, gamma_of(params, args.lam), args.nmax)
-        for n, value in enumerate(table):
-            outputs += _rows(f"phi[{n}]", float(value))
+        outputs += _phi_rows(params, args.lam, args.nmax)[1]
     else:  # c2
-        half = params.tau / 2.0
-        for j in range(args.grid):
-            lam = half * j / (args.grid - 1) if args.grid > 1 else 0.0
-            outputs += _rows(f"density[{j}]", plancherel_density(params, lam))
+        outputs += _on_lambda_grid(params, args.grid, "density",
+                                   lambda lam: plancherel_density(params, lam))
     inputs = {"table": args.table, "nmax": args.nmax, "hmax": args.hmax,
               "grid": args.grid, "lambda": args.lam}
     return inputs, outputs, {}, 0
@@ -203,10 +212,7 @@ def cmd_dual_inv(params: GraphParams, args) -> tuple[dict, list, dict, int]:
 def cmd_spherical(params: GraphParams, args) -> tuple[dict, list, dict, int]:
     if args.nmax > _MAX_PHI_TERMS:
         raise ValueError(f"--nmax {args.nmax} is past the bound of {_MAX_PHI_TERMS} terms")
-    table = spherical_phi(params, gamma_of(params, args.lam), args.nmax)
-    outputs = []
-    for n, value in enumerate(table):
-        outputs += _rows(f"phi[{n}]", float(value))
+    table, outputs = _phi_rows(params, args.lam, args.nmax)
     diagnostics = {}
     if args.oracle_depth is not None:
         check_depth(params, args.oracle_depth)
@@ -222,12 +228,9 @@ def cmd_spherical(params: GraphParams, args) -> tuple[dict, list, dict, int]:
 
 def cmd_transform(params: GraphParams, args) -> tuple[dict, list, dict, int]:
     f = RadialSeq.of(params, _parse_seq(params, args.radial))
-    half = params.tau / 2.0
-    outputs = []
-    for j in range(args.grid):
-        lam = half * j / (args.grid - 1) if args.grid > 1 else 0.0
-        outputs += _rows(f"H[{j}]", complex(spherical_transform(f, lam)))
-    inputs = {"radial": args.radial, "grid": args.grid, "lambda_max": half}
+    outputs = _on_lambda_grid(params, args.grid, "H",
+                              lambda lam: complex(spherical_transform(f, lam)))
+    inputs = {"radial": args.radial, "grid": args.grid, "lambda_max": params.tau / 2.0}
     return inputs, outputs, {}, 0
 
 

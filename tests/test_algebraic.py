@@ -12,6 +12,7 @@ from symgraph.algebraic import (
     q_half_power,
     ring_of,
     sqrt_q,
+    _root_approx,
 )
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=60)
@@ -137,3 +138,123 @@ def test_decode_matches_the_public_constructor(k, r):
             assert got == want and hash(got) == hash(want)
             assert str(got) == str(want) and repr(got) == repr(want)
             assert type(got.a) is Fraction and type(got.b) is Fraction
+
+
+# -- oracle: every operation against a reference built from two Fractions -----------
+
+RING_PARAMETERS = [1, 2, 3, 4, 6, 9, 12]  # 1, 4 and 9 are perfect squares
+wide_rationals = st.one_of(
+    rationals,
+    st.fractions(max_denominator=10**12),
+    st.integers(min_value=-(10**30), max_value=10**30).map(Fraction),
+)
+
+
+def reference(a: Fraction, b: Fraction, q: int) -> tuple:
+    """The canonical rational parts of a + b*sqrt(q): the sqrt(q) part folds
+    into a when q is a perfect square."""
+    root = math.isqrt(q)
+    if root * root == q:
+        return a + b * root, Fraction(0)
+    return a, b
+
+
+def ref_mul(x: tuple, y: tuple, q: int) -> tuple:
+    return reference(x[0] * y[0] + q * x[1] * y[1], x[0] * y[1] + x[1] * y[0], q)
+
+
+def ref_inverse(x: tuple, q: int) -> tuple:
+    norm = x[0] * x[0] - q * x[1] * x[1]
+    return reference(x[0] / norm, -x[1] / norm, q)
+
+
+def ref_pow(x: tuple, e: int, q: int) -> tuple:
+    out = (Fraction(1), Fraction(0))
+    for _ in range(e):
+        out = ref_mul(out, x, q)
+    return out
+
+
+def assert_canonical(value: AlgebraicValue, want: tuple, q: int) -> None:
+    A, B, D = value.triple
+    assert value.q == q and D > 0 and math.gcd(A, B, D) == 1
+    if math.isqrt(q) ** 2 == q:
+        assert B == 0
+    assert (value.a, value.b) == want
+    assert type(value.a) is Fraction and type(value.b) is Fraction
+
+
+@given(st.sampled_from(RING_PARAMETERS), wide_rationals, wide_rationals, wide_rationals,
+       wide_rationals, st.integers(min_value=-50, max_value=50), rationals)
+@example(6, Fraction(0), Fraction(0), Fraction(1), Fraction(-1), 0, Fraction(0))
+@example(4, Fraction(1, 2), Fraction(3, 4), Fraction(-2), Fraction(1), 3, Fraction(-5, 6))
+@example(6, Fraction(5), Fraction(2), Fraction(5), Fraction(-2), -7, Fraction(7, 3))
+def test_ring_operations_match_the_fraction_reference(q, a, b, c, d, n, f):
+    x, y = AlgebraicValue(a, b, q), AlgebraicValue(c, d, q)
+    rx, ry = reference(a, b, q), reference(c, d, q)
+    assert_canonical(x, rx, q)
+    assert_canonical(y, ry, q)
+
+    def ref_add(u, v):
+        return reference(u[0] + v[0], u[1] + v[1], q)
+
+    def neg(u):
+        return (-u[0], -u[1])
+
+    assert_canonical(x + y, ref_add(rx, ry), q)
+    assert_canonical(x - y, ref_add(rx, neg(ry)), q)
+    assert_canonical(-x, neg(rx), q)
+    assert_canonical(x * y, ref_mul(rx, ry, q), q)
+    for r in (n, f):  # int and Fraction operands, on both sides
+        rr = (Fraction(r), Fraction(0))
+        assert_canonical(x + r, ref_add(rx, rr), q)
+        assert_canonical(r + x, ref_add(rx, rr), q)
+        assert_canonical(x - r, ref_add(rx, neg(rr)), q)
+        assert_canonical(r - x, ref_add(rr, neg(rx)), q)
+        assert_canonical(x * r, ref_mul(rx, rr, q), q)
+        assert_canonical(r * x, ref_mul(rx, rr, q), q)
+        if r:
+            assert_canonical(x / r, ref_mul(rx, ref_inverse(rr, q), q), q)
+        if not x.is_zero():
+            assert_canonical(r / x, ref_mul(rr, ref_inverse(rx, q), q), q)
+    if not y.is_zero():
+        assert_canonical(x / y, ref_mul(rx, ref_inverse(ry, q), q), q)
+    if x.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+        return
+    inv = ref_inverse(rx, q)
+    assert_canonical(x.inverse(), inv, q)
+    for e in range(5):
+        assert_canonical(x ** e, ref_pow(rx, e, q), q)
+        assert_canonical(x ** -e, ref_pow(inv, e, q), q)
+
+
+@given(st.sampled_from(RING_PARAMETERS), wide_rationals, wide_rationals)
+@example(6, Fraction(3), Fraction(0))
+@example(4, Fraction(1, 2), Fraction(1, 4))
+def test_equality_and_hash_agree_with_rationals(q, a, b):
+    x = AlgebraicValue(a, b, q)
+    if x.b == 0:
+        # a rational value is equal to, and hashes like, its int and Fraction
+        assert x == x.a and x.a == x and hash(x) == hash(x.a)
+        assert {x.a: 1}[x] == 1 and {x: 1}[x.a] == 1
+        if x.a.denominator == 1:
+            assert x == int(x.a) and hash(x) == hash(int(x.a))
+        # over another q a rational value is the same number
+        other = AlgebraicValue(x.a, 0, q + 1)
+        assert x == other and hash(x) == hash(other)
+    else:
+        assert x != x.a and x != AlgebraicValue(x.a, x.b, q + 1)
+    twin = AlgebraicValue(0, 0, q) + x
+    assert twin == x and hash(twin) == hash(x)
+    assert (x == x + 1) is False
+
+
+@given(st.sampled_from(RING_PARAMETERS), wide_rationals, wide_rationals)
+@example(6, Fraction(5), Fraction(-2))  # 5 - 2*sqrt(6): heavy cancellation
+@example(2, Fraction(10**30 + 1), Fraction(-(10**30)))
+def test_float_is_the_rounded_root_approximation(q, a, b):
+    x = AlgebraicValue(a, b, q)
+    want = float(x.a + x.b * _root_approx(q))
+    assert float(x).hex() == want.hex()

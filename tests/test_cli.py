@@ -547,10 +547,8 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-@settings(max_examples=60, derandomize=True, deadline=2000,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(_argv())
-def test_argv_fuzz_exits_cleanly(argv):
+def _run_cleanly(argv) -> int:
+    """Run argv in-process, assert that it exits cleanly, and return its code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings_to_stderr():
         try:
@@ -571,3 +569,79 @@ def test_argv_fuzz_exits_cleanly(argv):
     if code == 2:
         assert out.getvalue() == "", argv
         assert err.getvalue(), argv
+    return code
+
+
+@settings(max_examples=60, derandomize=True, deadline=2000,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_argv())
+def test_argv_fuzz_exits_cleanly(argv):
+    _run_cleanly(argv)
+
+
+# A second strategy that reaches answers: a valid argv of small known-good values
+# per command, then, for a third of the examples, one flag redrawn from the edge
+# sets above.  "Q" in a value stands for the graph's q.
+
+_GOOD_SEQUENCES = ("1", "1,1/2,0", "1/2+1/3*sqrt(Q)", "sqrt(Q),-1,0,2/5")
+_GOOD_VALUES = ("e:1", "e:1;a0^1:1/2", "a0^1:-1/3*sqrt(Q)")
+_GOOD = {
+    "info": {},
+    "table": {"--nmax": ("0", "4"), "--hmax": ("0", "3"), "--grid": ("1", "5"),
+              "--lambda": ("0", "0.4")},
+    "abel": {"--radial": _GOOD_SEQUENCES},
+    "abel-inv": {"--even": _GOOD_SEQUENCES},
+    "dual": {"--even": _GOOD_SEQUENCES, "--nmax": ("0", "3")},
+    "dual-inv": {"--radial": _GOOD_SEQUENCES},
+    "spherical": {"--lambda": ("0", "0.4"), "--nmax": ("0", "6"), "--oracle-depth": ("1", "3")},
+    "transform": {"--radial": _GOOD_SEQUENCES, "--grid": ("1", "9")},
+    "plancherel": {"--radial": _GOOD_SEQUENCES},
+    "helgason": {"--values": _GOOD_VALUES, "--lambda": ("0", "0.3"),
+                 "--ray": ("a0^1.a1^1", "a1^1.a0^1.a1^1")},
+    "invert": {"--at": ("e", "a0^1"), "--radial": _GOOD_SEQUENCES},
+    "ks-check": {"--trials": ("1", "3")},
+    "wave": {"--f": _GOOD_VALUES, "--g": _GOOD_VALUES, "--steps": ("2", "3"),
+             "--method": ("closed", "direct", "both"), "--at": ("e,1", "a0^1,-2")},
+    "verify": {"--suite": ("group", "boundary", "dual")},
+}
+_GOOD_GRAPHS = ((2, 3), (3, 2), (3, 3), (3, 4), (4, 3))
+
+
+@st.composite
+def _valid_argv(draw):
+    command = draw(st.sampled_from(sorted(_GOOD)))
+    k, r = draw(st.sampled_from(_GOOD_GRAPHS))
+    if command == "ks-check":  # the smoothing inequality is checked for k <= r only
+        k, r = min(k, r), max(k, r)
+    q = str((k - 1) * (r - 1))
+    flags = {"--k": str(k), "--r": str(r), "--seed": draw(st.sampled_from(("0", "1"))),
+             "--format": draw(st.sampled_from(("json", "csv")))}
+    for flag, choices in sorted(_GOOD[command].items()):
+        flags[flag] = draw(st.sampled_from(choices)).replace("Q", q)
+    if draw(st.integers(0, 2)) == 0:
+        edges = {**_COMMON, **_FLAGS[command]}
+        flag = draw(st.sampled_from(sorted(edges)))
+        flags[flag] = draw(st.sampled_from(edges[flag]))
+    argv = [command]
+    if command == "table":
+        argv.append(draw(st.sampled_from(_TABLES[:-1])))
+    for flag, value in flags.items():
+        argv += [flag, value]
+    return argv
+
+
+def test_valid_argv_fuzz_reaches_answers():
+    seen, answered = [], []
+
+    @settings(max_examples=40, derandomize=True, deadline=2000, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_valid_argv())
+    def check(argv):
+        code = _run_cleanly(argv)
+        seen.append(argv)
+        if code == 0:
+            answered.append(argv[argv.index("--format") + 1])
+
+    check()
+    assert 2 * len(answered) >= len(seen), (len(answered), len(seen))
+    assert set(answered) == {"json", "csv"}

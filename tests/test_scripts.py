@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -8,14 +9,32 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _checkout_env() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 @pytest.mark.parametrize("argv", [
     ["scripts/wave_fronts.py", "--k", "3", "--r", "3", "--steps", "3"],
     ["scripts/plancherel_mass.py"],
 ], ids=["wave_fronts", "plancherel_mass"])
 def test_script_runs(argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, capture_output=True,
-                          text=True, timeout=120)
+    done = subprocess.run([sys.executable, *argv], cwd=ROOT, env=_checkout_env(),
+                          capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+def test_package_runs_as_a_module():
+    done = subprocess.run([sys.executable, "-m", "symgraph", "info", "--k", "3", "--r", "4"],
+                          cwd=ROOT, env=_checkout_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+
+    def reject(token):
+        raise ValueError(f"non-strict JSON constant {token}")
+
+    doc = json.loads(done.stdout, parse_constant=reject)
+    assert doc["command"] == "info" and doc["params"] == {"k": 3, "r": 4, "q": 6}
