@@ -332,19 +332,14 @@ class ExactRing:
 
         return scale, [(ints(col, 0), ints(col, 1)) for col in triples]
 
-    def row(self, weights, m: int) -> tuple:
-        """Integer weights over sqrt(q)^m as a row for ``row @ part``, and
-        the power of sqrt(q) that ``decode`` still divides by: here all of
-        m, since the exact row keeps the integers."""
-        return np.array([weights], dtype=object), m
-
     def times_root(self, parts) -> tuple:
         """Parts of sqrt(q) * value: (A, B) -> (q B, A)."""
         a, b = parts
         return (b * self.q, a)
 
     def decode(self, parts, scale: int, m: int) -> list[AlgebraicValue]:
-        """The values (A + B sqrt(q)) / (scale * sqrt(q)^m), m >= 0.
+        """The values (A + B sqrt(q)) / (scale * sqrt(q)^m), m >= 0, from
+        parts that are sequences of Python ints.
 
         For odd m the parts swap: (A + B sqrt(q)) / sqrt(q) = (qB + A sqrt(q)) / q.
         When q is a perfect square the sqrt(q) part folds into A.
@@ -352,12 +347,12 @@ class ExactRing:
         q, (a, b) = self.q, parts
         root = _exact_root(q)
         if root is not None:
-            a, b, den = a + b * root, b * 0, scale * root**m
+            den, pairs = scale * root**m, ((x + y * root, 0) for x, y in zip(a, b))
+        elif m % 2:
+            den, pairs = scale * q ** (m // 2 + 1), ((y * q, x) for x, y in zip(a, b))
         else:
-            den = scale * q ** (m // 2)
-            if m % 2:
-                a, b, den = b * q, a, den * q
-        return [_canonical(x, y, den, q) for x, y in zip(a.tolist(), b.tolist())]
+            den, pairs = scale * q ** (m // 2), zip(a, b)
+        return [_canonical(x, y, den, q) for x, y in pairs]
 
 
 class FloatRing:
@@ -380,18 +375,12 @@ class FloatRing:
     def encode(self, columns) -> tuple[int, list]:
         return 1, [(np.array([self.coerce(v) for v in col]),) for col in columns]
 
-    def row(self, weights, m: int) -> tuple:
-        """The weights divided by sqrt(q)^m before they become floats, so a
-        huge integer weight overflows only when its scaled value does;
-        ``decode`` has no power left to divide by."""
-        den, root = self.q ** (m // 2), self.qpow(m % 2)
-        return np.array([[w / den / root for w in weights]]), 0
-
     def times_root(self, parts) -> tuple:
         return (parts[0] * self.qpow(1),)
 
     def decode(self, parts, scale: int, m: int) -> list:
-        return (parts[0] / (scale * self.qpow(m))).tolist()
+        den = scale * self.qpow(m)
+        return [v / den for v in parts[0]]
 
 
 def ring_of(q: int, exact: bool = True) -> ExactRing | FloatRing:
@@ -400,11 +389,11 @@ def ring_of(q: int, exact: bool = True) -> ExactRing | FloatRing:
     A ring is cheap; containers build theirs once and share its zero.
     Rational constants need no help from the ring: an ``AlgebraicValue``, a
     float or a complex times ``Fraction(n, d)`` stays in its own lane.
-    For array code each ring also has ``encode`` (value lists to parts over a
-    common denominator), ``times_root`` (multiply the parts by sqrt(q)),
-    ``row`` (integer weights over sqrt(q)^m as a row that multiplies parts)
-    and ``decode`` (parts over ``scale * sqrt(q)^m`` back to values); integer
-    linear maps act on the parts the same way in both lanes.
+    For array code each ring also has ``encode`` (value lists to part arrays
+    over a common denominator), ``times_root`` (multiply parts, arrays or
+    numbers, by sqrt(q)) and ``decode`` (parts as sequences of Python numbers
+    over ``scale * sqrt(q)^m`` back to values); integer linear maps act on
+    the parts the same way in both lanes.
     """
     return ExactRing(q) if exact else FloatRing(q)
 

@@ -23,17 +23,19 @@ value theorem and the inverse dual Abel transform of spherical means, whose
 velocity terms of every radius fold into one closed weight vector.  Scaled
 by 2k D sqrt(q)^|n| the value is integer linear in the shell sums of the data
 around x, so it walks the union of the supports once (one ``distance`` call
-per word), combines the integer shell sums with integer weights and decodes
-once.  A time whose weights would hold more than ``MAX_CLOSED_BITS`` bits is
-refused up front.  Apart from the encoded data nothing is kept between calls;
-in particular no value or distance is remembered per point.
+per word), adds each word's parts into shell sums held in plain Python
+numbers, takes two dot products with the weight rows and decodes once.  A
+time whose weights would hold more than ``MAX_CLOSED_BITS`` bits is refused
+up front.  Between calls only the encoded data and the weight rows are kept,
+the rows per graph, time and lane (``_rows``, a bounded cache); in particular
+no value or distance is remembered per point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from operator import mul
 
@@ -151,11 +153,12 @@ class CauchyData:
         return radius
 
     @cached_property
-    def _encoded(self) -> tuple[list[ReducedWord], int, list]:
+    def _encoded(self) -> tuple[list[ReducedWord], int, list, tuple]:
         """The union of the supports (f's words, then the words only in g),
-        the common denominator D of f and g, and the parts of D f and D g on
-        those words, as the ring's ``encode`` gives them.  Every call shares
-        the part arrays, so they are read-only."""
+        the common denominator D of f and g, the parts of D f and D g on
+        those words as the ring's ``encode`` gives them, and per word the
+        same parts as Python numbers (f's, then g's).  Every call shares
+        them, so the part arrays are read-only."""
         f, g = self.initial.data, self.velocity.data
         ring = self.initial.ring
         words = list(f)
@@ -164,7 +167,8 @@ class CauchyData:
                                       [g.get(y, ring.zero) for y in words]])
         for part in (part for parts in columns for part in parts):
             part.flags.writeable = False
-        return words, scale, columns
+        by_word = tuple(zip(*(part.tolist() for parts in columns for part in parts)))
+        return words, scale, columns, by_word
 
 
 class WaveField:
@@ -180,6 +184,7 @@ class WaveField:
         return sorted(self.fields)
 
     def at(self, x: ReducedWord, n: int):
+        _require_graph(self.params, x.params, "point")
         if n not in self.fields:
             raise ValueError(f"time {n} outside the computed window")
         if len(x) > self.valid_radius[n]:
@@ -258,10 +263,10 @@ def _on_ball(column, words: list[ReducedWord], radius: int, offsets: list[int]):
     return out
 
 
-def _require_graph(params: GraphParams, data: CauchyData) -> None:
-    if params is not data.params and params != data.params:
+def _require_graph(params: GraphParams, home: GraphParams, what: str) -> None:
+    if params is not home and params != home:
         raise ValueError(
-            f"the data lives on the ({data.params.k}, {data.params.r}) graph, "
+            f"the {what} lives on the ({home.k}, {home.r}) graph, "
             f"not on ({params.k}, {params.r})"
         )
 
@@ -291,7 +296,7 @@ def wave_direct(params: GraphParams, data: CauchyData, steps: int,
     where S needs no table (see ``words._self_plus_neighbors``), and is decoded
     into values once.  ``params`` must be the graph of the data.
     """
-    _require_graph(params, data)
+    _require_graph(params, data.params, "data")
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     exact, ring = data.exact, data.initial.ring
@@ -318,13 +323,13 @@ def wave_direct(params: GraphParams, data: CauchyData, steps: int,
     q = params.q
     # f is needed on the first cone plus one shell, g on the first cone
     start = min(supp, cone[1] + 1)
-    support, scale, (f_columns, g_columns) = data._encoded
+    support, scale, (f_columns, g_columns), _ = data._encoded
     scale *= 2
     f_parts = [_on_ball(column, support, start, offsets) for column in f_columns]
     g_parts = [_on_ball(column, support, cone[1], offsets) for column in g_columns]
 
     def store(n: int, parts) -> None:
-        values = ring.decode(parts, scale, abs(n))
+        values = ring.decode([p.tolist() for p in parts], scale, abs(n))
         fields[n] = VertexFun(params, dict(zip(words, values)), exact)
         valid[n] = valid_radius(n)
 
@@ -348,35 +353,24 @@ def wave_direct(params: GraphParams, data: CauchyData, steps: int,
     return WaveField(params, fields, valid)
 
 
-def _shell_profile(data: CauchyData, x: ReducedWord, size: int):
-    """Common denominator D of f and g, and the sums of their integer parts
-    over the distance shells 0..size around x.
-
-    The union of the supports, in the order of ``CauchyData._encoded``, is
-    walked once with one ``distance`` call per word, and each word's parts
-    are added into its shell.  Returns D and, for f and for g, one array of
-    size + 1 shell sums per part of the ring's array lane.
-    """
-    words, scale, columns = data._encoded
-    dist = np.array([distance(x, y) for y in words], dtype=int)
-    near = dist <= size
-    shells = []
-    for parts in columns:
-        sums = []
-        for part in parts:
-            out = np.zeros(size + 1, dtype=part.dtype)
-            np.add.at(out, dist[near], part[near])
-            sums.append(out)
-        shells.append(sums)
-    return scale, shells
-
-
-def _weights(params: GraphParams, m: int) -> tuple[list[int], list[int]]:
+def _weights(params: GraphParams, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     # the integer weights c(m) of the f shells 0..m and v(m) of the g shells
     # 0..m-1 in wave_closed_at, from m multiplications
     k, r, q = params.k, params.r, params.q
     powers = list(accumulate([1 - k] * m, mul))[::-1]  # (1 - k)^(m - l), l < m
-    return [-(q - 1 + (r - k) * p) for p in powers] + [k], [1 - p for p in powers]
+    return tuple(-(q - 1 + (r - k) * p) for p in powers) + (k,), tuple(1 - p for p in powers)
+
+
+@lru_cache(maxsize=32)
+def _rows(params: GraphParams, m: int, exact: bool) -> tuple[tuple, tuple, int]:
+    # c(m) and v(m) as the lane multiplies them, and the power of sqrt(q) that
+    # ``decode`` still divides by.  The float lane divides by sqrt(q)^m before
+    # the integers become floats, so it overflows only where the value does
+    c, v = _weights(params, m)
+    if exact:
+        return c, v, m
+    den, root = params.q ** (m // 2), params.q ** (m % 2 / 2)
+    return tuple(w / den / root for w in c), tuple(w / den / root for w in v), 0
 
 
 def wave_closed_at(params: GraphParams, data: CauchyData, x: ReducedWord, n: int):
@@ -399,17 +393,18 @@ def wave_closed_at(params: GraphParams, data: CauchyData, x: ReducedWord, n: int
     v(m + 2) = q v(m) + c(m + 1), since
     q (1 - t^j) - (q - 1 + (r - k) t^(j + 1)) = 1 - t^(j + 2) for t = 1 - k.
 
-    So each value walks the union of the supports once (one ``distance``
-    call per word, see ``_shell_profile``), builds both weight vectors in
-    O(|n|) multiplications and costs one ``times_root`` and one ``decode``.
-    The ring's ``row`` turns the weights into the row of each dot product;
-    the float lane divides them by sqrt(q)^|n| first, so it overflows only
-    where the value itself is past the float range.
+    So each value walks the union of the supports once, with one
+    ``distance`` call per word, and adds the word's parts into the shell
+    sums F_l and G_l, plain Python numbers; a word farther than |n| from x
+    is in no shell.  The dot products take the weight rows of ``_rows``
+    (cached per graph, time and lane, never per point), then one
+    ``times_root`` and one ``decode``.
     A time whose weights would hold more than ``MAX_CLOSED_BITS`` bits
-    raises ``ValueError`` before any of that, and so does a ``params`` that is
-    not the graph of the data.
+    raises ``ValueError`` before any of that, and so do a ``params`` that is
+    not the graph of the data and a point ``x`` on another graph.
     """
-    _require_graph(params, data)
+    _require_graph(params, data.params, "data")
+    _require_graph(params, x.params, "point")
     if n == 0:
         return data.initial.value(x)
     size = abs(n)
@@ -418,16 +413,19 @@ def wave_closed_at(params: GraphParams, data: CauchyData, x: ReducedWord, n: int
             f"time {n} on the ({params.k}, {params.r}) graph needs closed-form weights "
             f"of more than {MAX_CLOSED_BITS} bits"
         )
+    words, scale, columns, by_word = data._encoded
+    sums = [[0] * (size + 1) for parts in columns for _ in parts]  # f's parts, then g's
+    for y, values in zip(words, by_word):
+        d = distance(x, y)
+        if d <= size:
+            for shell, value in zip(sums, values):
+                shell[d] += value
+    c, v, owed = _rows(params, size, data.exact)
+    half, sign = len(columns[0]), 1 if n > 0 else -1
     ring = data.initial.ring
-    scale, (f_shells, g_shells) = _shell_profile(data, x, size)
-    c, v = _weights(params, size)
-    sign = 1 if n > 0 else -1
-
-    c_row, owed = ring.row(c, size)
-    v_row, _ = ring.row([2 * sign * w for w in v], size)
-    p_parts = [c_row @ part[:len(c)] for part in f_shells]
-    q_parts = ring.times_root([v_row @ part[:len(v)] for part in g_shells])
-    parts = [a + b for a, b in zip(p_parts, q_parts)]
+    p_parts = [sum(map(mul, c, shells)) for shells in sums[:half]]
+    q_parts = ring.times_root([2 * sign * sum(map(mul, v, shells)) for shells in sums[half:]])
+    parts = [[a + b] for a, b in zip(p_parts, q_parts)]
     return ring.decode(parts, 2 * params.k * scale, owed)[0]
 
 

@@ -318,6 +318,8 @@ def test_closed_form_bound_refuses_before_walking(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("walked the support or built a weight")
 
+    # the bound runs before any weight row is built or cached
+    cached = symgraph.wave._rows.cache_info().currsize
     monkeypatch.setattr(symgraph.wave, "distance", refuse)
     monkeypatch.setattr(symgraph.wave, "_weights", refuse)
     for k in ("4", str(10**30)):
@@ -333,6 +335,7 @@ def test_closed_form_bound_refuses_before_walking(capsys, monkeypatch):
         wave_closed_at(params, data, params.identity(), 3000)
     with pytest.raises(ValueError, match=str(MAX_CLOSED_BITS)):
         wave_closed_at(params, data, params.identity(), -3000)
+    assert symgraph.wave._rows.cache_info().currsize == cached
 
 
 def test_cylinder_bound_refuses_before_walking(capsys, monkeypatch):

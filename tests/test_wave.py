@@ -29,6 +29,7 @@ from symgraph.words import (
     ReducedWord,
     _self_plus_neighbors,
     ball,
+    distance,
     neighbors,
     position,
     sphere,
@@ -339,6 +340,28 @@ def test_solvers_refuse_data_from_another_graph(monkeypatch):
             wave_direct(other, data, n)
 
 
+def test_closed_form_refuses_a_point_from_another_graph(monkeypatch):
+    # (4, 3) words are valid syllable tuples at (3, 4) too; the point must be
+    # refused before any walk, at every time and on empty data as well
+    full = CauchyData(VertexFun.delta_at(P34.identity()), VertexFun.of(P34, {}))
+    empty = CauchyData(VertexFun.of(P34, {}), VertexFun.of(P34, {}))
+    field = wave_direct(P34, full, 2)
+    stranger = GraphParams(4, 3).generator(0)
+
+    def refuse(*args):
+        raise AssertionError("started work")
+
+    for name in ("ball", "distance", "_rows"):
+        monkeypatch.setattr(wave_module, name, refuse)
+    for data in (full, empty):
+        for n in (0, 1, -2):
+            with pytest.raises(ValueError, match=r"point lives on the \(4, 3\) graph"):
+                wave_closed_at(P34, data, stranger, n)
+    for n in (0, 1):
+        with pytest.raises(ValueError, match=r"point lives on the \(4, 3\) graph"):
+            field.at(stranger, n)
+
+
 def test_float_closed_forms_track_exact_when_k_exceeds_r():
     params = GraphParams(4, 3)
     rng = random.Random(57)
@@ -393,7 +416,91 @@ def test_velocity_weights_equal_the_inverse_dual_fold():
                 for ell in range(1 - m % 2, m, 2):
                     for j, coeff in enumerate(c(ell)):
                         fold[j] += q ** ((m - ell - 1) // 2) * coeff
-                assert _weights(params, m) == (c(m), fold), (k, r, m)
+                # tuples: the rows built from them are cached and shared
+                assert _weights(params, m) == (tuple(c(m)), tuple(fold)), (k, r, m)
+
+
+def test_weight_rows_are_cached_per_time_and_bounded():
+    # one entry per (graph, time, lane), however many points ask; the rows
+    # are shared, so they are tuples, and the cache never outgrows its size
+    rows = wave_module._rows
+    rows.cache_clear()
+    data = random_data(P34, random.Random(83))
+    for x in ball(P34, 1):
+        wave_closed_at(P34, data, x, 3)
+        wave_closed_at(P34, data, x, -3)
+    assert rows.cache_info().currsize == 1
+    c, v, owed = rows(P34, 3, True)
+    assert (c, v, owed) == (*_weights(P34, 3), 3)
+    assert type(c) is tuple and type(v) is tuple
+    limit = rows.cache_info().maxsize
+    assert limit is not None
+    for n in range(1, limit + 10):
+        wave_closed_at(P34, data, P34.identity(), n)
+    assert rows.cache_info().currsize == limit
+
+
+def reference_closed_at(params, data, x, n):
+    """The closed form on numpy arrays, as it was computed before plain-number
+    shell sums: a distance array, shell profiles by ``np.add.at``, the weight
+    rows as arrays and matrix products.  Returns the value and the largest
+    |weight x shell sum| term, over the same denominator."""
+    if n == 0:
+        return data.initial.value(x), 0
+    size, sign, q = abs(n), 1 if n > 0 else -1, params.q
+    words, scale, (f_columns, g_columns), _ = data._encoded
+    dist = np.array([distance(x, y) for y in words], dtype=int)
+    near = dist <= size
+
+    def profile(part):
+        out = np.zeros(size + 1, dtype=part.dtype)
+        np.add.at(out, dist[near], part[near])
+        return out
+
+    def row(weights):
+        if data.exact:
+            return np.array([weights], dtype=object)
+        den, root = q ** (size // 2), q ** ((size % 2) / 2)
+        return np.array([[w / den / root for w in weights]])
+
+    c, v = _weights(params, size)
+    c_row, v_row = row(c), row([2 * sign * w for w in v])
+    f_shells = [profile(part)[:len(c)] for part in f_columns]
+    g_shells = [profile(part)[:len(v)] for part in g_columns]
+    p_parts = [(c_row @ shells)[0] for shells in f_shells]
+    q_parts = [(v_row @ shells)[0] for shells in g_shells]
+    den = 2 * params.k * scale
+    if data.exact:
+        (pa, pb), (qa, qb) = p_parts, q_parts  # sqrt(q) (A + B sqrt(q)) = qB + A sqrt(q)
+        return AlgebraicValue(pa + q * qb, pb + qa, q) / den / q_half_power(q, size), 0
+    terms = [c_row[0] * f_shells[0], v_row[0] * g_shells[0] * q ** 0.5]
+    largest = max(float(np.max(np.abs(t), initial=0.0)) for t in terms)
+    return ((p_parts[0] + q_parts[0] * q ** 0.5) / den).item(), largest / den
+
+
+@pytest.mark.parametrize("params", [GraphParams(2, 2), GraphParams(2, 3), GraphParams(3, 2),
+                                    GraphParams(3, 4), GraphParams(4, 3), GraphParams(3, 3),
+                                    GraphParams(2, 4), GraphParams(5, 2)])
+def test_closed_form_matches_the_array_reference(params):
+    # sqrt-part fractional data out to radius 3, thinned so that every
+    # sphere keeps words; points out to radius 3, so that at small |n| most
+    # of the support lies beyond |n| from x
+    full = fractional_data(params, random.Random(71), radius=3)
+    f = dict(list(full.initial.data.items())[::3])
+    g = dict(list(full.velocity.data.items())[1::4])
+    points = list(ball(params, 1))[:4] + [w for w in ball(params, 3) if len(w) > 1][::40]
+    for f_data, g_data in ((f, g), (f, {}), ({}, g)):
+        exact = CauchyData(VertexFun.of(params, f_data), VertexFun.of(params, g_data))
+        numeric = CauchyData(
+            *(VertexFun.of(params, {w: float(v) for w, v in fun.items()}, exact=False)
+              for fun in (exact.initial, exact.velocity)))
+        for n in range(-6, 7):
+            for x in points:
+                want, _ = reference_closed_at(params, exact, x, n)
+                assert repr(wave_closed_at(params, exact, x, n)) == repr(want), (x, n)
+                want, largest = reference_closed_at(params, numeric, x, n)
+                got = wave_closed_at(params, numeric, x, n)
+                assert type(got) is float and abs(got - want) <= 1e-12 * largest, (x, n)
 
 
 @pytest.mark.parametrize("params", [GraphParams(2, 3), GraphParams(2, 2), GraphParams(3, 4),
