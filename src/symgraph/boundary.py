@@ -1,10 +1,15 @@
-"""Boundary rays, cylinder measure, Busemann cocycle and horocycle counts.
+"""Boundary rays, cylinder measure, Busemann cocycle, horocycles, shell sums.
 
 A boundary point is an infinite geodesic ray from the origin; the code only
 ever holds a finite truncation (a reduced word of m syllables, designating
 the cylinder of rays that begin with it).  Every operation states the depth
 it needs and raises ``DepthError`` rather than extending a ray implicitly:
 silent extension would hide depth-dependence bugs.
+
+``shell_sums`` is the one distance-profile walk that every shell and
+horocycle sum of the other layers reads (a horocycle is a shell around a
+ray prefix).  It lives outside ``words``, so each of its ``distance``
+calls is a call into that layer.
 """
 
 from __future__ import annotations
@@ -101,6 +106,21 @@ def busemann(x: ReducedWord, ray: BoundaryRay) -> int:
     if m - 1 > len(x):
         assert value == (m - 1) - distance(x, ray.node(m - 1)), "busemann depth instability"
     return value
+
+
+def shell_sums(x: ReducedWord, pairs, radius: int, width: int, zero=0) -> list[list]:
+    """The distance profile around x: ``sums[j][d]`` adds part j of the
+    (word y, ``width`` parts) ``pairs`` with d(x, y) = d <= radius, from
+    ``zero`` in pair order, with one ``distance`` call per pair."""
+    if radius < 0:
+        raise ValueError(f"radius must be nonnegative, got {radius}")
+    sums = [[zero] * (radius + 1) for _ in range(width)]
+    for y, parts in pairs:
+        d = distance(x, y)
+        if d <= radius:
+            for shell, value in zip(sums, parts):
+                shell[d] += value
+    return sums
 
 
 def poisson_power(x: ReducedWord, ray: BoundaryRay, s: complex) -> complex:

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebraic import ring_of
-from .boundary import BoundaryRay, DepthError, busemann
+from .boundary import BoundaryRay, DepthError, busemann, shell_sums
 from .transforms import EvenSeq, RadialSeq
 from .words import GraphParams, ReducedWord, ball, distance, sphere
 
@@ -176,15 +176,6 @@ def check_depth(params: GraphParams, depth: int) -> None:
         )
 
 
-def _zeta_histogram(params: GraphParams, x: ReducedWord, depth: int) -> dict[int, int]:
-    # counts of the Busemann index of x over all depth-m cylinders
-    hist: dict[int, int] = {}
-    for y in sphere(params, depth):
-        z = depth - distance(x, y)
-        hist[z] = hist.get(z, 0) + 1
-    return hist
-
-
 def phi_oracle(params: GraphParams, lam, x: ReducedWord, depth: int):
     """Boundary-integral evaluation of the spherical function at x.
 
@@ -202,8 +193,11 @@ def phi_oracle(params: GraphParams, lam, x: ReducedWord, depth: int):
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
     lnq = math.log(params.q)
     totals = np.zeros(len(lams), dtype=complex)
-    for z, count in _zeta_histogram(params, x, depth).items():
-        totals += count * np.exp((0.5 + 1j * lams) * z * lnq)
+    # the cylinders by their Busemann index z = depth - d(x, y) at x
+    cylinders = ((y, (1,)) for y in sphere(params, depth))
+    for d, count in enumerate(shell_sums(x, cylinders, depth + len(x), 1)[0]):
+        if count:
+            totals += count * np.exp((0.5 + 1j * lams) * (depth - d) * lnq)
     totals /= params.delta(depth)
     if np.ndim(lam) == 0:
         return complex(totals[0])
@@ -457,14 +451,13 @@ def _cylinder_profile(f: VertexFun, depth: int):
     if depth <= radius:
         raise DepthError(f"needs cylinder depth > {radius}")
     check_depth(params, depth)
-    support = [(x, complex(v)) for x, v in f.items()]
+    support = [(x, (complex(v),)) for x, v in f.items()]
     cylinders = list(sphere(params, depth))
-    z_min = -radius
-    z_values = np.arange(z_min, depth + 1)
+    z_values = np.arange(-radius, depth + 1)
     amp = np.zeros((len(cylinders), len(z_values)), dtype=complex)
     for i, y in enumerate(cylinders):
-        for x, v in support:
-            amp[i, depth - distance(x, y) - z_min] += v
+        # the shell at distance d holds index z = depth - d
+        amp[i] = shell_sums(y, support, depth + radius, 1, 0j)[0][::-1]
     return cylinders, z_values, amp
 
 
@@ -550,7 +543,7 @@ def convolve_radial(f: VertexFun, chi: RadialSeq) -> VertexFun:
         raise ValueError("kernel lives on a different graph")
     exact = f.exact and chi.exact
     ring = ring_of(params.q, exact)
-    support = [(y, ring.coerce(v)) for y, v in f.items()]
+    support = [(y, (ring.coerce(v),)) for y, v in f.items()]
     kernel = [ring.coerce(v) for v in chi.values]
     candidates = set()
     for y in f.data:
@@ -558,12 +551,8 @@ def convolve_radial(f: VertexFun, chi: RadialSeq) -> VertexFun:
             candidates.add(y * w)
     out = {}
     for x in candidates:
-        acc = ring.zero
-        for y, fv in support:
-            d = distance(x, y)
-            if d <= chi.support_radius:
-                acc = acc + fv * kernel[d]
-        out[x] = acc
+        shells = shell_sums(x, support, chi.support_radius, 1, ring.zero)[0]
+        out[x] = sum((k * s for k, s in zip(kernel, shells) if s), ring.zero)
     return VertexFun(params, out, exact)
 
 
@@ -580,12 +569,10 @@ def radialize(f: VertexFun) -> RadialSeq:
 
 def spherical_means_at(f: VertexFun, x: ReducedWord, n: int):
     """(1/delta(n)) sum of f over the sphere of radius n around x."""
-    params = f.params
-    total = f.ring.zero
-    for y, v in f.items():
-        if distance(x, y) == n:
-            total = total + v
-    return total * Fraction(1, params.delta(n))
+    pairs = ((y, (v,)) for y, v in f.items())
+    # d(x, y) <= |x| + |y|: the shells past that reach are empty, and not built
+    shells = shell_sums(x, pairs, min(n, len(x) + f.support_radius()), 1, f.ring.zero)[0]
+    return (shells[n] if n < len(shells) else f.ring.zero) * Fraction(1, f.params.delta(n))
 
 
 # -- Kunze-Stein checks --------------------------------------------------------------

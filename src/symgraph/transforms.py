@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebraic import ring_of
-from .boundary import BoundaryRay, DepthError, horocycle_section, sphere_horocycle_count
-from .words import GraphParams, ball, distance
+from .boundary import BoundaryRay, DepthError, horocycle_section, shell_sums, sphere_horocycle_count
+from .words import GraphParams, ball
 
 __all__ = [
     "RadialSeq",
@@ -185,15 +185,12 @@ def abel_via_radon(f: RadialSeq, ray: BoundaryRay) -> EvenSeq:
     radius = f.support_radius
     if ray.depth <= radius:
         raise DepthError(f"needs ray depth > {radius}")
-    params, ring = f.params, f.ring
-    sums = {}
-    for x in ball(params, radius):
-        h = ray.depth - distance(x, ray.prefix)
-        sums[h] = sums.get(h, ring.zero) + f.value(len(x))
-    out = []
-    for h in range(radius + 1):
-        out.append(ring.qpow(h) * sums.get(h, ring.zero))
-    return EvenSeq(params, tuple(out), f.exact)
+    params, ring, depth = f.params, f.ring, ray.depth
+    # horocycle h is the shell at distance depth - h around the prefix
+    pairs = ((x, (f.value(len(x)),)) for x in ball(params, radius))
+    sums = shell_sums(ray.prefix, pairs, depth + radius, 1, ring.zero)[0]
+    out = tuple(ring.qpow(h) * sums[depth - h] for h in range(radius + 1))
+    return EvenSeq(params, out, f.exact)
 
 
 def abel_inv(g: EvenSeq) -> RadialSeq:

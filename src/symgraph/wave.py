@@ -22,11 +22,11 @@ Closed-form evaluation is one formula in every regime: Asgeirsson's mean
 value theorem and the inverse dual Abel transform of spherical means, whose
 velocity terms of every radius fold into one closed weight vector.  Scaled
 by 2k D sqrt(q)^|n| the value is integer linear in the shell sums of the data
-around x, so it walks the union of the supports once (one ``distance`` call
-per word), adds each word's parts into shell sums held in plain Python
-numbers, takes two dot products with the weight rows and decodes once.  A
-time whose weights would hold more than ``MAX_CLOSED_BITS`` bits is refused
-up front.  Between calls only the encoded data and the weight rows are kept,
+around x, so it reads the distance profile of the union of the supports
+(``boundary.shell_sums``: one ``distance`` call per word, the parts added
+into shell sums held in plain Python numbers), takes two dot products with
+the weight rows and decodes once.  A time whose weights would hold more
+than ``MAX_CLOSED_BITS`` bits is refused up front.  Between calls only the encoded data and the weight rows are kept,
 the rows per graph, time and lane (``_rows``, a bounded cache); in particular
 no value or distance is remembered per point.
 """
@@ -42,6 +42,7 @@ from operator import mul
 import numpy as np
 
 from .algebraic import AlgebraicValue
+from .boundary import shell_sums
 from .spectral import VertexFun
 from .transforms import MAX_CLOSED_BITS, RadialSeq
 from .words import (
@@ -50,7 +51,7 @@ from .words import (
     _self_plus_neighbors,
     ball,
     ball_size,
-    distance,
+    distance,  # noqa: F401  (kept importable: bench/test_bench.py reads wave.distance)
     neighbors,
     position,
     sphere,
@@ -393,15 +394,14 @@ def wave_closed_at(params: GraphParams, data: CauchyData, x: ReducedWord, n: int
     v(m + 2) = q v(m) + c(m + 1), since
     q (1 - t^j) - (q - 1 + (r - k) t^(j + 1)) = 1 - t^(j + 2) for t = 1 - k.
 
-    So each value walks the union of the supports once, with one
-    ``distance`` call per word, and adds the word's parts into the shell
-    sums F_l and G_l, plain Python numbers; a word farther than |n| from x
-    is in no shell.  The dot products take the weight rows of ``_rows``
-    (cached per graph, time and lane, never per point), then one
-    ``times_root`` and one ``decode``.
-    A time whose weights would hold more than ``MAX_CLOSED_BITS`` bits
-    raises ``ValueError`` before any of that, and so do a ``params`` that is
-    not the graph of the data and a point ``x`` on another graph.
+    So each value reads the shell sums F_l and G_l, plain Python numbers,
+    from ``boundary.shell_sums`` over the union of the supports: one
+    ``distance`` call per word, and a word farther than |n| from x is in no
+    shell.  The dot products take the weight rows of ``_rows`` (cached per
+    graph, time and lane, never per point), then one ``times_root`` and one
+    ``decode``.  A time whose weights would hold more than ``MAX_CLOSED_BITS``
+    bits raises ``ValueError`` before any of that, and so do a ``params``
+    that is not the graph of the data and a point ``x`` on another graph.
     """
     _require_graph(params, data.params, "data")
     _require_graph(params, x.params, "point")
@@ -414,14 +414,9 @@ def wave_closed_at(params: GraphParams, data: CauchyData, x: ReducedWord, n: int
             f"of more than {MAX_CLOSED_BITS} bits"
         )
     words, scale, columns, by_word = data._encoded
-    sums = [[0] * (size + 1) for parts in columns for _ in parts]  # f's parts, then g's
-    for y, values in zip(words, by_word):
-        d = distance(x, y)
-        if d <= size:
-            for shell, value in zip(sums, values):
-                shell[d] += value
-    c, v, owed = _rows(params, size, data.exact)
     half, sign = len(columns[0]), 1 if n > 0 else -1
+    sums = shell_sums(x, zip(words, by_word), size, 2 * half)  # f's parts, then g's
+    c, v, owed = _rows(params, size, data.exact)
     ring = data.initial.ring
     p_parts = [sum(map(mul, c, shells)) for shells in sums[:half]]
     q_parts = ring.times_root([2 * sign * sum(map(mul, v, shells)) for shells in sums[half:]])

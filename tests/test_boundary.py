@@ -12,10 +12,11 @@ from symgraph.boundary import (
     horocycle_section,
     poisson_power,
     poisson_power_exact,
+    shell_sums,
     sphere_horocycle_count,
     translate_ray,
 )
-from symgraph.words import GraphParams, SpectralDomainError, ball, sphere
+from symgraph.words import GraphParams, SpectralDomainError, ball, distance, sphere
 
 P34 = GraphParams(3, 4)
 P23 = GraphParams(2, 3)
@@ -136,3 +137,61 @@ def test_section_matches_counts():
         expected = sum(sphere_horocycle_count(P34, n, h) for n in range(4))
         assert len(section) == expected
         assert len(set(section)) == len(section)
+
+
+@pytest.mark.parametrize("params", [GraphParams(2, 3), GraphParams(3, 4), GraphParams(4, 3)])
+def test_shell_sums_match_a_brute_force_fold(params):
+    words = list(ball(params, 3))
+    pairs = [(y, (Fraction(i + 1, 3), i * i - 5)) for i, y in enumerate(words)]
+    for x in words[::19]:
+        # the syllable count of the quotient, not distance(), fixes the shell
+        profile = [len(~x * y) for y in words]
+        for radius in range(7):
+            want = [[0] * (radius + 1) for _ in range(2)]
+            for d, (_, parts) in zip(profile, pairs):
+                if d <= radius:
+                    for j in range(2):
+                        want[j][d] += parts[j]
+            assert shell_sums(x, pairs, radius, 2) == want
+            assert shell_sums(x, [], radius, 2) == [[0] * (radius + 1)] * 2
+    # radius 6 holds every pair at distance <= 6, so nothing further is dropped
+    x = words[-1]
+    assert sum(shell_sums(x, pairs, 6, 1)[0]) == sum(parts[0] for _, parts in pairs)
+    assert sum(shell_sums(x, pairs, 1, 1)[0]) < sum(parts[0] for _, parts in pairs)
+
+
+def test_shell_sums_keep_the_pair_order_and_refuse_a_negative_radius():
+    x = P34.generator(1, 2)
+    spread = [(x, (1e16,)), (x, (1.0,)), (x, (-1e16,))]
+    assert shell_sums(x, spread, 0, 1, 0.0) == [[0.0]]
+    assert shell_sums(x, [spread[0], spread[2], spread[1]], 0, 1, 0.0) == [[1.0]]
+    assert shell_sums(x, [], 2, 1, 0.0) == [[0.0, 0.0, 0.0]]
+    with pytest.raises(ValueError, match="radius must be nonnegative"):
+        shell_sums(x, spread, -1, 1)
+
+
+def test_walks_make_one_distance_call_per_word(monkeypatch):
+    import symgraph.boundary
+    from symgraph.spectral import VertexFun, helgason_norm_sq, phi_oracle
+    from symgraph.wave import CauchyData, wave_closed_at
+
+    calls = []
+
+    def counted(x, y):
+        calls.append(None)
+        return distance(x, y)
+
+    monkeypatch.setattr(symgraph.boundary, "distance", counted)
+    a, b = P34.generator(0), P34.generator(1, 2)
+    f = VertexFun.of(P34, {P34.identity(): 1, a: Fraction(1, 2)})
+    data = CauchyData(f, VertexFun.of(P34, {a: 3, b * a: -1}))
+    for n, want in ((0, 0), (1, 3), (-2, 3), (3, 3)):
+        calls.clear()
+        wave_closed_at(P34, data, b, n)
+        assert len(calls) == want, n
+    calls.clear()
+    phi_oracle(P34, 0.4, b * a, 3)
+    assert len(calls) == P34.delta(3)
+    calls.clear()
+    helgason_norm_sq(f, 2)
+    assert len(calls) == P34.delta(2) * len(f.data)

@@ -2,9 +2,12 @@ import contextlib
 import csv
 import io
 import json
+import re
+import shlex
 import sys
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -37,6 +40,22 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
     return code, json.loads(out)
+
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+RUNTIME_MS = re.compile(r'"runtime_ms": [-0-9.e+]+, |, "runtime_ms": [-0-9.e+]+|"runtime_ms": [-0-9.e+]+')
+
+
+def test_cli_stdout_matches_the_golden_file(capsys):
+    # every README example but ``verify --suite all``, which alone takes most
+    # of a second, and an ``invert --values`` and a ``wave --method closed``
+    # run; the file holds each stdout with ``runtime_ms`` dropped
+    cases = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert len(cases) == 15
+    for case in cases:
+        code, out = run(capsys, *shlex.split(case["command"]))
+        assert code == 0, case["command"]
+        assert RUNTIME_MS.sub("", out) == case["stdout"], case["command"]
 
 
 def test_info_exact_fields(capsys):
@@ -320,7 +339,7 @@ def test_closed_form_bound_refuses_before_walking(capsys, monkeypatch):
 
     # the bound runs before any weight row is built or cached
     cached = symgraph.wave._rows.cache_info().currsize
-    monkeypatch.setattr(symgraph.wave, "distance", refuse)
+    monkeypatch.setattr(symgraph.wave, "shell_sums", refuse)
     monkeypatch.setattr(symgraph.wave, "_weights", refuse)
     for k in ("4", str(10**30)):
         code = main(["wave", "--k", k, "--r", "3", *base, "--steps", "1000000",

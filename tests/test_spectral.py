@@ -288,6 +288,18 @@ def test_radial_convolution_is_radial():
         assert v == rad.value(len(x))
 
 
+def test_spherical_means_refuse_a_negative_radius_and_vanish_past_the_support():
+    # a ValueError as from delta(-1), not an IndexError from the shell list
+    f = VertexFun.delta_at(P34.identity())
+    with pytest.raises(ValueError, match="radius must be nonnegative"):
+        spherical_means_at(f, P34.identity(), -1)
+    # past |x| + the support radius no word is on the sphere
+    x = P34.generator(0)
+    assert spherical_means_at(f, x, 1) == Fraction(1, P34.delta(1))
+    for n in (0, 2, 3, 400):
+        assert spherical_means_at(f, x, n) == 0
+
+
 def test_radialize_and_means():
     rng = random.Random(21)
     f = random_vertex_fun(P34, 2, rng)

@@ -330,7 +330,7 @@ def test_solvers_refuse_data_from_another_graph(monkeypatch):
     def refuse(*args):
         raise AssertionError("started work")
 
-    for name in ("ball", "distance"):
+    for name in ("ball", "shell_sums"):
         monkeypatch.setattr(wave_module, name, refuse)
     other = GraphParams(4, 3)
     for n in (2, 0):
@@ -351,7 +351,7 @@ def test_closed_form_refuses_a_point_from_another_graph(monkeypatch):
     def refuse(*args):
         raise AssertionError("started work")
 
-    for name in ("ball", "distance", "_rows"):
+    for name in ("ball", "shell_sums", "_rows"):
         monkeypatch.setattr(wave_module, name, refuse)
     for data in (full, empty):
         for n in (0, 1, -2):
