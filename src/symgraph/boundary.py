@@ -8,8 +8,10 @@ silent extension would hide depth-dependence bugs.
 
 ``shell_sums`` is the one distance-profile walk that every shell and
 horocycle sum of the other layers reads (a horocycle is a shell around a
-ray prefix).  It lives outside ``words``, so each of its ``distance``
-calls is a call into that layer.
+ray prefix).  ``branch_shell_sums`` gives the same sums from a
+``branch_index`` of the pairs, walking only the words that share the
+centre's first syllable.  Both live outside ``words``, so each of their
+``distance`` calls is a call into that layer.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from operator import add
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -121,6 +124,80 @@ def shell_sums(x: ReducedWord, pairs, radius: int, width: int, zero=0) -> list[l
             for shell, value in zip(sums, parts):
                 shell[d] += value
     return sums
+
+
+def branch_index(pairs, width: int) -> tuple:
+    """(word y, ``width`` parts) pairs indexed for ``branch_shell_sums``.
+
+    The index holds the pairs under each first syllable, the part sums T[L]
+    over the words of each length L (the origin's parts at L = 0) and, per
+    first syllable s = (g, e), the rows that a point under s adds from the
+    words off its branch.  Row j goes into shell |x| - 1 + j and is
+    T[j - 1] - G_g[j - 1] + G_g[j] - A_s[j], where G_g adds the words of
+    first generator g and A_s those of first syllable s.  A g or s that no
+    pair starts with keeps its rows under g or under None.  Each A_s[L] is
+    summed first, in pair order, and G_g and T from those."""
+    under, groups = {}, {}
+    for pair in pairs:
+        syllables = pair[0].syllables
+        s = syllables[0] if syllables else None
+        if s is not None:
+            under.setdefault(s, []).append(pair)
+        groups.setdefault((s, len(syllables)), []).append(pair[1])
+    zero = [0] * width
+    total, branch, own = {}, {}, {}
+    for (s, size), parts in groups.items():
+        sums = [sum(column) for column in zip(*parts)]
+        tables = [total]
+        if s is not None:
+            own.setdefault(s, {})[size] = sums
+            tables.append(branch.setdefault(s[0], {}))
+        for table in tables:
+            table[size] = list(map(add, table.get(size, zero), sums))
+    longest = max(total, default=0)
+
+    def rows(g_sums: dict, s_sums: dict) -> list[list]:
+        return [[t - a + b - c for t, a, b, c in zip(total.get(j - 1, zero),
+                                                      g_sums.get(j - 1, zero),
+                                                      g_sums.get(j, zero), s_sums.get(j, zero))]
+                for j in range(longest + 2)]
+
+    profiles = {None: rows({}, {})}
+    profiles.update((g, rows(sums, {})) for g, sums in branch.items())
+    profiles.update((s, rows(branch[s[0]], sums)) for s, sums in own.items())
+    totals = [total.get(size, zero) for size in range(longest + 1)]
+    return under, totals, profiles, width
+
+
+def branch_shell_sums(x: ReducedWord, index: tuple, radius: int) -> list[list]:
+    """``shell_sums(x, pairs, radius, width)`` from the ``branch_index`` of
+    the pairs, with ``distance`` calls for the words under x's first
+    syllable s = (g, e) only, and none at x = e.
+
+    The graph is tree-like at the origin: a word y of another first
+    syllable lies at |x| + |y| when its first generator is not g and at
+    |x| + |y| - 1 when it is (a sibling exponent of s), and the origin at
+    |x|, so those words enter through the index's rows for s.  Integer
+    parts give ``shell_sums``'s sums exactly; float parts add in another
+    order, so they agree up to rounding.
+    """
+    if radius < 0:
+        raise ValueError(f"radius must be nonnegative, got {radius}")
+    under, totals, profiles, width = index
+    if x.syllables:
+        s = x.syllables[0]
+        shells = shell_sums(x, under.get(s, ()), radius, width)
+        rows = profiles.get(s) or profiles.get(s[0]) or profiles[None]
+        start = len(x) - 1
+    else:
+        shells = [[0] * (radius + 1) for _ in range(width)]
+        rows, start = totals, 0
+    for d, parts in enumerate(rows, start):
+        if d > radius:
+            break
+        for shell, value in zip(shells, parts):
+            shell[d] += value
+    return shells
 
 
 def poisson_power(x: ReducedWord, ray: BoundaryRay, s: complex) -> complex:

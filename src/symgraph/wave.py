@@ -23,12 +23,15 @@ value theorem and the inverse dual Abel transform of spherical means, whose
 velocity terms of every radius fold into one closed weight vector.  Scaled
 by 2k D sqrt(q)^|n| the value is integer linear in the shell sums of the data
 around x, so it reads the distance profile of the union of the supports
-(``boundary.shell_sums``: one ``distance`` call per word, the parts added
-into shell sums held in plain Python numbers), takes two dot products with
-the weight rows and decodes once.  A time whose weights would hold more
-than ``MAX_CLOSED_BITS`` bits is refused up front.  Between calls only the encoded data and the weight rows are kept,
-the rows per graph, time and lane (``_rows``, a bounded cache); in particular
-no value or distance is remembered per point.
+(``boundary.branch_shell_sums``, the parts added into shell sums held in
+plain Python numbers), takes two dot products with the weight rows and
+decodes once.  The graph is tree-like at the origin, so only the words
+under x's first syllable need a ``distance`` call; every other word enters
+through per-length sums of the data, built with its encoding.  A time whose
+weights would hold more than ``MAX_CLOSED_BITS`` bits is refused up front.
+Between calls only the encoded data and the weight rows are kept, the rows
+per graph, time and lane (``_rows``, a bounded cache); in particular no
+value or distance is remembered per point.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from operator import mul
 import numpy as np
 
 from .algebraic import AlgebraicValue
-from .boundary import shell_sums
+from .boundary import branch_index, branch_shell_sums
 from .spectral import VertexFun
 from .transforms import MAX_CLOSED_BITS, RadialSeq
 from .words import (
@@ -157,9 +160,11 @@ class CauchyData:
     def _encoded(self) -> tuple[list[ReducedWord], int, list, tuple]:
         """The union of the supports (f's words, then the words only in g),
         the common denominator D of f and g, the parts of D f and D g on
-        those words as the ring's ``encode`` gives them, and per word the
-        same parts as Python numbers (f's, then g's).  Every call shares
-        them, so the part arrays are read-only."""
+        those words as the ring's ``encode`` gives them, and the
+        ``boundary.branch_index`` of the words with the same parts as Python
+        numbers (f's, then g's): the words under each first syllable and the
+        per-length part sums the closed form adds without a ``distance``
+        call.  Every call shares them, so the part arrays are read-only."""
         f, g = self.initial.data, self.velocity.data
         ring = self.initial.ring
         words = list(f)
@@ -168,8 +173,8 @@ class CauchyData:
                                       [g.get(y, ring.zero) for y in words]])
         for part in (part for parts in columns for part in parts):
             part.flags.writeable = False
-        by_word = tuple(zip(*(part.tolist() for parts in columns for part in parts)))
-        return words, scale, columns, by_word
+        numbers = zip(*(part.tolist() for parts in columns for part in parts))
+        return words, scale, columns, branch_index(zip(words, numbers), 2 * len(columns[0]))
 
 
 class WaveField:
@@ -395,13 +400,16 @@ def wave_closed_at(params: GraphParams, data: CauchyData, x: ReducedWord, n: int
     q (1 - t^j) - (q - 1 + (r - k) t^(j + 1)) = 1 - t^(j + 2) for t = 1 - k.
 
     So each value reads the shell sums F_l and G_l, plain Python numbers,
-    from ``boundary.shell_sums`` over the union of the supports: one
-    ``distance`` call per word, and a word farther than |n| from x is in no
-    shell.  The dot products take the weight rows of ``_rows`` (cached per
-    graph, time and lane, never per point), then one ``times_root`` and one
-    ``decode``.  A time whose weights would hold more than ``MAX_CLOSED_BITS``
-    bits raises ``ValueError`` before any of that, and so do a ``params``
-    that is not the graph of the data and a point ``x`` on another graph.
+    from ``boundary.branch_shell_sums`` over the union of the supports, and a
+    word farther than |n| from x is in no shell.  Only the words under x's
+    first syllable cost a ``distance`` call (none at x = e); the others sit
+    at |x| + |y| or |x| + |y| - 1 and come from the per-length sums in
+    ``CauchyData._encoded``.  The dot products take the weight rows of
+    ``_rows`` (cached per graph, time and lane, never per point), then one
+    ``times_root`` and one ``decode``.  A time whose weights would hold
+    more than ``MAX_CLOSED_BITS`` bits raises ``ValueError`` before any of
+    that, and so do a ``params`` that is not the graph of the data and a
+    point ``x`` on another graph.
     """
     _require_graph(params, data.params, "data")
     _require_graph(params, x.params, "point")
@@ -413,9 +421,9 @@ def wave_closed_at(params: GraphParams, data: CauchyData, x: ReducedWord, n: int
             f"time {n} on the ({params.k}, {params.r}) graph needs closed-form weights "
             f"of more than {MAX_CLOSED_BITS} bits"
         )
-    words, scale, columns, by_word = data._encoded
+    _, scale, columns, branches = data._encoded
     half, sign = len(columns[0]), 1 if n > 0 else -1
-    sums = shell_sums(x, zip(words, by_word), size, 2 * half)  # f's parts, then g's
+    sums = branch_shell_sums(x, branches, size)  # f's parts, then g's
     c, v, owed = _rows(params, size, data.exact)
     ring = data.initial.ring
     p_parts = [sum(map(mul, c, shells)) for shells in sums[:half]]

@@ -7,6 +7,7 @@ import pytest
 from symgraph.boundary import (
     BoundaryRay,
     DepthError,
+    branch_shell_sums,
     busemann,
     cylinder_measure,
     horocycle_section,
@@ -16,7 +17,8 @@ from symgraph.boundary import (
     sphere_horocycle_count,
     translate_ray,
 )
-from symgraph.words import GraphParams, SpectralDomainError, ball, distance, sphere
+from symgraph.algebraic import AlgebraicValue
+from symgraph.words import GraphParams, ReducedWord, SpectralDomainError, ball, distance, sphere
 
 P34 = GraphParams(3, 4)
 P23 = GraphParams(2, 3)
@@ -170,6 +172,60 @@ def test_shell_sums_keep_the_pair_order_and_refuse_a_negative_radius():
         shell_sums(x, spread, -1, 1)
 
 
+def split_cases(params, rng):
+    """(CauchyData, points) over sparse supports of radius 0-3, with and
+    without the origin, the velocity empty or on half the support, in both
+    lanes; then the empty data.  No support word starts with the syllable
+    (r - 1, k - 1), so the first point's syllable is missing from it."""
+    from symgraph.spectral import VertexFun
+    from symgraph.wave import CauchyData
+
+    missing = (params.r - 1, params.k - 1)
+    outside = ReducedWord(params, (missing, (0, 1)))
+    pool = [y for y in ball(params, 4) if y.syllables[:1] != (missing,)]
+    for radius in range(4):
+        for origin in (True, False):
+            support = [y for y in ball(params, radius)
+                       if y.syllables[:1] != (missing,) and (len(y) or origin)
+                       and (len(y) < 2 or rng.random() < 0.7)]
+            for exact in (True, False):
+                def value():
+                    a, b = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))), Fraction(1, 5)
+                    return AlgebraicValue(a, b, params.q) if exact else rng.uniform(-1, 1)
+
+                f = VertexFun.of(params, {y: value() for y in support}, exact)
+                for g in ({}, {y: value() for y in support[::2]}):
+                    points = [outside, params.identity(), *rng.sample(pool, 4)]
+                    yield CauchyData(f, VertexFun.of(params, g, exact)), points
+    for exact in (True, False):
+        empty = VertexFun.of(params, {}, exact)
+        yield CauchyData(empty, empty), [outside, params.identity(), pool[-1]]
+
+
+@pytest.mark.parametrize("params", [GraphParams(2, 2), GraphParams(2, 3), GraphParams(3, 2),
+                                    GraphParams(3, 4), GraphParams(4, 3)])
+def test_branch_split_matches_the_walk_over_every_pair(params):
+    # k = 2 has no sibling exponents, and (2, 2) has q = 1
+    rng = random.Random(params.k * 10 + params.r)
+    for data, points in split_cases(params, rng):
+        words, _, columns, branches = data._encoded
+        width = 2 * len(columns[0])
+        numbers = list(zip(*(part.tolist() for parts in columns for part in parts)))
+        pairs = list(zip(words, numbers))
+        scale = sum(abs(v) for parts in numbers for v in parts)
+        for x in points:
+            for radius in range(len(x) + 6):
+                want = shell_sums(x, pairs, radius, width)
+                got = branch_shell_sums(x, branches, radius)
+                if data.exact:
+                    assert got == want, (x, radius)
+                else:
+                    assert got == [pytest.approx(shell, rel=1e-12, abs=1e-12 * scale)
+                                   for shell in want], (x, radius)
+    with pytest.raises(ValueError, match="radius must be nonnegative"):
+        branch_shell_sums(params.identity(), branches, -1)
+
+
 def test_walks_make_one_distance_call_per_word(monkeypatch):
     import symgraph.boundary
     from symgraph.spectral import VertexFun, helgason_norm_sq, phi_oracle
@@ -185,10 +241,13 @@ def test_walks_make_one_distance_call_per_word(monkeypatch):
     a, b = P34.generator(0), P34.generator(1, 2)
     f = VertexFun.of(P34, {P34.identity(): 1, a: Fraction(1, 2)})
     data = CauchyData(f, VertexFun.of(P34, {a: 3, b * a: -1}))
-    for n, want in ((0, 0), (1, 3), (-2, 3), (3, 3)):
-        calls.clear()
-        wave_closed_at(P34, data, b, n)
-        assert len(calls) == want, n
+    # the closed form measures only the words under x's first syllable: b a
+    # under b's, none at e; e and a enter through the per-length sums
+    for x, want in ((b, 1), (P34.identity(), 0)):
+        for n in (0, 1, -2, 3):
+            calls.clear()
+            wave_closed_at(P34, data, x, n)
+            assert len(calls) == (want if n else 0), (x, n)
     calls.clear()
     phi_oracle(P34, 0.4, b * a, 3)
     assert len(calls) == P34.delta(3)

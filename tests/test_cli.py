@@ -339,7 +339,7 @@ def test_closed_form_bound_refuses_before_walking(capsys, monkeypatch):
 
     # the bound runs before any weight row is built or cached
     cached = symgraph.wave._rows.cache_info().currsize
-    monkeypatch.setattr(symgraph.wave, "shell_sums", refuse)
+    monkeypatch.setattr(symgraph.wave, "branch_shell_sums", refuse)
     monkeypatch.setattr(symgraph.wave, "_weights", refuse)
     for k in ("4", str(10**30)):
         code = main(["wave", "--k", k, "--r", "3", *base, "--steps", "1000000",

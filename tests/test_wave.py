@@ -309,6 +309,15 @@ def test_cauchy_data_is_encoded_once(monkeypatch):
         return encode(self, columns)
 
     monkeypatch.setattr(ExactRing, "encode", counted)
+    # the per-length branch sums are built with the encoding, not per call or point
+    indexed = []
+    branch_index = wave_module.branch_index
+
+    def index(pairs, width):
+        indexed.append(width)
+        return branch_index(pairs, width)
+
+    monkeypatch.setattr(wave_module, "branch_index", index)
     params, steps = GraphParams(3, 3), 3
     data = fractional_data(params, random.Random(61))
     pool = list(ball(params, 1))
@@ -317,6 +326,7 @@ def test_cauchy_data_is_encoded_once(monkeypatch):
     field = wave_direct(params, data, steps, observe_radius=1)
     assert len(closed) == 2 * steps * len(pool)
     assert len(calls) <= 1
+    assert indexed == [4]
     for (x, n), value in closed.items():
         assert field.at(x, n) == value
 
@@ -330,7 +340,7 @@ def test_solvers_refuse_data_from_another_graph(monkeypatch):
     def refuse(*args):
         raise AssertionError("started work")
 
-    for name in ("ball", "shell_sums"):
+    for name in ("ball", "branch_shell_sums"):
         monkeypatch.setattr(wave_module, name, refuse)
     other = GraphParams(4, 3)
     for n in (2, 0):
@@ -351,7 +361,7 @@ def test_closed_form_refuses_a_point_from_another_graph(monkeypatch):
     def refuse(*args):
         raise AssertionError("started work")
 
-    for name in ("ball", "shell_sums", "_rows"):
+    for name in ("ball", "branch_shell_sums", "_rows"):
         monkeypatch.setattr(wave_module, name, refuse)
     for data in (full, empty):
         for n in (0, 1, -2):
