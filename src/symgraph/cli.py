@@ -254,8 +254,6 @@ def cmd_helgason(params: GraphParams, args) -> tuple[dict, list, dict, int]:
 
 def cmd_invert(params: GraphParams, args) -> tuple[dict, list, dict, int]:
     x = parse_word(params, args.at)
-    if args.radial is None and args.values is None:
-        raise ValueError("invert needs --radial (spherical) or --values (boundary transform)")
     if args.radial is not None:
         f = RadialSeq.of(params, _parse_seq(params, args.radial))
         res = invert_spherical(f, x, tol=args.tol)
@@ -459,8 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("invert", cmd_invert, "recover a function value from its transform")
     p.add_argument("--at", required=True, help="target word")
-    p.add_argument("--radial", default=None)
-    p.add_argument("--values", default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--radial", help="radial sequence (spherical inversion)")
+    source.add_argument("--values", help="vertex values (boundary inversion)")
     p.add_argument("--depth", type=nonnegative_int, default=None,
                    help="cylinder depth; 0 or absent means max(support, |at|) + 1")
 

@@ -18,13 +18,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import numpy as np
 
 from .algebraic import ring_of
 from .boundary import BoundaryRay, DepthError, busemann, shell_sums
 from .transforms import EvenSeq, RadialSeq
-from .words import GraphParams, ReducedWord, ball, distance, sphere
+from .words import GraphParams, ReducedWord, ball, sphere
 
 __all__ = [
     "VertexFun",
@@ -289,16 +291,20 @@ def _float_values(f: RadialSeq) -> np.ndarray:
     return np.asarray(f.values)
 
 
+def _spherical_sum(params: GraphParams, values, gamma):
+    """sum_n values[n] phi_gamma(n) delta(n) for an averaging eigenvalue gamma
+    that is a float, an array or exact; the value type follows both."""
+    phi = spherical_phi(params, gamma, len(values) - 1)
+    total = values[0] * phi[0]
+    for n in range(1, len(values)):
+        total = total + values[n] * phi[n] * params.delta(n)
+    return total
+
+
 def spherical_transform(f: RadialSeq, lam):
     """sum_n f(n) phi_lam(n) delta(n); vectorizes over a lam array."""
-    params = f.params
-    params.require_spectral()
-    vals = _float_values(f)
-    phi = spherical_phi(params, gamma_of(params, lam), f.support_radius)
-    total = vals[0] * (phi[0] if np.ndim(lam) else 1.0)
-    for n in range(1, len(vals)):
-        total = total + vals[n] * phi[n] * params.delta(n)
-    return total
+    gamma = gamma_of(f.params, lam)
+    return _spherical_sum(f.params, _float_values(f), gamma)
 
 
 def spherical_transform_atom(f: RadialSeq):
@@ -307,13 +313,7 @@ def spherical_transform_atom(f: RadialSeq):
     Exact input gives an exact value (the atom eigenvalue is rational), which
     matters for k > r Plancherel checks.
     """
-    params = f.params
-    gamma = gamma_atom(params)
-    phi = spherical_phi(params, f.ring.coerce(gamma), f.support_radius)
-    total = f.value(0) * phi[0]
-    for n in range(1, f.support_radius + 1):
-        total = total + f.value(n) * phi[n] * params.delta(n)
-    return total
+    return _spherical_sum(f.params, f.values, f.ring.coerce(gamma_atom(f.params)))
 
 
 class VertexFun:
@@ -398,8 +398,21 @@ def helgason_via_horocycles(f: VertexFun, lam: float, ray: BoundaryRay) -> compl
 # -- Plancherel and inversion -----------------------------------------------------
 
 
-def _atom_weight(params: GraphParams) -> float:
-    return (params.k - params.r) / params.k if params.k > params.r else 0.0
+def _plancherel_integral(params: GraphParams, factors, tol: float) -> QuadResult:
+    """Integrate against the Plancherel measure an integrand given as the
+    tuple ``factors(lams, gamma)`` at spectral parameters lams with averaging
+    eigenvalues gamma: their product, left to right, times the density over
+    [0, tau/2] and, when k > r, the atom mass (k-r)/k times their product at
+    the atom (lams None, gamma 1/(1-k))."""
+
+    def on_segment(lams: np.ndarray) -> np.ndarray:
+        return reduce(mul, factors(lams, gamma_of(params, lams))) * plancherel_density(params, lams)
+
+    value, err = gauss_legendre_adaptive(on_segment, 0.0, params.tau / 2.0, tol)
+    if params.k > params.r:
+        mass = (params.k - params.r) / params.k
+        value += reduce(mul, factors(None, float(gamma_atom(params))), mass)
+    return QuadResult(float(np.real(value)), err)
 
 
 def plancherel_norm(f: RadialSeq, tol: float = 1e-9) -> QuadResult:
@@ -409,47 +422,31 @@ def plancherel_norm(f: RadialSeq, tol: float = 1e-9) -> QuadResult:
     when k > r, adds the atom mass (k-r)/k |Hf(atom)|^2.  Agrees with
     ``f.norm_sq()`` to quadrature accuracy.
     """
-    params = f.params
-    params.require_spectral()
-
-    def integrand(lams: np.ndarray) -> np.ndarray:
-        values = spherical_transform(f, lams)
-        return np.abs(values) ** 2 * plancherel_density(params, lams)
-
-    value, err = gauss_legendre_adaptive(integrand, 0.0, params.tau / 2.0, tol)
-    weight = _atom_weight(params)
-    if weight:
-        atom = spherical_transform_atom(RadialSeq.of(params, f.values, exact=False))
-        value += weight * abs(atom) ** 2
-    return QuadResult(float(value), err)
+    values = _float_values(f)
+    return _plancherel_integral(f.params, lambda lams, gamma: (
+        np.abs(_spherical_sum(f.params, values, gamma)) ** 2,), tol)
 
 
 def invert_spherical(f: RadialSeq, x: ReducedWord, tol: float = 1e-9) -> QuadResult:
     """Recover f(|x|) from its spherical transform by quadrature (atom included)."""
+    params, n, values = f.params, len(x), _float_values(f)
+    return _plancherel_integral(params, lambda lams, gamma: (
+        _spherical_sum(params, values, gamma), spherical_phi(params, gamma, n)[n]), tol)
+
+
+def _cylinder_profile(f: VertexFun, depth: int, reach: int = 0):
+    """The boundary walk of the nonradial integrals (k <= r only): the
+    depth-m cylinders, the support's Busemann indices z, the per-cylinder
+    amplitudes A[y, z] = sum over support of f at index z and the cylinder
+    mass delta(depth).  The depth must exceed the support radius and reach."""
     params = f.params
     params.require_spectral()
-    n = len(x)
-
-    def integrand(lams: np.ndarray) -> np.ndarray:
-        values = spherical_transform(f, lams)
-        phi = spherical_phi(params, gamma_of(params, lams), n)[n]
-        return values * phi * plancherel_density(params, lams)
-
-    value, err = gauss_legendre_adaptive(integrand, 0.0, params.tau / 2.0, tol)
-    weight = _atom_weight(params)
-    if weight:
-        atom_phi = spherical_phi(params, float(gamma_atom(params)), n)[n]
-        atom = spherical_transform_atom(RadialSeq.of(params, f.values, exact=False))
-        value += weight * float(atom) * atom_phi
-    return QuadResult(float(value), err)
-
-
-def _cylinder_profile(f: VertexFun, depth: int):
-    """Per-cylinder amplitudes A[y, z] = sum over support of f at Busemann index z."""
-    params = f.params
+    if params.k > params.r:
+        raise ValueError("the nonradial Plancherel measure is implemented for k <= r only")
     radius = f.support_radius()
-    if depth <= radius:
-        raise DepthError(f"needs cylinder depth > {radius}")
+    floor = max(radius, reach)
+    if depth <= floor:
+        raise DepthError(f"needs cylinder depth > {floor}")
     check_depth(params, depth)
     support = [(x, (complex(v),)) for x, v in f.items()]
     cylinders = list(sphere(params, depth))
@@ -458,30 +455,24 @@ def _cylinder_profile(f: VertexFun, depth: int):
     for i, y in enumerate(cylinders):
         # the shell at distance d holds index z = depth - d
         amp[i] = shell_sums(y, support, depth + radius, 1, 0j)[0][::-1]
-    return cylinders, z_values, amp
+    return cylinders, z_values, amp, params.delta(depth)
 
 
 def helgason_norm_sq(f: VertexFun, depth: int, tol: float = 1e-9) -> QuadResult:
     """Boundary-integrated Plancherel norm of a nonradial function (k <= r only)."""
-    params = f.params
-    params.require_spectral()
-    if params.k > params.r:
-        raise ValueError("nonradial Plancherel is implemented for k <= r only")
-    cylinders, z_values, amp = _cylinder_profile(f, depth)
-    lnq = math.log(params.q)
-    mass = params.delta(depth)
+    cylinders, z_values, amp, mass = _cylinder_profile(f, depth)
+    lnq = math.log(f.params.q)
 
-    def integrand(lams: np.ndarray) -> np.ndarray:
+    def factors(lams, gamma):
         out = np.empty(len(lams))
         for start in range(0, len(lams), 128):
             chunk = lams[start:start + 128]
             powers = np.exp(np.multiply.outer((0.5 + 1j * chunk) * lnq, z_values))
             fhat = powers @ amp.T
             out[start:start + 128] = (np.abs(fhat) ** 2).sum(axis=1) / mass
-        return out * plancherel_density(params, lams)
+        return (out,)
 
-    value, err = gauss_legendre_adaptive(integrand, 0.0, params.tau / 2.0, tol)
-    return QuadResult(float(value), err)
+    return _plancherel_integral(f.params, factors, tol)
 
 
 def invert_helgason(f: VertexFun, x: ReducedWord, depth: int, tol: float = 1e-9) -> QuadResult:
@@ -490,31 +481,20 @@ def invert_helgason(f: VertexFun, x: ReducedWord, depth: int, tol: float = 1e-9)
     Needs cylinder depth above both the support radius and |x|; a depth past
     ``MAX_CYLINDERS`` cylinders raises ``ValueError`` before any walk.
     """
-    params = f.params
-    params.require_spectral()
-    if params.k > params.r:
-        raise ValueError("nonradial inversion is implemented for k <= r only")
-    if depth <= len(x):
-        raise DepthError(f"inversion at |x| = {len(x)} needs cylinder depth > {len(x)}")
-    cylinders, z_values, amp = _cylinder_profile(f, depth)
-    lnq = math.log(params.q)
-    mass = params.delta(depth)
+    cylinders, z_values, amp, mass = _cylinder_profile(f, depth, len(x))
+    lnq = math.log(f.params.q)
 
-    # pair the cylinder amplitudes with the Busemann index of the target point
-    x_index = np.array([depth - distance(x, y) for y in cylinders])
-    x_range = np.arange(x_index.min(), x_index.max() + 1)
-    paired = np.zeros((len(x_range), len(z_values)), dtype=complex)
-    for i, z2 in enumerate(x_index):
-        paired[z2 - x_range[0]] += amp[i]
+    # the amplitudes by the target's Busemann index w = depth - d(x, y), from
+    # w = -|x| (shell d = depth + |x|) up to w = |x| (shell d = depth - |x|)
+    sums = shell_sums(x, zip(cylinders, amp), depth + len(x), len(z_values), 0j)
+    paired = np.array(list(zip(*sums))[depth + len(x):depth - len(x) - 1:-1])
 
-    def integrand(lams: np.ndarray) -> np.ndarray:
+    def factors(lams, gamma):
         fwd = np.exp(np.multiply.outer((0.5 + 1j * lams) * lnq, z_values))
-        back = np.exp(np.multiply.outer((0.5 - 1j * lams) * lnq, x_range))
-        per_lam = np.einsum("lz,lw,wz->l", fwd, back, paired)
-        return per_lam / mass * plancherel_density(params, lams)
+        back = np.exp(np.multiply.outer((0.5 - 1j * lams) * lnq, np.arange(-len(x), len(x) + 1)))
+        return (np.einsum("lz,lw,wz->l", fwd, back, paired) / mass,)
 
-    value, err = gauss_legendre_adaptive(integrand, 0.0, params.tau / 2.0, tol)
-    return QuadResult(float(np.real(value)), err)
+    return _plancherel_integral(f.params, factors, tol)
 
 
 # -- convolution and radialization -------------------------------------------------

@@ -48,10 +48,12 @@ RUNTIME_MS = re.compile(r'"runtime_ms": [-0-9.e+]+, |, "runtime_ms": [-0-9.e+]+|
 
 def test_cli_stdout_matches_the_golden_file(capsys):
     # every README example but ``verify --suite all``, which alone takes most
-    # of a second, and an ``invert --values`` and a ``wave --method closed``
-    # run; the file holds each stdout with ``runtime_ms`` dropped
+    # of a second, an ``invert --values`` and a ``wave --method closed`` run,
+    # and a ``plancherel`` and an ``invert --radial`` run on k > r graphs,
+    # where the Plancherel measure has its atom; the file holds each stdout
+    # with ``runtime_ms`` dropped
     cases = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert len(cases) == 15
+    assert len(cases) == 17
     for case in cases:
         code, out = run(capsys, *shlex.split(case["command"]))
         assert code == 0, case["command"]
@@ -153,6 +155,17 @@ def test_invert_nonradial(capsys):
                          "--values", "e:1;a0^1:1/2", "--at", "a0^1", "--depth", "2")
     assert code == 0
     assert doc["diagnostics"]["mismatch"] < 1e-6
+
+
+def test_invert_takes_exactly_one_of_radial_and_values(capsys):
+    base = ["invert", "--k", "3", "--r", "4", "--at", "e"]
+    for extra in (["--values", "e:1", "--radial", "1"], []):
+        with pytest.raises(SystemExit) as err:
+            main(base + extra)
+        assert err.value.code == 2, extra
+        captured = capsys.readouterr()
+        assert captured.out == "", extra
+        assert "--radial" in captured.err and "--values" in captured.err, extra
 
 
 def test_helgason_command(capsys):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from symgraph.algebraic import AlgebraicValue
-from symgraph.boundary import BoundaryRay
+from symgraph.boundary import BoundaryRay, DepthError
 from symgraph.spectral import (
     VertexFun,
     c_func,
@@ -226,9 +226,19 @@ def test_plancherel_atom_regime():
     assert plancherel_norm(f).value == pytest.approx(float(f.norm_sq()), rel=1e-6)
 
 
+def test_plancherel_norm_at_radius_8():
+    # exact values out to radius 8, atom regimes (3,2), (4,2), (4,3) included
+    rng = random.Random(8)
+    for params in SPECTRAL_GRID:
+        f = RadialSeq.of(params, [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                                  for _ in range(9)])
+        direct = float(f.norm_sq())
+        assert plancherel_norm(f).value == pytest.approx(direct, rel=1e-9), params
+
+
 def test_inversion_radial():
     rng = random.Random(14)
-    for params in (P34, GraphParams(3, 2)):
+    for params in SPECTRAL_GRID:
         f = RadialSeq.of(params, [rng.uniform(-1, 1) for _ in range(5)], exact=False)
         for n in range(5):
             x = next(iter(sphere(params, n)))
@@ -254,6 +264,17 @@ def test_nonradial_requires_k_below_r():
         helgason_norm_sq(f, depth=2)
     with pytest.raises(ValueError):
         invert_helgason(f, p.identity(), depth=2)
+
+
+def test_boundary_integrals_refuse_a_depth_at_the_support_or_the_target():
+    p = GraphParams(2, 3)
+    f = VertexFun.of(p, {p.identity(): 1.0, next(iter(sphere(p, 2))): 0.5}, exact=False)
+    x = next(iter(sphere(p, 3)))
+    with pytest.raises(DepthError, match="depth > 2"):
+        helgason_norm_sq(f, depth=2)
+    with pytest.raises(DepthError, match="depth > 3"):
+        invert_helgason(f, x, depth=3)
+    assert invert_helgason(f, x, depth=4).value == pytest.approx(0.0, abs=1e-6)
 
 
 def test_convolution_group_identities():
