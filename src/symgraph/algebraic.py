@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -426,6 +427,9 @@ def parse_value(text: str, q: int) -> AlgebraicValue:
         b = Fraction(m.group("b") or 1) if has_root else Fraction(0)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in ring value {text!r}") from None
+    except ValueError:  # past the interpreter's int-from-str digit limit
+        raise ValueError(f"an input integer has more than {sys.get_int_max_str_digits()} "
+                         "digits") from None
     if m.group("sign") == "-":
         b = -b
     return AlgebraicValue(a, b, q)

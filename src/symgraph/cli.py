@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -49,13 +50,14 @@ from .spectral import (
 from .transforms import (
     EvenSeq,
     RadialSeq,
+    _check_size,
     abel,
     abel_inv,
     dual_abel,
     dual_abel_inv,
 )
-from .wave import CauchyData, check_window, wave_closed_at, wave_direct
-from .words import GraphParams, ReducedWord, ball, ball_size, parse_word, sphere
+from .wave import CauchyData, _check_closed_time, check_window, wave_closed_at, wave_direct
+from .words import GraphParams, ball, ball_size, parse_word, sphere
 
 __all__ = ["main"]
 
@@ -128,13 +130,43 @@ def _on_lambda_grid(params: GraphParams, grid: int, key: str, value) -> list[dic
 # Work bounds of the commands whose cost is linear in one flag: refused with
 # exit 2 before any work, like the stepper's window and the cylinder walks.
 _MAX_PHI_TERMS = 100_000  # spherical --nmax: one float and one output row per term
-_MAX_TRIALS = 10_000  # ks-check --trials: about 2 ms per trial at (3, 4)
+# The ks-check times are in-process on a 2-vCPU x86-64 machine: the median per
+# trial of five runs of 200 trials, and one trial alone at (10, 10).
+_MAX_TRIALS = 10_000  # ks-check --trials: about 0.35 ms per trial at (3, 4)
 # ks-check, one trial: |ball(1)| * |ball(2)| convolution products, 513 at (3, 4)
-# (about 2 ms); 10^4 admits k = r <= 5 and refuses (10, 10), 3 s per trial.
+# (about 0.35 ms) and 7161 at (5, 5) (about 5 ms); 10^4 admits k = r <= 5 and
+# refuses (10, 10), 671671 products and about 0.6 s per trial.
 _MAX_TRIAL_PRODUCTS = 10_000
 # verify --k --r: every suite walks at most the ball of radius 4, 9841 words at
 # (4, 4), the largest point of the default grid; (10, 10) took minutes.
 _MAX_VERIFY_BALL = 20_000
+
+
+def _check_printable(params: GraphParams, values, terms: int, half_powers: int,
+                     k_powers: int = 0, degree: int = 1) -> None:
+    """Refuse, before any work, exact outputs whose text would hold an integer
+    past the interpreter's int-to-str limit (``sys.get_int_max_str_digits()``,
+    4300 digits by default; 0 lifts it), which ``str`` would raise on after
+    the work.
+
+    An output is a sum of at most ``terms`` products of ``degree`` input
+    values and a coefficient of the closed form.  Over a common denominator
+    a coefficient's integers are at most 4kr q^2 max(sqrt(q)^half_powers,
+    (k-1)^k_powers): the factor covers the small constants and the sqrt(q)
+    moved between the two parts.  So a printed integer is at most that,
+    times terms + 2, times the inputs' common denominator or largest integer
+    part over it, to the power ``degree``.
+    """
+    limit = sys.get_int_max_str_digits()
+    triples = [value.triple for value in values]
+    den = math.lcm(*(D for _, _, D in triples))
+    top = max([den, *(max(abs(A), abs(B)) * (den // D) for A, B, D in triples)])
+    k, q = params.k, params.q
+    bits = (degree * top.bit_length()
+            + max(half_powers * math.log2(q) / 2, k_powers * math.log2(k - 1))
+            + math.log2(4 * k * params.r * q * q * (terms + 2)))
+    if limit and bits * math.log10(2) >= limit:
+        raise ValueError(f"an exact output would print an integer of more than {limit} digits")
 
 
 def cmd_info(params: GraphParams, args) -> tuple[dict, list, dict, int]:
@@ -183,29 +215,41 @@ def cmd_table(params: GraphParams, args) -> tuple[dict, list, dict, int]:
     return inputs, outputs, {}, 0
 
 
-def _radial(params: GraphParams, text: str, seq_type, transform, key: str, **kwargs) -> list:
-    """Rows key[n] of a radial transform applied to the parsed sequence."""
-    result = transform(seq_type.of(params, _parse_seq(params, text)), **kwargs)
+def _radial(params: GraphParams, text: str, seq_type, transform, key: str, powers,
+            n_max: int | None = None) -> list:
+    """Rows key[n] of a radial transform applied to the parsed sequence.
+
+    ``powers(N)`` gives the ``_check_printable`` exponents of the transform's
+    coefficients for N output values, from its closed form: sqrt(q)^N for
+    ``abel`` and ``dual``, also (k-1)^N for the geometric sums of ``abel_inv``,
+    and q^N for ``dual_abel_inv``.  The transform's own work bound is checked
+    first, so a request past both reads as past the work bound.
+    """
+    seq = seq_type.of(params, _parse_seq(params, text))
+    length = len(seq.values) if n_max is None else n_max + 1
+    _check_size(params, length)
+    _check_printable(params, seq.values, len(seq.values), *powers(length))
+    result = transform(seq) if n_max is None else transform(seq, n_max=n_max)
     return [row for n, value in enumerate(result.values) for row in _rows(f"{key}[{n}]", value)]
 
 
 def cmd_abel(params: GraphParams, args) -> tuple[dict, list, dict, int]:
-    outputs = _radial(params, args.radial, RadialSeq, abel, "A")
+    outputs = _radial(params, args.radial, RadialSeq, abel, "A", lambda n: (n,))
     return {"radial": args.radial}, outputs, {}, 0
 
 
 def cmd_abel_inv(params: GraphParams, args) -> tuple[dict, list, dict, int]:
-    outputs = _radial(params, args.even, EvenSeq, abel_inv, "f")
+    outputs = _radial(params, args.even, EvenSeq, abel_inv, "f", lambda n: (n, n))
     return {"even": args.even}, outputs, {}, 0
 
 
 def cmd_dual(params: GraphParams, args) -> tuple[dict, list, dict, int]:
-    outputs = _radial(params, args.even, EvenSeq, dual_abel, "dual", n_max=args.nmax)
+    outputs = _radial(params, args.even, EvenSeq, dual_abel, "dual", lambda n: (n,), args.nmax)
     return {"even": args.even, "nmax": args.nmax}, outputs, {}, 0
 
 
 def cmd_dual_inv(params: GraphParams, args) -> tuple[dict, list, dict, int]:
-    outputs = _radial(params, args.radial, RadialSeq, dual_abel_inv, "g")
+    outputs = _radial(params, args.radial, RadialSeq, dual_abel_inv, "g", lambda n: (2 * n,))
     return {"radial": args.radial}, outputs, {}, 0
 
 
@@ -236,6 +280,8 @@ def cmd_transform(params: GraphParams, args) -> tuple[dict, list, dict, int]:
 
 def cmd_plancherel(params: GraphParams, args) -> tuple[dict, list, dict, int]:
     f = RadialSeq.of(params, _parse_seq(params, args.radial))
+    # sum f(n)^2 delta(n), with delta(n) = r(k-1) q^(n-1)
+    _check_printable(params, f.values, len(f.values), 2 * len(f.values), degree=2)
     direct = f.norm_sq()
     spectral = plancherel_norm(f, tol=args.tol)
     outputs = _rows("norm_sq_direct", direct) + _rows("norm_sq_spectral", spectral.value)
@@ -310,20 +356,26 @@ def cmd_wave(params: GraphParams, args) -> tuple[dict, list, dict, int]:
         _parse_vertex_fun(params, args.f),
         _parse_vertex_fun(params, args.g),
     )
-    targets: list[tuple[ReducedWord, int]] = []
     if args.at:
         word_text, _, n_text = args.at.rpartition(",")
         x, n = parse_word(params, word_text), int(n_text)
         if abs(n) > args.steps:
             raise ValueError(f"time {n} beyond --steps {args.steps}")
-        targets.append((x, n))
-        observe = len(x)
+        targets = [(x, n)]
+        observe, latest = len(x), abs(n)
     else:
-        observe = data.support_radius + args.steps
+        observe, latest = data.support_radius + args.steps, args.steps
+    # the work bounds first, then the text of u at the latest time, whose
+    # closed form has coefficients up to (k-1)^n over sqrt(q)^(n+1)
+    if not args.at or args.method != "closed":
         check_window(params, data.support_radius, args.steps, observe)
-        for n in range(-args.steps, args.steps + 1):
-            for x in ball(params, data.support_radius + abs(n)):
-                targets.append((x, n))
+    if args.method != "direct":
+        _check_closed_time(params, latest)
+    values = [*data.initial.data.values(), *data.velocity.data.values()]
+    _check_printable(params, values, len(values), latest + 1, latest)
+    if not args.at:
+        targets = [(x, n) for n in range(-args.steps, args.steps + 1)
+                   for x in ball(params, data.support_radius + abs(n))]
     diagnostics = {}
     outputs = []
     field = None
@@ -395,6 +447,7 @@ def positive_int(text: str) -> int:
     return value
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symgraph",

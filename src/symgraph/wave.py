@@ -379,6 +379,15 @@ def _rows(params: GraphParams, m: int, exact: bool) -> tuple[tuple, tuple, int]:
     return tuple(w / den / root for w in c), tuple(w / den / root for w in v), 0
 
 
+def _check_closed_time(params: GraphParams, n: int) -> None:
+    # the work bound of wave_closed_at at time n, before any weight is built
+    if n * n * params.k.bit_length() > 2 * MAX_CLOSED_BITS:
+        raise ValueError(
+            f"time {n} on the ({params.k}, {params.r}) graph needs closed-form weights "
+            f"of more than {MAX_CLOSED_BITS} bits"
+        )
+
+
 def wave_closed_at(params: GraphParams, data: CauchyData, x: ReducedWord, n: int):
     """Closed-form solution value u(x, n), one formula in every regime.
 
@@ -415,12 +424,8 @@ def wave_closed_at(params: GraphParams, data: CauchyData, x: ReducedWord, n: int
     _require_graph(params, x.params, "point")
     if n == 0:
         return data.initial.value(x)
+    _check_closed_time(params, n)
     size = abs(n)
-    if size * size * params.k.bit_length() > 2 * MAX_CLOSED_BITS:
-        raise ValueError(
-            f"time {n} on the ({params.k}, {params.r}) graph needs closed-form weights "
-            f"of more than {MAX_CLOSED_BITS} bits"
-        )
     _, scale, columns, branches = data._encoded
     half, sign = len(columns[0]), 1 if n > 0 else -1
     sums = branch_shell_sums(x, branches, size)  # f's parts, then g's

@@ -102,22 +102,6 @@ class GraphParams:
         return ReducedWord(self, ((index, exponent),))
 
 
-def _reduce(syllables, k: int) -> tuple:
-    out: list = []
-    for g, e in syllables:
-        e %= k
-        if e == 0:
-            continue
-        if out and out[-1][0] == g:
-            merged = (out[-1][1] + e) % k
-            out.pop()
-            if merged:
-                out.append((g, merged))
-        else:
-            out.append((g, e))
-    return tuple(out)
-
-
 class ReducedWord:
     """An element of the free product of r copies of Z/kZ, kept reduced.
 
@@ -152,11 +136,21 @@ class ReducedWord:
         return len(self.syllables)
 
     def __mul__(self, other: "ReducedWord") -> "ReducedWord":
-        if self.params != other.params:
+        # both factors are reduced, so only the junction reduces: a's last
+        # syllable cancels or merges with b's first while they share a
+        # generator, and a merge that leaves a nonzero exponent ends it
+        params = self.params
+        if other.params is not params and other.params != params:
             raise ValueError("cannot multiply words over different graph parameters")
-        return ReducedWord._make(
-            self.params, _reduce(self.syllables + other.syllables, self.params.k)
-        )
+        a, b, k = self.syllables, other.syllables, params.k
+        i, j = len(a), 0
+        while i and j < len(b) and a[i - 1][0] == b[j][0]:
+            g, e = a[i - 1]
+            merged = (e + b[j][1]) % k
+            i, j = i - 1, j + 1
+            if merged:
+                return ReducedWord._make(params, a[:i] + ((g, merged),) + b[j:])
+        return ReducedWord._make(params, a[:i] + b[j:])
 
     def __invert__(self) -> "ReducedWord":
         k = self.params.k
@@ -167,7 +161,9 @@ class ReducedWord:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ReducedWord):
             return NotImplemented
-        return self.syllables == other.syllables and self.params == other.params
+        return self.syllables == other.syllables and (
+            self.params is other.params or self.params == other.params
+        )
 
     def __hash__(self):
         return self._hash

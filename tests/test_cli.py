@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import functools
 import io
 import json
 import re
@@ -58,6 +59,31 @@ def test_cli_stdout_matches_the_golden_file(capsys):
         code, out = run(capsys, *shlex.split(case["command"]))
         assert code == 0, case["command"]
         assert RUNTIME_MS.sub("", out) == case["stdout"], case["command"]
+
+
+def test_cached_parser_answers_repeats_alike(capsys):
+    # main reuses one parser per process; a second run of each command line
+    # in the same process gives the same exit code, stdout and stderr
+    assert symgraph.cli.build_parser() is symgraph.cli.build_parser()
+    argvs = [shlex.split(case["command"]) for case in json.loads(GOLDEN.read_text(encoding="utf-8"))]
+    argvs += [["--help"], ["wave", "--help"], ["info", "--k", "3", "--r", "4"],
+              # the malformed command lines of the cli_mix benchmark workload
+              ["abel", "--k", "3", "--r", "4", "--radial=abc"],
+              ["info", "--k", "1", "--r", "4"],
+              ["table", "delta", "--k", "3", "--r", "4", "--nmax", "40"]]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exit:
+            code = exit.code
+        captured = capsys.readouterr()
+        return code, RUNTIME_MS.sub("", captured.out), captured.err
+
+    for argv in argvs:
+        first = outcome(argv)
+        assert outcome(argv) == first, argv
+    assert [outcome(argv)[0] for argv in argvs[-6:]] == [0, 0, 0, 2, 2, 2]
 
 
 def test_info_exact_fields(capsys):
@@ -454,6 +480,98 @@ def test_radial_work_bound_refuses_before_arithmetic(capsys, monkeypatch):
                  lambda: abel(f), lambda: abel_inv_rearranged(EvenSeq.of(params, f.values))):
         with pytest.raises(ValueError, match=str(MAX_CLOSED_BITS)):
             call()
+
+
+@pytest.fixture
+def str_digits():
+    """Set the interpreter's int-to-str digit limit for one test, then restore it."""
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)
+
+
+class _Admitted(Exception):
+    pass
+
+
+def _admitted(monkeypatch, capsys, solver, argv):
+    """Whether main passes every up-front check of argv and reaches ``solver``;
+    a refusal must be the printable bound's."""
+    def reached(*args, **kwargs):
+        raise _Admitted
+
+    with monkeypatch.context() as patch:
+        patch.setattr(symgraph.cli, solver, reached)
+        try:
+            code = main(argv)
+        except _Admitted:
+            return True
+    assert code == 2 and "would print an integer" in capsys.readouterr().err, argv
+    return False
+
+
+PRINTABLE_REFUSAL = "error: an exact output would print an integer of more than 4300 digits\n"
+
+
+def test_printable_bound_refuses_at_its_edge(capsys, monkeypatch, str_digits):
+    str_digits(4300)
+    # the integers of dual at (100, 100) pass 4300 digits from --nmax 2154 on;
+    # the bound refuses from 2148 on, before the transform runs
+    for nmax in ("2148", "2160"):
+        assert not _admitted(monkeypatch, capsys, "dual_abel",
+                             ["dual", "--k", "100", "--r", "100", "--even", "1", "--nmax", nmax])
+    # the last admitted request prints and the next is refused.  The inputs'
+    # size counts: a 4200-digit denominator leaves room for 245 powers of
+    # sqrt(6) in dual, and plancherel squares its input.  The values print up
+    # to 256 powers, to a plancherel denominator of 2150 nines and, in wave,
+    # to time 6850: the bound is conservative by a few percent of a power
+    base = ["--k", "3", "--r", "4"]
+    edges = (
+        (lambda n: ["dual", *base, "--even", "1/" + "9" * 4200, "--nmax", str(n)], 245),
+        (lambda n: ["plancherel", *base, "--radial", "1/" + "9" * n], 2147),
+        (lambda n: ["wave", "--k", "3", "--r", "10", "--f", "e:1", "--g", "a0^1:1",
+                    "--method", "closed", "--steps", "9000", "--at", f"e,{n}"], 6841),
+    )
+    for argv, edge in edges:
+        code, doc = run_json(capsys, *argv(edge))
+        assert code == 0 and doc["outputs"], argv(edge)[0]
+        assert main(argv(edge + 1)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == PRINTABLE_REFUSAL
+
+
+@pytest.mark.parametrize("k, r", [(12, 3), (3, 12), (9, 9)])
+def test_every_admitted_exact_output_prints(capsys, monkeypatch, str_digits, k, r):
+    # at the lowest digit limit, and with inputs of 212-digit denominators, the
+    # edges are short; at each command's largest admitted size every exact
+    # value prints.  Rows keep only the text, since growing values leave the
+    # float range first
+    str_digits(640)
+    monkeypatch.setattr(symgraph.cli, "_rows",
+                        lambda key, value: [{"key": key, "exact": str(value), "float": None}])
+    # values are immutable, so the many equal inputs may share one parse
+    monkeypatch.setattr(symgraph.cli, "parse_value", functools.lru_cache(symgraph.cli.parse_value))
+    value = f"1/{7 ** 250}+2/3*sqrt({(k - 1) * (r - 1)})"
+    base = ["--k", str(k), "--r", str(r)]
+    commands = {
+        "abel": ("abel", lambda n: ["abel", *base, "--radial", ",".join([value] * n)]),
+        "abel_inv": ("abel-inv", lambda n: ["abel-inv", *base, "--even", ",".join([value] * n)]),
+        "dual_abel": ("dual", lambda n: ["dual", *base, "--even", value, "--nmax", str(n)]),
+        "dual_abel_inv": ("dual-inv",
+                          lambda n: ["dual-inv", *base, "--radial", ",".join([value] * n)]),
+        "wave_closed_at": ("wave", lambda n: ["wave", *base, "--f", f"e:{value}", "--g",
+                                              f"a0^1:{value}", "--method", "closed",
+                                              "--steps", str(n), "--at", f"a1^1,{n}"]),
+    }
+    for solver, (name, argv) in commands.items():
+        lo, hi = 1, 1500
+        assert _admitted(monkeypatch, capsys, solver, argv(lo)) and not _admitted(
+            monkeypatch, capsys, solver, argv(hi))
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if _admitted(monkeypatch, capsys, solver, argv(mid)) else (lo, mid)
+        code, doc = run_json(capsys, *argv(lo))
+        assert code == 0 and doc["outputs"], name
 
 
 def test_plancherel_tolerance_scales_with_the_norm(capsys):

@@ -1,9 +1,11 @@
+import inspect
 import itertools
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import symgraph.words
 from symgraph.words import (
     GraphParams,
     ReducedWord,
@@ -184,3 +186,68 @@ def test_associativity_exhaustive_small():
             for y in words:
                 for z in words:
                     assert (x * y) * z == x * (y * z)
+
+
+def reference_reduce(syllables, k):
+    """Full reduction of a syllable list, one syllable at a time: the
+    definition the junction-only product must agree with."""
+    out = []
+    for g, e in syllables:
+        e %= k
+        if not e:
+            continue
+        if out and out[-1][0] == g:
+            e = (out.pop()[1] + e) % k
+            if e:
+                out.append((g, e))
+        else:
+            out.append((g, e))
+    return tuple(out)
+
+
+@st.composite
+def graph_and_words(draw):
+    """A graph with k in 2..5 and r in 2..4, and three reduced words on it.
+    Each later word starts with the inverse of a suffix of the one before,
+    with its first exponent sometimes shifted, so products cancel and merge
+    deep into the junction."""
+    k, r = draw(st.integers(2, 5)), draw(st.integers(2, 4))
+    params = GraphParams(k, r)
+    syllables = st.lists(st.tuples(st.integers(0, r - 1), st.integers(1, k - 1)), max_size=7)
+    words = [ReducedWord(params, reference_reduce(draw(syllables), k))]
+    for _ in range(2):
+        before = words[-1].syllables
+        cut = draw(st.integers(0, len(before)))
+        head = [(g, k - e) for g, e in reversed(before[cut:])]
+        if head:
+            head[-1] = (head[-1][0], head[-1][1] + draw(st.integers(0, k - 1)))
+        words.append(ReducedWord(params, reference_reduce(head + draw(syllables), k)))
+    return params, words
+
+
+@given(graph_and_words())
+def test_product_is_the_reduced_concatenation(case):
+    params, (x, y, z) = case
+    for a, b in ((x, y), (y, z), (x, z), (y, x)):
+        product = a * b
+        assert product.syllables == reference_reduce(a.syllables + b.syllables, params.k)
+        assert product == ReducedWord(params, product.syllables)
+    assert (x * y) * z == x * (y * z)
+    assert x * ~x == params.identity() == ~x * x
+    twin = GraphParams(params.k, params.r)
+    assert twin is not params
+    assert ReducedWord(twin, x.syllables) * y == x * y
+    assert ReducedWord(twin, x.syllables) == x
+    for other in (GraphParams(params.k + 1, params.r), GraphParams(params.k, params.r + 1)):
+        with pytest.raises(ValueError, match="different graph"):
+            x * other.identity()
+        with pytest.raises(ValueError, match="different graph"):
+            other.identity() * y
+
+
+def test_tracer_hooks_stay_in_place():
+    # the bench tracer counts vertices only through generator functions and
+    # counts products by patching __mul__ on the class
+    assert inspect.isgeneratorfunction(symgraph.words.ball)
+    assert inspect.isgeneratorfunction(symgraph.words.sphere)
+    assert "__mul__" in ReducedWord.__dict__
