@@ -23,8 +23,15 @@ evaluated with running prefix or suffix sums in O(N) ring operations; the
 float lane scales the sums to the size of the values and multiplies them by
 no rounded constant repeatedly.  The oracles (``radon``, ``abel_via_radon``,
 ``dual_abel_via_counts``, ``dual_abel_inv_recurrence``) keep their direct
-paths.  A closed form of N values holds about N^2 log2(q) bits, and one past
+paths.  The two dual oracles run on the ring's encoded parts (``encode``,
+``times_root``, ``decode``): their terms are integer combinations of the
+input's parts over one denominator, decoded once per output value.  That is
+shared arithmetic, not a shared formula, so each still checks the closed form
+by its own route: the counts sum and the forward recurrence.
+
+A closed form of N values holds about N^2 log2(q) bits, and one past
 ``MAX_CLOSED_BITS`` is refused with ``ValueError`` before any arithmetic.
+The dual transforms refuse a negative ``n_max`` with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -130,6 +137,15 @@ def _check_size(params: GraphParams, length: int) -> None:
             f"{length} values on the ({params.k}, {params.r}) graph need a closed form "
             f"of more than {MAX_CLOSED_BITS} bits"
         )
+
+
+def _n_max(seq: _Seq, n_max: int | None) -> int:
+    # the last index a dual transform returns: the support radius by default
+    if n_max is None:
+        return seq.support_radius
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    return n_max
 
 
 # -- Radon transform ----------------------------------------------------------
@@ -264,7 +280,8 @@ def dual_abel(g: EvenSeq, n_max: int | None = None) -> RadialSeq:
     where sum' runs over the signed integers -n < j < n of the stated parity
     (j = 0 once).  The middle exponent -(n+1)/2 is the one forced by the
     duality pairing, which the tests enforce against the counting definition.
-    The result is generally not finitely supported, hence ``n_max``.
+    The result is generally not finitely supported, hence ``n_max`` (default:
+    the input support radius; a negative one raises ``ValueError``).
 
     The two parity sums are running sums: from n to n+1 the window gains
     j = +-n, so (same, diff) becomes (diff, same + 2 g(n)).  O(n_max) ring
@@ -272,8 +289,7 @@ def dual_abel(g: EvenSeq, n_max: int | None = None) -> RadialSeq:
     """
     params, ring = g.params, g.ring
     r = params.r
-    if n_max is None:
-        n_max = g.support_radius
+    n_max = _n_max(g, n_max)
     _check_size(params, n_max + 1)
     out = [g.value(0)]
     same, diff = ring.zero, g.value(0)
@@ -292,18 +308,33 @@ def dual_abel_via_counts(g: EvenSeq, n_max: int | None = None) -> RadialSeq:
     A*g(n) = (1/delta(n)) sum_h g(h) q^(h/2) b(n, h) with b the closed
     sphere-horocycle counts; this is the adjoint of the Abel transform under
     the counting pairing and serves as the arbiter for the closed form.
+
+    The sum runs on the parts of g as the ring's ``encode`` gives them, over
+    one denominator D.  Times sqrt(q)^n, the weight q^(h/2) b(n, h) is the
+    integer b(n, h) q^((h+n)//2), with one more sqrt(q) when h + n is odd, so
+    the terms of each parity add as plain numbers, the odd sum takes its
+    sqrt(q) by one ``times_root``, and one ``decode`` over D delta(n) sqrt(q)^n
+    gives A*g(n).  Sharing ``encode`` and ``decode`` with the closed forms is
+    sharing arithmetic, not a formula: no term here is grouped as in
+    ``dual_abel``.  A negative ``n_max`` raises ``ValueError``.
     """
     params, ring = g.params, g.ring
-    if n_max is None:
-        n_max = g.support_radius
+    q, M = params.q, g.support_radius
+    n_max = _n_max(g, n_max)
+    scale, (parts,) = ring.encode([g.values])
+    parts = [column.tolist() for column in parts]
+    powers = [q**e for e in range(n_max + 1)]
     out = []
     for n in range(n_max + 1):
-        acc = ring.zero
-        for h in range(-n, n + 1):
+        sums = [[0] * len(parts), [0] * len(parts)]  # h + n even, h + n odd
+        for h in range(-min(n, M), min(n, M) + 1):
             count = sphere_horocycle_count(params, n, h)
             if count:
-                acc = acc + ring.qpow(h) * g.value(h) * count
-        out.append(acc * Fraction(1, params.delta(n)))
+                weight, acc = count * powers[(h + n) // 2], sums[(h + n) % 2]
+                for i, column in enumerate(parts):
+                    acc[i] += weight * column[abs(h)]
+        total = [[a + b] for a, b in zip(sums[0], ring.times_root(sums[1]))]
+        out.append(ring.decode(total, scale * params.delta(n), n)[0])
     return RadialSeq(params, tuple(out), g.exact)
 
 
@@ -317,7 +348,8 @@ def dual_abel_inv(f: RadialSeq, n_max: int | None = None) -> EvenSeq:
 
     The inverse image of compactly supported data is not compactly
     supported; ``n_max`` (default: the input support radius, which keeps
-    windowed round trips exact) bounds the returned values.
+    windowed round trips exact; a negative one raises ``ValueError``) bounds
+    the returned values.
 
     The window splits into two prefix sums over j <= n-2, both scaled by
     q^(-(n+2)/2) so that neither outgrows the values:
@@ -332,7 +364,7 @@ def dual_abel_inv(f: RadialSeq, n_max: int | None = None) -> EvenSeq:
     k, r, q = params.k, params.r, params.q
     deg = params.degree
     sigma = params.sigma
-    N = f.support_radius if n_max is None else n_max
+    N = _n_max(f, n_max)
     _check_size(params, N + 1)
     out = [f.value(0)]
     out.append(ring.qpow(-1) * (f.value(1) * Fraction(deg, 2) - f.value(0) * Fraction(sigma, 2)))
@@ -363,23 +395,30 @@ def dual_abel_inv_recurrence(f: RadialSeq, n_max: int | None = None) -> EvenSeq:
 
     with G(0) = f(0) and G(1) = (r(k-1)/2) f(1) - ((k-2)/2) f(0).  Solving
     forwards gives an evaluation path independent of the closed form.
+
+    The forcing term is (r(k-1)/2) (q^(n+1) f(n+2) - q^n f(n)), with no
+    sqrt(q), so H(n) = 2 D G(n) runs on the parts of f as the ring's
+    ``encode`` gives them, over one denominator D, with integer coefficients;
+    one ``decode`` over 2 D sqrt(q)^n gives g(n).  A negative ``n_max``
+    raises ``ValueError``.
     """
     params, ring = f.params, f.ring
-    sigma, k = params.sigma, params.k
+    sigma, k, q = params.sigma, params.k, params.q
     deg = params.degree
-    N = f.support_radius if n_max is None else n_max
-    half = Fraction(1, 2)
-
-    big_g = [f.value(0)]
-    big_g.append((f.value(1) * deg - f.value(0) * sigma) * half)
-    for n in range(N - 1):
-        forcing = (
-            ring.qpow(n)
-            * (ring.qpow(n + 2) * f.value(n + 2) - ring.qpow(n) * f.value(n))
-            * Fraction(deg, 2)
-        )
-        big_g.append(forcing - big_g[n + 1] * sigma + big_g[n] * (k - 1))
-    out = [ring.qpow(-n) * big_g[n] for n in range(N + 1)]
+    N = _n_max(f, n_max)
+    scale, (parts,) = ring.encode([f.values[: N + 1]])
+    columns = []
+    for column in parts:
+        part = column.tolist() + [0] * (N + 2 - len(column))  # f(0), ..., f(N+1)
+        big_h = [2 * part[0], deg * part[1] - sigma * part[0]]
+        power = 1  # q^n
+        for n in range(N - 1):
+            forcing = deg * power * (q * part[n + 2] - part[n])
+            big_h.append(forcing - sigma * big_h[n + 1] + (k - 1) * big_h[n])
+            power *= q
+        columns.append(big_h[: N + 1])
+    out = [ring.decode([[h] for h in column], 2 * scale, n)[0]
+           for n, column in enumerate(zip(*columns))]
     return EvenSeq(params, tuple(out), f.exact)
 
 

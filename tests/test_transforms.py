@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symgraph.algebraic import AlgebraicValue, q_half_power
-from symgraph.boundary import BoundaryRay, DepthError
+from symgraph.boundary import BoundaryRay, DepthError, sphere_horocycle_count
 from symgraph.transforms import (
     EvenSeq,
     RadialSeq,
@@ -346,3 +346,130 @@ def test_float_running_sums_stay_in_range_where_the_values_do():
         assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-13 * scale, transform.__name__
         if kind is RadialSeq:
             assert 1e160 < scale < 1e300
+
+
+# -- the dual Abel oracles against their per-term ring loops ---------------------------
+#
+# Both oracles run on the ring's encoded integer parts.  These are the loops they
+# replace, one ring value per term: the exact lane must agree with == and equal
+# repr, the float lane to rounding.
+
+
+def _reference_dual_abel_via_counts(g, n_max):
+    params, ring = g.params, g.ring
+    out = []
+    for n in range(n_max + 1):
+        acc = ring.zero
+        for h in range(-n, n + 1):
+            count = sphere_horocycle_count(params, n, h)
+            if count:
+                acc = acc + ring.qpow(h) * g.value(h) * count
+        out.append(acc * Fraction(1, params.delta(n)))
+    return tuple(out)
+
+
+def _reference_dual_abel_inv_recurrence(f, n_max):
+    params, ring = f.params, f.ring
+    sigma, k = params.sigma, params.k
+    deg = params.degree
+    N = n_max
+    half = Fraction(1, 2)
+    big_g = [f.value(0)]
+    big_g.append((f.value(1) * deg - f.value(0) * sigma) * half)
+    for n in range(N - 1):
+        forcing = (
+            ring.qpow(n)
+            * (ring.qpow(n + 2) * f.value(n + 2) - ring.qpow(n) * f.value(n))
+            * Fraction(deg, 2)
+        )
+        big_g.append(forcing - big_g[n + 1] * sigma + big_g[n] * (k - 1))
+    return tuple(ring.qpow(-n) * big_g[n] for n in range(N + 1))
+
+
+ORACLES = [(dual_abel_via_counts, EvenSeq, _reference_dual_abel_via_counts),
+           (dual_abel_inv_recurrence, RadialSeq, _reference_dual_abel_inv_recurrence)]
+ORACLE_LENGTHS = (0, 1, 2, 5, 40)
+
+
+def _fractional_value(rng, q):
+    # a + b sqrt(q) whose canonical denominator is not 1
+    while True:
+        value = AlgebraicValue(Fraction(rng.randint(-9, 9), rng.randint(2, 9)),
+                               Fraction(rng.randint(-9, 9), rng.randint(2, 9)), q)
+        if value.triple[2] != 1:
+            return value
+
+
+def _oracle_cases(params, rng):
+    """(N, n_max, values) with n_max the default and three past the support."""
+    for N in ORACLE_LENGTHS:
+        values = [_fractional_value(rng, params.q) for _ in range(N + 1)]
+        for n_max in (None, N + 3):
+            yield N, n_max, values
+
+
+def test_oracles_equal_their_per_term_loops():
+    rng = random.Random(37)
+    for params in GRID:  # q = 1 at (2, 2) and q = 4 at (3, 3) fold sqrt(q) away
+        for N, n_max, values in _oracle_cases(params, rng):
+            for oracle, kind, reference in ORACLES:
+                seq = kind.of(params, values)
+                got = oracle(seq, n_max).values
+                want = reference(seq, N if n_max is None else n_max)
+                assert got == want, (params, N, n_max, oracle.__name__)
+                assert [repr(v) for v in got] == [repr(v) for v in want]
+
+
+def test_oracles_float_lane_matches_the_per_term_loops():
+    rng = random.Random(41)
+    for params in GRID:
+        for N, n_max, values in _oracle_cases(params, rng):
+            real = [float(v) for v in values]
+            mixed = [complex(v, float(w)) for v, w in zip(real, reversed(real))]
+            for inputs in (real, mixed):
+                for oracle, kind, reference in ORACLES:
+                    seq = kind.of(params, inputs, exact=False)
+                    got = oracle(seq, n_max).values
+                    want = reference(seq, N if n_max is None else n_max)
+                    # Python numbers, not numpy scalars; a term-free value is a
+                    # float 0.0 in both, even among complex values
+                    assert [type(v) for v in got] == [type(v) for v in want]
+                    assert {type(v) for v in got} <= {float, complex}, oracle.__name__
+                    for a, b in zip(got, want):
+                        assert abs(a - b) <= 1e-12 * abs(b), (params, N, oracle.__name__)
+
+
+def test_counts_oracle_refuses_the_wrong_middle_exponent():
+    # dual_abel's middle term carries q^(-(n+1)/2); with q^(-n/2) there the
+    # pairing fails, and the counts oracle must tell the two apart wherever
+    # that term is present: k > 2 (sigma = k - 2 is its coefficient) and q > 1
+    rng = random.Random(43)
+    for params in GRID:
+        g = EvenSeq.of(params, [_fractional_value(rng, params.q) for _ in range(6)])
+        ring, r = g.ring, params.r
+        wrong = [g.value(0)]
+        for n in range(1, 6):
+            same = sum((g.value(j) for j in range(-n + 1, n) if (n - j) % 2 == 0), ring.zero)
+            diff = sum((g.value(j) for j in range(-n + 1, n) if (n - j) % 2), ring.zero)
+            wrong.append(ring.qpow(-n) * (g.value(n) * Fraction(2 * (r - 1), r)
+                                          + diff * Fraction(params.sigma * (r - 1), r)
+                                          + same * Fraction(r - 2, r)))
+        counted = dual_abel_via_counts(g).values
+        assert counted == dual_abel(g).values
+        if params.sigma and params.q > 1:
+            assert counted != tuple(wrong), params
+        else:
+            assert counted == tuple(wrong), params
+
+
+def test_negative_n_max_is_refused_alike():
+    g = EvenSeq.of(P34, [1, 2])
+    f = RadialSeq.of(P34, [1, 2])
+    messages = set()
+    for transform, seq in ((dual_abel, g), (dual_abel_via_counts, g),
+                           (dual_abel_inv, f), (dual_abel_inv_recurrence, f)):
+        with pytest.raises(ValueError) as err:
+            transform(seq, n_max=-1)
+        messages.add(str(err.value))
+        assert transform(seq, n_max=0).values == (seq.values[0],)
+    assert messages == {"n_max must be nonnegative, got -1"}
