@@ -19,23 +19,30 @@ Conventions:
 
 The closed forms state the paper's formulas as double sums.  Each kernel is a
 sum of at most two geometric series, with ratios q and 1-k, so each form is
-evaluated with running prefix or suffix sums in O(N) ring operations; the
-float lane scales the sums to the size of the values and multiplies them by
-no rounded constant repeatedly.  The oracles (``radon``, ``abel_via_radon``,
-``dual_abel_via_counts``, ``dual_abel_inv_recurrence``) keep their direct
-paths.  The two dual oracles run on the ring's encoded parts (``encode``,
-``times_root``, ``decode``): their terms are integer combinations of the
-input's parts over one denominator, decoded once per output value.  That is
-shared arithmetic, not a shared formula, so each still checks the closed form
-by its own route: the counts sum and the forward recurrence.
+evaluated with running prefix or suffix sums in O(N) operations.  The three
+Abel forms run on ring values; their float lane scales the sums to the size
+of the values and multiplies them by no rounded constant repeatedly.  The
+dual pair (``dual_abel``, ``dual_abel_inv``) runs on the ring's encoded parts
+(``encode``, ``times_root``, ``decode``): its running sums are integer
+combinations of the input's parts over one denominator, decoded once per
+output value.  The integers of ``dual_abel_inv`` carry q^n, past a float's
+range long before its values are, so its float lane lifts each input to its
+exact binary rational, runs the same integer path and rounds each output
+once.  The oracles (``radon``, ``abel_via_radon``, ``dual_abel_via_counts``,
+``dual_abel_inv_recurrence``) keep their direct paths.  The two dual oracles
+run on encoded parts too; that is shared arithmetic, not a shared formula, so
+each still checks the closed form by its own route: the counts sum and the
+forward recurrence.
 
 A closed form of N values holds about N^2 log2(q) bits, and one past
-``MAX_CLOSED_BITS`` is refused with ``ValueError`` before any arithmetic.
-The dual transforms refuse a negative ``n_max`` with ``ValueError``.
+``MAX_CLOSED_BITS`` is refused with ``ValueError`` before any arithmetic;
+the dual oracles share that bound.  The dual transforms refuse a negative
+``n_max`` with ``ValueError``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -284,21 +291,27 @@ def dual_abel(g: EvenSeq, n_max: int | None = None) -> RadialSeq:
     the input support radius; a negative one raises ``ValueError``).
 
     The two parity sums are running sums: from n to n+1 the window gains
-    j = +-n, so (same, diff) becomes (diff, same + 2 g(n)).  O(n_max) ring
-    operations; an n_max past ``MAX_CLOSED_BITS`` raises ``ValueError`` first.
+    j = +-n, so (same, diff) becomes (diff, same + 2 g(n)).  They run on the
+    parts of g as the ring's ``encode`` gives them, over one denominator D.
+    Times r sqrt(q)^(n+1), A*g(n) is sqrt(q) (2 (r-1) g(n) + (r-2) same)
+    + (k-2) (r-1) diff, an integer combination taking its sqrt(q) by one
+    ``times_root``, and one ``decode`` over r D sqrt(q)^(n+1) gives A*g(n),
+    in either lane.  O(n_max) integer operations; an n_max past
+    ``MAX_CLOSED_BITS`` raises ``ValueError`` first.
     """
     params, ring = g.params, g.ring
-    r = params.r
+    r, sigma = params.r, params.sigma
     n_max = _n_max(g, n_max)
     _check_size(params, n_max + 1)
-    out = [g.value(0)]
-    same, diff = ring.zero, g.value(0)
+    scale, (parts,) = ring.encode([g.values[: n_max + 1]])
+    columns = [column.tolist() + [0] * (n_max + 1 - len(column)) for column in parts]
+    out = ring.decode([[column[0]] for column in columns], scale, 0)
+    same, diff = [0] * len(columns), [column[0] for column in columns]
     for n in range(1, n_max + 1):
-        gn = g.value(n)
-        acc = ring.qpow(-n) * (gn * Fraction(2 * (r - 1), r) + same * Fraction(r - 2, r))
-        acc = acc + ring.qpow(-(n + 1)) * diff * Fraction(params.sigma * (r - 1), r)
-        out.append(acc)
-        same, diff = diff, same + gn * 2
+        inner = [2 * (r - 1) * column[n] + (r - 2) * s for column, s in zip(columns, same)]
+        total = [[x + sigma * (r - 1) * d] for x, d in zip(ring.times_root(inner), diff)]
+        out.append(ring.decode(total, r * scale, n + 1)[0])
+        same, diff = diff, [s + 2 * column[n] for column, s in zip(columns, same)]
     return RadialSeq(params, tuple(out), g.exact)
 
 
@@ -316,11 +329,13 @@ def dual_abel_via_counts(g: EvenSeq, n_max: int | None = None) -> RadialSeq:
     sqrt(q) by one ``times_root``, and one ``decode`` over D delta(n) sqrt(q)^n
     gives A*g(n).  Sharing ``encode`` and ``decode`` with the closed forms is
     sharing arithmetic, not a formula: no term here is grouped as in
-    ``dual_abel``.  A negative ``n_max`` raises ``ValueError``.
+    ``dual_abel``.  A negative ``n_max``, or one past ``MAX_CLOSED_BITS``,
+    raises ``ValueError`` before any arithmetic.
     """
     params, ring = g.params, g.ring
     q, M = params.q, g.support_radius
     n_max = _n_max(g, n_max)
+    _check_size(params, n_max + 1)
     scale, (parts,) = ring.encode([g.values])
     parts = [column.tolist() for column in parts]
     powers = [q**e for e in range(n_max + 1)]
@@ -351,38 +366,72 @@ def dual_abel_inv(f: RadialSeq, n_max: int | None = None) -> EvenSeq:
     windowed round trips exact; a negative one raises ``ValueError``) bounds
     the returned values.
 
-    The window splits into two prefix sums over j <= n-2, both scaled by
-    q^(-(n+2)/2) so that neither outgrows the values:
-    P(n) = sum q^(j-(n+2)/2) f~(j) and Q(n) = sum (1-k)^(n-j) q^(j-(n+2)/2) f~(j),
-    where f~(0) = ((r-1)/r) f(0) folds the f(0) term in and f~(j) = f(j)
-    after.  Each sum steps from n-2 to n: divide by q (times (1-k)^2 for Q)
-    and add the terms j = n-3, n-2, so no rounded constant compounds in the
-    float lane.  O(N) ring operations; N past ``MAX_CLOSED_BITS`` raises
-    ``ValueError`` first.
+    The window runs on the parts of f as the ring's ``encode`` gives them,
+    over one denominator D.  With F(0) = (r-1) f(0) and F(j) = r f(j) after,
+    it splits into two prefix sums over j <= n-2,
+    P(n) = sum q^j F(j) and Q(n) = sum (1-k)^(n-j) q^j F(j), each a plain
+    integer stepped from n-1 to n.  Times 2kr sqrt(q)^(n+2), g(n) is
+
+        -deg [(q-1) P(n) + (r-k) Q(n)] + k r deg q^(n-1) (q f(n) - sigma f(n-1))
+
+    with deg = r(k-1) and sigma = k-2, an integer with no sqrt(q), so one
+    ``decode`` over 2krD sqrt(q)^(n+2) gives g(n); g(0) and g(1) are decoded
+    over the same denominator.  O(N) integer operations; N past
+    ``MAX_CLOSED_BITS`` raises ``ValueError`` first.
+
+    These integers carry q^n, which outgrows a float long before the values
+    do (about 1e325 at (3, 4) and N = 420, where the values stay near 1e163),
+    so the float lane lifts the real and the imaginary part of each input to
+    its exact binary rational, runs the same integer path and rounds each
+    output once: each output is float() of the exact transform of those
+    rationals, and a complex input gives complex(result on the real parts,
+    result on the imaginary parts).  A NaN or infinite input raises
+    ``ValueError``, and an output past the float range ``OverflowError``.
     """
-    params, ring = f.params, f.ring
-    k, r, q = params.k, params.r, params.q
-    deg = params.degree
-    sigma = params.sigma
+    params = f.params
     N = _n_max(f, n_max)
     _check_size(params, N + 1)
-    out = [f.value(0)]
-    out.append(ring.qpow(-1) * (f.value(1) * Fraction(deg, 2) - f.value(0) * Fraction(sigma, 2)))
-    root_inv = ring.qpow(-1)
-    t = (1 - k) ** 2
-    plain = [ring.zero, ring.zero]  # P(n) at the last even and the last odd n
-    geometric = [ring.zero, ring.zero]  # Q(n) likewise
-    newest = ring.zero  # the j = n-3 term of P(n-1)
-    for n in range(2, N + 1):
-        previous = newest * root_inv  # the j = n-3 term of P(n)
-        newest = ring.qpow(n - 6) * (f.value(n - 2) if n > 2 else f.value(0) * Fraction(r - 1, r))
-        plain[n % 2] = plain[n % 2] / q + previous + newest
-        geometric[n % 2] = geometric[n % 2] * t / q + (previous * (1 - k) + newest) * t
-        acc = (plain[n % 2] * (q - 1) + geometric[n % 2] * (r - k)) * Fraction(-deg, 2 * k)
-        acc = acc - ring.qpow(n - 4) * f.value(n - 1) * Fraction(deg * sigma, 2)
-        acc = acc + ring.qpow(n - 2) * f.value(n) * Fraction(deg, 2)
-        out.append(acc)
-    return EvenSeq(params, tuple(out[: N + 1]), f.exact)
+    values = f.values[: N + 1]
+    if f.exact:
+        return EvenSeq(params, _dual_abel_inv_exact(params, f.ring, values, N), True)
+    exact = ring_of(params.q)
+    real = _dual_abel_inv_exact(params, exact, [_lift(v.real) for v in values], N)
+    out = [float(v) for v in real]
+    if any(isinstance(v, complex) for v in values):
+        imag = _dual_abel_inv_exact(params, exact, [_lift(v.imag) for v in values], N)
+        out = [complex(a, float(b)) for a, b in zip(out, imag)]
+    return EvenSeq(params, tuple(out), False)
+
+
+def _lift(x: float) -> Fraction:
+    # the exact binary rational of a finite float
+    if not math.isfinite(x):
+        raise ValueError(f"dual_abel_inv needs finite inputs, got {x!r}")
+    return Fraction(x)
+
+
+def _dual_abel_inv_exact(params: GraphParams, ring, values, N: int) -> tuple:
+    # g(0..N) of ``dual_abel_inv`` on values f(0..N) of the exact ring
+    k, r, q = params.k, params.r, params.q
+    deg, sigma = params.degree, params.sigma
+    scale, (parts,) = ring.encode([values])
+    columns = []
+    for column in parts:
+        part = column.tolist() + [0] * (N + 2 - len(column))  # f(0), ..., f(N+1)
+        # g(0) and g(1) times 2kr sqrt(q)^2 and 2kr sqrt(q)^3
+        scaled = [2 * k * r * q * part[0], k * r * q * (deg * part[1] - sigma * part[0])]
+        plain = geometric = 0  # P(n), Q(n)
+        power = 1  # q^(n-2)
+        for n in range(2, N + 1):
+            term = power * (r * part[n - 2] if n > 2 else (r - 1) * part[0])  # q^(n-2) F(n-2)
+            plain += term
+            geometric = (1 - k) * (geometric + (1 - k) * term)
+            power *= q
+            scaled.append(k * r * deg * power * (q * part[n] - sigma * part[n - 1])
+                          - deg * ((q - 1) * plain + (r - k) * geometric))
+        columns.append(scaled[: N + 1])
+    return tuple(ring.decode([[x] for x in column], 2 * k * r * scale, n + 2)[0]
+                 for n, column in enumerate(zip(*columns)))
 
 
 def dual_abel_inv_recurrence(f: RadialSeq, n_max: int | None = None) -> EvenSeq:
@@ -399,13 +448,14 @@ def dual_abel_inv_recurrence(f: RadialSeq, n_max: int | None = None) -> EvenSeq:
     The forcing term is (r(k-1)/2) (q^(n+1) f(n+2) - q^n f(n)), with no
     sqrt(q), so H(n) = 2 D G(n) runs on the parts of f as the ring's
     ``encode`` gives them, over one denominator D, with integer coefficients;
-    one ``decode`` over 2 D sqrt(q)^n gives g(n).  A negative ``n_max``
-    raises ``ValueError``.
+    one ``decode`` over 2 D sqrt(q)^n gives g(n).  A negative ``n_max``, or
+    one past ``MAX_CLOSED_BITS``, raises ``ValueError`` before any arithmetic.
     """
     params, ring = f.params, f.ring
     sigma, k, q = params.sigma, params.k, params.q
     deg = params.degree
     N = _n_max(f, n_max)
+    _check_size(params, N + 1)
     scale, (parts,) = ring.encode([f.values[: N + 1]])
     columns = []
     for column in parts:

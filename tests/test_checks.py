@@ -75,6 +75,7 @@ CASES = [
     ("abel", "abel_inv_rearranged", first_value_plus_one, "abel-inv-variants",
      "abel-forward-inverse"),
     ("dual", "dual_abel_via_counts", first_value_plus_one, "dual-closed-vs-counts", "dual-abel"),
+    ("dual", "dual_abel", first_value_plus_one, "dual-closed-vs-counts", "dual-abel"),
     ("dual", "abel", first_value_plus_one, "dual-pairing", "dual-abel"),
     ("dual", "dual_abel_inv", first_value_plus_one, "dual-roundtrip", "dual-abel"),
     ("dual", "dual_abel_inv_recurrence", first_value_plus_one, "dual-inv-variants", "dual-abel"),
@@ -86,8 +87,16 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("suite, path, perturb, failure, success", CASES,
-                         ids=[f"{case[0]}-{case[3]}" for case in CASES])
+def _case_ids(cases):
+    # suite-failure, with the perturbed path added when an earlier case has that id
+    ids = []
+    for suite, path, _, failure, _ in cases:
+        name = f"{suite}-{failure}"
+        ids.append(f"{name}-{path}" if name in ids else name)
+    return ids
+
+
+@pytest.mark.parametrize("suite, path, perturb, failure, success", CASES, ids=_case_ids(CASES))
 def test_every_check_can_fail(monkeypatch, suite, path, perturb, failure, success):
     assert run_suite(suite, [P34], 0)[0]
     monkeypatch.setattr(checks, path, perturb(getattr(checks, path)))

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -6,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symgraph.algebraic import AlgebraicValue, q_half_power
+from symgraph.algebraic import AlgebraicValue, ExactRing, q_half_power
 from symgraph.boundary import BoundaryRay, DepthError, sphere_horocycle_count
 from symgraph.transforms import (
+    MAX_CLOSED_BITS,
     EvenSeq,
     RadialSeq,
     abel,
@@ -473,3 +475,67 @@ def test_negative_n_max_is_refused_alike():
         messages.add(str(err.value))
         assert transform(seq, n_max=0).values == (seq.values[0],)
     assert messages == {"n_max must be nonnegative, got -1"}
+
+
+def test_oversized_n_max_is_refused_alike(monkeypatch):
+    # the work bound comes before any arithmetic: encode is never reached
+    def no_arithmetic(*args):
+        raise AssertionError("arithmetic ran")
+
+    g = EvenSeq.of(P34, [1, 2])
+    f = RadialSeq.of(P34, [1, 2])
+    monkeypatch.setattr(ExactRing, "encode", no_arithmetic)
+    messages = set()
+    for transform, seq in ((dual_abel, g), (dual_abel_via_counts, g),
+                           (dual_abel_inv, f), (dual_abel_inv_recurrence, f)):
+        with pytest.raises(ValueError) as err:
+            transform(seq, n_max=5773)  # 5774 values; 5773 is the last admitted length
+        messages.add(str(err.value))
+    assert len(messages) == 1 and str(MAX_CLOSED_BITS) in messages.pop()
+
+
+# -- the float lane of dual_abel_inv: one rounding of the exact transform --------------
+
+
+@pytest.mark.parametrize("k, r", REFERENCE_PAIRS)
+def test_dual_inverse_float_lane_rounds_the_exact_transform_once(k, r):
+    params = GraphParams(k, r)
+    rng = random.Random(47)
+    for N in ORACLE_LENGTHS:
+        values = [rng.uniform(-9, 9) * params.q ** rng.randint(-3, 3) for _ in range(N + 1)]
+        lifted = RadialSeq.of(params, [Fraction(v) for v in values])
+        for n_max in sorted({max(N - 1, 0), N, N + 3}):
+            got = dual_abel_inv(RadialSeq.of(params, values, exact=False), n_max).values
+            want = dual_abel_inv(lifted, n_max).values
+            assert got == tuple(float(v) for v in want), (params, N, n_max)
+            assert {type(v) for v in got} == {float}
+
+
+def test_dual_inverse_float_lane_splits_a_complex_input():
+    rng = random.Random(53)
+    real = [rng.uniform(-1, 1) for _ in range(8)]
+    imag = [rng.uniform(-1, 1) for _ in range(8)]
+    imag[2] = 0.0
+    mixed = [complex(a, b) for a, b in zip(real, imag)]
+    mixed[2] = real[2]  # a float among the complex values
+    for n_max in (None, 3, 10):
+        got = dual_abel_inv(RadialSeq.of(P34, mixed, exact=False), n_max).values
+        on_real = dual_abel_inv(RadialSeq.of(P34, real, exact=False), n_max).values
+        on_imag = dual_abel_inv(RadialSeq.of(P34, imag, exact=False), n_max).values
+        assert got == tuple(complex(a, b) for a, b in zip(on_real, on_imag))
+        assert {type(v) for v in got} == {complex}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1.0, math.nan),
+                                 complex(math.inf, 0.0)], ids=repr)
+def test_dual_inverse_float_lane_refuses_a_non_finite_input(bad):
+    f = RadialSeq.of(P34, [1.0, bad, 2.0], exact=False)
+    with pytest.raises(ValueError):
+        dual_abel_inv(f)
+
+
+def test_dual_inverse_float_lane_raises_past_the_float_range():
+    # g(n) grows like q^(n/2) f: at (3, 4) and N = 40 this reaches past 1e308
+    f = RadialSeq.of(P34, [1e300] * 41, exact=False)
+    with pytest.raises(OverflowError):
+        dual_abel_inv(f)
