@@ -381,6 +381,8 @@ def cmd_wave(params: GraphParams, args) -> tuple[dict, list, dict, int]:
     field = None
     if args.method in ("direct", "both"):
         field = wave_direct(params, data, args.steps, observe_radius=observe)
+        if not args.at:  # every value is printed: decode each slice whole
+            field.decode_all()
     worst = 0.0
     for x, n in targets:
         if args.method == "direct":

@@ -13,10 +13,11 @@ read that form.
 
 The stepper works on arrays, not on words.  Scaled by 2D sqrt(q)^|n| the
 solution obeys an integer recurrence, so the exact lane steps two Python-int
-arrays (the rational and the sqrt(q) parts) and decodes each time slice once.
-Its arrays follow ``ball()`` order (see ``words.position``), in which the
-neighbour sum needs no table.  A window of more than ``MAX_WINDOW_VALUES``
-vertex-values is refused up front.
+arrays (the rational and the sqrt(q) parts).  Its arrays follow ``ball()``
+order (see ``words.position``), in which the neighbour sum needs no table.
+Each time slice keeps its parts and decodes on read: one value when one word
+is read, the whole slice once when it is read in full.  A window of more
+than ``MAX_WINDOW_VALUES`` vertex-values is refused up front.
 
 Closed-form evaluation is one formula in every regime: Asgeirsson's mean
 value theorem and the inverse dual Abel transform of spherical means, whose
@@ -36,9 +37,10 @@ value or distance is remembered per point.
 
 from __future__ import annotations
 
+from collections.abc import MutableMapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from itertools import accumulate
 from operator import mul
 
@@ -199,6 +201,13 @@ class WaveField:
             )
         return self.fields[n].value(x)
 
+    def decode_all(self) -> None:
+        """Decode every time slice whole, once, for a caller that reads every
+        value: later reads are plain dict lookups."""
+        for fun in self.fields.values():
+            if isinstance(fun.data, _Slice):
+                fun.data = fun.data.decoded()
+
     def check_recurrence(self, radius: int) -> None:
         """Assert the wave equation at every interior (x, n) with |x| <= radius.
 
@@ -269,6 +278,64 @@ def _on_ball(column, words: list[ReducedWord], radius: int, offsets: list[int]):
     return out
 
 
+class _Slice(MutableMapping):
+    """One stepper time slice: the values on ``ball(radius)`` in ``ball()``
+    order, kept as the parts of w(n) until read, each value being
+    ``ring.decode(parts, scale, power)``.
+
+    Reading one word decodes that value alone (a word of another graph or
+    past the radius raises ``KeyError``, as a dict would), and ``len``
+    decodes nothing.  Any full read (iteration, ``keys``/``items``/``values``,
+    assignment, deletion) decodes the whole slice once; from then on it is
+    the dict of ``decoded()``, keyed by ``words()``, the shared list of the
+    stepped ball."""
+
+    __slots__ = ("_params", "_ring", "_parts", "_scale", "_power", "_radius", "_offsets",
+                 "_words", "_full")
+
+    def __init__(self, params, ring, parts, scale, power, radius, offsets, words):
+        self._params, self._ring, self._parts = params, ring, parts
+        self._scale, self._power, self._radius = scale, power, radius
+        self._offsets, self._words, self._full = offsets, words, None
+
+    def __getitem__(self, x):
+        if self._full is not None:
+            return self._full[x]
+        if not (isinstance(x, ReducedWord) and len(x) <= self._radius
+                and (x.params is self._params or x.params == self._params)):
+            raise KeyError(x)
+        index = self._offsets[len(x)] + position(x)
+        return self._ring.decode([[part[index]] for part in self._parts],
+                                 self._scale, self._power)[0]
+
+    def __len__(self) -> int:
+        return len(self._parts[0]) if self._full is None else len(self._full)
+
+    def decoded(self) -> dict:
+        if self._full is None:
+            values = self._ring.decode(self._parts, self._scale, self._power)
+            self._full, self._parts = dict(zip(self._words(), values)), None
+        return self._full
+
+    def __iter__(self):
+        return iter(self.decoded())
+
+    def __setitem__(self, x, value) -> None:
+        self.decoded()[x] = value
+
+    def __delitem__(self, x) -> None:
+        del self.decoded()[x]
+
+    def keys(self):
+        return self.decoded().keys()
+
+    def items(self):
+        return self.decoded().items()
+
+    def values(self):
+        return self.decoded().values()
+
+
 def _require_graph(params: GraphParams, home: GraphParams, what: str) -> None:
     if params is not home and params != home:
         raise ValueError(
@@ -299,12 +366,18 @@ def wave_direct(params: GraphParams, data: CauchyData, steps: int,
     data (``CauchyData._encoded``): two Python-int arrays (the rational and
     the sqrt(q) parts) in the exact lane, one float or complex array in the
     float lane.  Each time slice is an array over a ball in ``ball()`` order,
-    where S needs no table (see ``words._self_plus_neighbors``), and is decoded
-    into values once.  ``params`` must be the graph of the data.
+    where S needs no table (see ``words._self_plus_neighbors``).  Slices
+    decode on read: ``fields[n].data`` keeps the parts, ``at`` decodes the one
+    value it reads, and a full read of a slice decodes it whole, once
+    (``WaveField.decode_all`` does so for every slice).  ``params`` must be
+    the graph of the data, and a negative ``steps`` or ``observe_radius``
+    raises ``ValueError``.
     """
     _require_graph(params, data.params, "data")
     if steps < 0:
         raise ValueError("steps must be nonnegative")
+    if observe_radius is not None and observe_radius < 0:
+        raise ValueError("observe_radius must be nonnegative")
     exact, ring = data.exact, data.initial.ring
     supp = data.support_radius
     if observe_radius is None:
@@ -325,7 +398,7 @@ def wave_direct(params: GraphParams, data: CauchyData, steps: int,
     cone = [_cone_radius(supp, steps, observe_radius, m) for m in range(steps + 1)]
     top = max(cone[1:])
     offsets = [ball_size(params, m - 1) for m in range(top + 3)]
-    words = list(ball(params, top))
+    words = cache(lambda: list(ball(params, top)))  # listed on the first full read
     q = params.q
     # f is needed on the first cone plus one shell, g on the first cone
     start = min(supp, cone[1] + 1)
@@ -335,8 +408,9 @@ def wave_direct(params: GraphParams, data: CauchyData, steps: int,
     g_parts = [_on_ball(column, support, cone[1], offsets) for column in g_columns]
 
     def store(n: int, parts) -> None:
-        values = ring.decode([p.tolist() for p in parts], scale, abs(n))
-        fields[n] = VertexFun(params, dict(zip(words, values)), exact)
+        kept = _Slice(params, ring, [p.tolist() for p in parts], scale, abs(n),
+                      cone[abs(n)], offsets, words)
+        fields[n] = VertexFun(params, kept, exact)
         valid[n] = valid_radius(n)
 
     base = [_self_plus_neighbors(p, start, cone[1], params, offsets) for p in f_parts]

@@ -11,7 +11,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import symgraph.cli
@@ -50,11 +50,12 @@ RUNTIME_MS = re.compile(r'"runtime_ms": [-0-9.e+]+, |, "runtime_ms": [-0-9.e+]+|
 def test_cli_stdout_matches_the_golden_file(capsys):
     # every README example but ``verify --suite all``, which alone takes most
     # of a second, an ``invert --values`` and a ``wave --method closed`` run,
-    # and a ``plancherel`` and an ``invert --radial`` run on k > r graphs,
-    # where the Plancherel measure has its atom; the file holds each stdout
-    # with ``runtime_ms`` dropped
+    # a ``plancherel`` and an ``invert --radial`` run on k > r graphs, where
+    # the Plancherel measure has its atom, and ``wave --method direct`` and
+    # ``--method both`` runs with no ``--at``, which read every stepped
+    # value; the file holds each stdout with ``runtime_ms`` dropped
     cases = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert len(cases) == 17
+    assert len(cases) == 19
     for case in cases:
         code, out = run(capsys, *shlex.split(case["command"]))
         assert code == 0, case["command"]
@@ -644,7 +645,7 @@ def test_threads_environment_variable_is_not_read(capsys, monkeypatch):
 # out-of-budget values are huge, so every example answers quickly or is refused.
 
 _SEQUENCES = ("1", "0", "1,1/2,0", "1/2+1/3*sqrt(6)", "sqrt(6),-1", "", "1/0", "abc", "1,,2",
-              "1e5", "sqrt(7)", " 2 , -3/4 ")
+              "1e5", "sqrt(7)", " 2 , -3/4 ", "1/" + "9" * 4400)
 _RADIAL_SEQUENCES = _SEQUENCES + (",".join(["1"] * 3000), ",".join(["-1/3*sqrt(6)"] * 20000))
 _VERTEX_VALUES = ("e:1", "e:1;a0^1:1/2", "", "e:", "x:1", "a9^1:1", "e:1;e:2", "a0^1.a1^2:sqrt(6)")
 _LAMBDAS = ("0.4", "0", "-1", "nan", "inf", "1e308", "x")
@@ -786,9 +787,12 @@ def _valid_argv(draw):
 def test_valid_argv_fuzz_reaches_answers():
     seen, answered = [], []
 
+    # the last sequence edge holds an integer past the default int-to-str
+    # limit of 4300 digits; the derandomized draws miss it, so it is pinned
     @settings(max_examples=40, derandomize=True, deadline=2000, database=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(_valid_argv())
+    @example(["abel", "--k", "3", "--r", "4", "--format", "csv", "--radial", _SEQUENCES[-1]])
     def check(argv):
         code = _run_cleanly(argv)
         seen.append(argv)

@@ -607,6 +607,75 @@ def test_outside_computed_region_raises():
         field.at(far, 2)
 
 
+def test_stepper_refuses_a_negative_observe_radius(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("started work")
+
+    for name in ("ball", "ball_size"):
+        monkeypatch.setattr(wave_module, name, refuse)
+    data = CauchyData(VertexFun.delta_at(P34.identity()), VertexFun.of(P34, {}))
+    for radius in (-1, -4):
+        with pytest.raises(ValueError, match="observe_radius"):
+            wave_direct(P34, data, 3, observe_radius=radius)
+
+
+@pytest.mark.parametrize("params", [GraphParams(2, 3), GraphParams(3, 3), GraphParams(4, 3)])
+@pytest.mark.parametrize("exact", [True, False])
+def test_slices_decode_on_read(params, exact, monkeypatch):
+    # a slice keeps its parts: len decodes nothing, a word read decodes one
+    # value, a full read decodes the slice once in ball() order, and every
+    # read agrees with the word-by-word reference and with every other read
+    steps, observe = 3, 1
+    data = fractional_data(params, random.Random(63))
+    reference = stepped_reference(params, data, steps, observe)
+    if not exact:
+        data = CauchyData(*(VertexFun.of(params, {w: float(v) for w, v in fun.items()}, exact=False)
+                            for fun in (data.initial, data.velocity)))
+    ring = data.initial.ring
+    decodes = []
+    decode = type(ring).decode
+
+    def counted(self, parts, scale, m):
+        decodes.append(len(parts[0]))
+        return decode(self, parts, scale, m)
+
+    monkeypatch.setattr(type(ring), "decode", counted)
+    field = wave_direct(params, data, steps, observe_radius=observe)
+    eager = wave_direct(params, data, steps, observe_radius=observe)
+    stranger, zeros = GraphParams(3, 4).identity(), []
+    for n in [m for m in range(-steps, steps + 1) if m]:
+        radius = min(data.support_radius + abs(n), observe + steps - abs(n))
+        words = list(ball(params, radius))
+        lazy, full = field.fields[n].data, eager.fields[n].data
+        del decodes[:]
+        assert len(lazy) == len(full) == len(words)
+        assert decodes == []
+        assert stranger not in lazy
+        with pytest.raises(KeyError):
+            lazy[stranger]
+        before = [lazy[x] for x in words]
+        if field.valid_radius[n] > radius:
+            past = next(iter(sphere(params, radius + 1)))
+            assert past not in lazy
+            zeros.append(field.at(past, n))
+        assert decodes == [1] * len(words)
+        # a full read of a slice never read before: one decode, ball() order
+        items = list(full.items())
+        assert decodes[len(words):] == [len(words)]
+        assert [x for x, _ in items] == words
+        for x, (_, value), one in zip(words, items, before):
+            assert value == one and repr(value) == repr(one)
+            if exact:
+                assert value == reference[n][x] and repr(value) == repr(reference[n][x])
+            else:
+                assert value == pytest.approx(float(reference[n][x]), rel=1e-9)
+        # reads of a read slice agree with the reads before it
+        list(lazy.values())
+        after = [lazy[x] for x in words]
+        assert [repr(v) for v in after] == [repr(v) for v in before]
+    assert zeros and all(repr(z) == repr(ring.zero) for z in zeros)
+
+
 def test_asgeirsson_eigenfunction_fixture():
     for params, gamma in [(GraphParams(3, 2), Fraction(1, 2)),
                           (GraphParams(2, 4), Fraction(-1, 3))]:
