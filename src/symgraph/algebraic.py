@@ -22,6 +22,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -356,14 +357,35 @@ class ExactRing:
         return [_canonical(x, y, den, q) for x, y in pairs]
 
 
-class FloatRing:
-    """The numeric lane: values are float or complex and q**(m/2) is rounded."""
+# one exact ring per q for the float rings' array lane: a float ring is built
+# per container, and an exact ring builds its zero
+_exact_ring = lru_cache(maxsize=64)(ExactRing)
 
-    __slots__ = ("q", "zero")
+
+def _lift(x: float) -> Fraction:
+    # the exact binary rational of a finite float
+    if not math.isfinite(x):
+        raise ValueError(f"the float lane needs finite values, got {x!r}")
+    return Fraction(x)
+
+
+class FloatRing:
+    """The numeric lane: values are float or complex and q**(m/2) is rounded.
+
+    Its array lane is exact: ``encode`` lifts each value to its exact binary
+    rational (-0.0 comes back as 0.0) and encodes it with the exact ring, as
+    parts (A, B), or (A, B, A', B') with the imaginary plane second when any
+    value is complex; ``times_root`` acts on each plane, and ``decode`` rounds
+    each exact value once.  A NaN or infinite value raises ``ValueError``, a
+    decoded value past the float range ``OverflowError``.
+    """
+
+    __slots__ = ("q", "zero", "_exact")
 
     def __init__(self, q: int):
         self.q = q
         self.zero = 0.0
+        self._exact = _exact_ring(q)
 
     def qpow(self, m: int) -> float:
         return self.q ** (m / 2.0)
@@ -371,17 +393,20 @@ class FloatRing:
     def coerce(self, value) -> float | complex:
         return complex(value) if isinstance(value, complex) else float(value)
 
-    # Array lane: one float or complex array per column, denominator 1.
-
     def encode(self, columns) -> tuple[int, list]:
-        return 1, [(np.array([self.coerce(v) for v in col]),) for col in columns]
+        planes = 2 if any(isinstance(v, complex) for col in columns for v in col) else 1
+        lifted = [[_lift(v.imag if plane else v.real) for v in col]
+                  for col in columns for plane in range(planes)]
+        scale, parts = self._exact.encode(lifted)
+        return scale, [sum(parts[i:i + planes], ()) for i in range(0, len(parts), planes)]
 
     def times_root(self, parts) -> tuple:
-        return (parts[0] * self.qpow(1),)
+        return sum((self._exact.times_root(parts[i:i + 2]) for i in range(0, len(parts), 2)), ())
 
     def decode(self, parts, scale: int, m: int) -> list:
-        den = scale * self.qpow(m)
-        return [v / den for v in parts[0]]
+        planes = [[float(v) for v in self._exact.decode(parts[i:i + 2], scale, m)]
+                  for i in range(0, len(parts), 2)]
+        return planes[0] if len(planes) == 1 else [complex(*v) for v in zip(*planes)]
 
 
 def ring_of(q: int, exact: bool = True) -> ExactRing | FloatRing:
@@ -390,11 +415,12 @@ def ring_of(q: int, exact: bool = True) -> ExactRing | FloatRing:
     A ring is cheap; containers build theirs once and share its zero.
     Rational constants need no help from the ring: an ``AlgebraicValue``, a
     float or a complex times ``Fraction(n, d)`` stays in its own lane.
-    For array code each ring also has ``encode`` (value lists to part arrays
-    over a common denominator), ``times_root`` (multiply parts, arrays or
-    numbers, by sqrt(q)) and ``decode`` (parts as sequences of Python numbers
-    over ``scale * sqrt(q)^m`` back to values); integer linear maps act on
-    the parts the same way in both lanes.
+    For array code each ring also has ``encode`` (value lists to integer
+    part arrays over a common denominator), ``times_root`` (multiply parts,
+    arrays or numbers, by sqrt(q)) and ``decode`` (parts over
+    ``scale * sqrt(q)^m`` back to values).  Both lanes run that arithmetic
+    exactly (see ``FloatRing``), so integer linear maps act on the parts the
+    same way in both.
     """
     return ExactRing(q) if exact else FloatRing(q)
 

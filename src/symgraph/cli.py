@@ -361,7 +361,7 @@ def cmd_wave(params: GraphParams, args) -> tuple[dict, list, dict, int]:
         x, n = parse_word(params, word_text), int(n_text)
         if abs(n) > args.steps:
             raise ValueError(f"time {n} beyond --steps {args.steps}")
-        targets = [(x, n)]
+        times, words = [n], [x]
         observe, latest = len(x), abs(n)
     else:
         observe, latest = data.support_radius + args.steps, args.steps
@@ -374,8 +374,9 @@ def cmd_wave(params: GraphParams, args) -> tuple[dict, list, dict, int]:
     values = [*data.initial.data.values(), *data.velocity.data.values()]
     _check_printable(params, values, len(values), latest + 1, latest)
     if not args.at:
-        targets = [(x, n) for n in range(-args.steps, args.steps + 1)
-                   for x in ball(params, data.support_radius + abs(n))]
+        times = range(-args.steps, args.steps + 1)
+        words = list(ball(params, observe))
+    labels = [str(x) for x in words]
     diagnostics = {}
     outputs = []
     field = None
@@ -384,14 +385,16 @@ def cmd_wave(params: GraphParams, args) -> tuple[dict, list, dict, int]:
         if not args.at:  # every value is printed: decode each slice whole
             field.decode_all()
     worst = 0.0
-    for x, n in targets:
-        if args.method == "direct":
-            value = field.at(x, n)
-        else:
-            value = wave_closed_at(params, data, x, n)
-            if args.method == "both":
-                worst = max(worst, abs(value - field.at(x, n)))
-        outputs += _rows(f"u[{n}][{x}]", value)
+    for n in times:
+        # ball() goes sphere by sphere: the ball at time n is a prefix of words
+        for x, label in zip(words[:ball_size(params, data.support_radius + abs(n))], labels):
+            if args.method == "direct":
+                value = field.at(x, n)
+            else:
+                value = wave_closed_at(params, data, x, n)
+                if args.method == "both":
+                    worst = max(worst, abs(value - field.at(x, n)))
+            outputs += _rows(f"u[{n}][{label}]", value)
     if args.method == "both":
         diagnostics["max_discrepancy"] = worst
     inputs = {"f": args.f, "g": args.g, "steps": args.steps, "method": args.method}

@@ -22,17 +22,15 @@ sum of at most two geometric series, with ratios q and 1-k, so each form is
 evaluated with running prefix or suffix sums in O(N) operations.  The three
 Abel forms run on ring values; their float lane scales the sums to the size
 of the values and multiplies them by no rounded constant repeatedly.  The
-dual pair (``dual_abel``, ``dual_abel_inv``) runs on the ring's encoded parts
-(``encode``, ``times_root``, ``decode``): its running sums are integer
-combinations of the input's parts over one denominator, decoded once per
-output value.  The integers of ``dual_abel_inv`` carry q^n, past a float's
-range long before its values are, so its float lane lifts each input to its
-exact binary rational, runs the same integer path and rounds each output
-once.  The oracles (``radon``, ``abel_via_radon``, ``dual_abel_via_counts``,
-``dual_abel_inv_recurrence``) keep their direct paths.  The two dual oracles
-run on encoded parts too; that is shared arithmetic, not a shared formula, so
-each still checks the closed form by its own route: the counts sum and the
-forward recurrence.
+dual pair (``dual_abel``, ``dual_abel_inv``) and the dual oracles
+(``dual_abel_via_counts``, ``dual_abel_inv_recurrence``) run on the ring's
+encoded parts (``encode``, ``times_root``, ``decode``), exact in both lanes
+(see ``algebraic.FloatRing``): integer combinations of the input's parts
+over one denominator, decoded once per output value, so a float output is
+float() of the exact transform of the lifted inputs.  Shared arithmetic is
+not a shared formula: each dual oracle still checks the closed form by its
+own route, the counts sum and the forward recurrence, as ``radon`` and
+``abel_via_radon`` check the Abel side by enumeration.
 
 A closed form of N values holds about N^2 log2(q) bits, and one past
 ``MAX_CLOSED_BITS`` is refused with ``ValueError`` before any arithmetic;
@@ -42,7 +40,6 @@ the dual oracles share that bound.  The dual transforms refuse a negative
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -379,42 +376,16 @@ def dual_abel_inv(f: RadialSeq, n_max: int | None = None) -> EvenSeq:
     over the same denominator.  O(N) integer operations; N past
     ``MAX_CLOSED_BITS`` raises ``ValueError`` first.
 
-    These integers carry q^n, which outgrows a float long before the values
-    do (about 1e325 at (3, 4) and N = 420, where the values stay near 1e163),
-    so the float lane lifts the real and the imaginary part of each input to
-    its exact binary rational, runs the same integer path and rounds each
-    output once: each output is float() of the exact transform of those
-    rationals, and a complex input gives complex(result on the real parts,
-    result on the imaginary parts).  A NaN or infinite input raises
-    ``ValueError``, and an output past the float range ``OverflowError``.
+    The integers carry q^n, past a float's range long before the values
+    (about 1e325 at (3, 4) and N = 420, values near 1e163); the float lane's
+    parts are exact, so it overflows only where the values do.
     """
-    params = f.params
-    N = _n_max(f, n_max)
-    _check_size(params, N + 1)
-    values = f.values[: N + 1]
-    if f.exact:
-        return EvenSeq(params, _dual_abel_inv_exact(params, f.ring, values, N), True)
-    exact = ring_of(params.q)
-    real = _dual_abel_inv_exact(params, exact, [_lift(v.real) for v in values], N)
-    out = [float(v) for v in real]
-    if any(isinstance(v, complex) for v in values):
-        imag = _dual_abel_inv_exact(params, exact, [_lift(v.imag) for v in values], N)
-        out = [complex(a, float(b)) for a, b in zip(out, imag)]
-    return EvenSeq(params, tuple(out), False)
-
-
-def _lift(x: float) -> Fraction:
-    # the exact binary rational of a finite float
-    if not math.isfinite(x):
-        raise ValueError(f"dual_abel_inv needs finite inputs, got {x!r}")
-    return Fraction(x)
-
-
-def _dual_abel_inv_exact(params: GraphParams, ring, values, N: int) -> tuple:
-    # g(0..N) of ``dual_abel_inv`` on values f(0..N) of the exact ring
+    params, ring = f.params, f.ring
     k, r, q = params.k, params.r, params.q
     deg, sigma = params.degree, params.sigma
-    scale, (parts,) = ring.encode([values])
+    N = _n_max(f, n_max)
+    _check_size(params, N + 1)
+    scale, (parts,) = ring.encode([f.values[: N + 1]])
     columns = []
     for column in parts:
         part = column.tolist() + [0] * (N + 2 - len(column))  # f(0), ..., f(N+1)
@@ -430,8 +401,9 @@ def _dual_abel_inv_exact(params: GraphParams, ring, values, N: int) -> tuple:
             scaled.append(k * r * deg * power * (q * part[n] - sigma * part[n - 1])
                           - deg * ((q - 1) * plain + (r - k) * geometric))
         columns.append(scaled[: N + 1])
-    return tuple(ring.decode([[x] for x in column], 2 * k * r * scale, n + 2)[0]
-                 for n, column in enumerate(zip(*columns)))
+    out = [ring.decode([[x] for x in column], 2 * k * r * scale, n + 2)[0]
+           for n, column in enumerate(zip(*columns))]
+    return EvenSeq(params, tuple(out), f.exact)
 
 
 def dual_abel_inv_recurrence(f: RadialSeq, n_max: int | None = None) -> EvenSeq:

@@ -12,9 +12,11 @@ denominator D, as integer parts on the union of their supports.  Both solvers
 read that form.
 
 The stepper works on arrays, not on words.  Scaled by 2D sqrt(q)^|n| the
-solution obeys an integer recurrence, so the exact lane steps two Python-int
-arrays (the rational and the sqrt(q) parts).  Its arrays follow ``ball()``
-order (see ``words.position``), in which the neighbour sum needs no table.
+solution obeys an integer recurrence, so it steps two Python-int arrays (the
+rational and the sqrt(q) parts; four for complex data).  The float ring's
+array lane is exact too (see ``algebraic.FloatRing``), so neither solver
+branches on its lane.  The arrays follow ``ball()`` order (see
+``words.position``), in which the neighbour sum needs no table.
 Each time slice keeps its parts and decodes on read: one value when one word
 is read, the whole slice once when it is read in full.  A window of more
 than ``MAX_WINDOW_VALUES`` vertex-values is refused up front.
@@ -31,8 +33,8 @@ under x's first syllable need a ``distance`` call; every other word enters
 through per-length sums of the data, built with its encoding.  A time whose
 weights would hold more than ``MAX_CLOSED_BITS`` bits is refused up front.
 Between calls only the encoded data and the weight rows are kept, the rows
-per graph, time and lane (``_rows``, a bounded cache); in particular no
-value or distance is remembered per point.
+per graph and time (``_rows``, a bounded cache both lanes share); in
+particular no value or distance is remembered per point.
 """
 
 from __future__ import annotations
@@ -364,11 +366,11 @@ def wave_direct(params: GraphParams, data: CauchyData, steps: int,
 
     Both are integer linear maps, so they act part by part on the encoded
     data (``CauchyData._encoded``): two Python-int arrays (the rational and
-    the sqrt(q) parts) in the exact lane, one float or complex array in the
-    float lane.  Each time slice is an array over a ball in ``ball()`` order,
-    where S needs no table (see ``words._self_plus_neighbors``).  Slices
-    decode on read: ``fields[n].data`` keeps the parts, ``at`` decodes the one
-    value it reads, and a full read of a slice decodes it whole, once
+    the sqrt(q) parts; four for complex data), exact in either lane.  Each
+    time slice is an array over a ball in ``ball()`` order, where S needs no
+    table (see ``words._self_plus_neighbors``).  Slices decode on read:
+    ``fields[n].data`` keeps the parts, ``at`` decodes the one value it
+    reads, and a full read of a slice decodes it whole, once
     (``WaveField.decode_all`` does so for every slice).  ``params`` must be
     the graph of the data, and a negative ``steps`` or ``observe_radius``
     raises ``ValueError``.
@@ -441,16 +443,8 @@ def _weights(params: GraphParams, m: int) -> tuple[tuple[int, ...], tuple[int, .
     return tuple(-(q - 1 + (r - k) * p) for p in powers) + (k,), tuple(1 - p for p in powers)
 
 
-@lru_cache(maxsize=32)
-def _rows(params: GraphParams, m: int, exact: bool) -> tuple[tuple, tuple, int]:
-    # c(m) and v(m) as the lane multiplies them, and the power of sqrt(q) that
-    # ``decode`` still divides by.  The float lane divides by sqrt(q)^m before
-    # the integers become floats, so it overflows only where the value does
-    c, v = _weights(params, m)
-    if exact:
-        return c, v, m
-    den, root = params.q ** (m // 2), params.q ** (m % 2 / 2)
-    return tuple(w / den / root for w in c), tuple(w / den / root for w in v), 0
+# c(m) and v(m) cached per graph and time, shared by every point and both lanes
+_rows = lru_cache(maxsize=32)(_weights)
 
 
 def _check_closed_time(params: GraphParams, n: int) -> None:
@@ -488,11 +482,11 @@ def wave_closed_at(params: GraphParams, data: CauchyData, x: ReducedWord, n: int
     first syllable cost a ``distance`` call (none at x = e); the others sit
     at |x| + |y| or |x| + |y| - 1 and come from the per-length sums in
     ``CauchyData._encoded``.  The dot products take the weight rows of
-    ``_rows`` (cached per graph, time and lane, never per point), then one
-    ``times_root`` and one ``decode``.  A time whose weights would hold
-    more than ``MAX_CLOSED_BITS`` bits raises ``ValueError`` before any of
-    that, and so do a ``params`` that is not the graph of the data and a
-    point ``x`` on another graph.
+    ``_rows`` (cached per graph and time, never per point), then one
+    ``times_root`` and one ``decode``, exact in either lane.  A time whose
+    weights would hold more than ``MAX_CLOSED_BITS`` bits raises
+    ``ValueError`` before any of that, and so do a ``params`` that is not
+    the graph of the data and a point ``x`` on another graph.
     """
     _require_graph(params, data.params, "data")
     _require_graph(params, x.params, "point")
@@ -503,12 +497,12 @@ def wave_closed_at(params: GraphParams, data: CauchyData, x: ReducedWord, n: int
     _, scale, columns, branches = data._encoded
     half, sign = len(columns[0]), 1 if n > 0 else -1
     sums = branch_shell_sums(x, branches, size)  # f's parts, then g's
-    c, v, owed = _rows(params, size, data.exact)
+    c, v = _rows(params, size)
     ring = data.initial.ring
     p_parts = [sum(map(mul, c, shells)) for shells in sums[:half]]
     q_parts = ring.times_root([2 * sign * sum(map(mul, v, shells)) for shells in sums[half:]])
     parts = [[a + b] for a, b in zip(p_parts, q_parts)]
-    return ring.decode(parts, 2 * params.k * scale, owed)[0]
+    return ring.decode(parts, 2 * params.k * scale, size)[0]
 
 
 # the inverse dual Abel route is the same formula (see wave_closed_at)

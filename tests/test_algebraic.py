@@ -258,3 +258,63 @@ def test_float_is_the_rounded_root_approximation(q, a, b):
     x = AlgebraicValue(a, b, q)
     want = float(x.a + x.b * _root_approx(q))
     assert float(x).hex() == want.hex()
+
+
+# -- the float ring's array lane: exact parts, one rounding ----------------------------
+
+FLOAT_EDGES = [0.0, 1.0, -2.5, 1 / 3, 1e308, -1e308, 5e-324, -5e-324, 2.0**-1074 * 3,
+               1.7976931348623157e308, 123456.789e-200]
+
+
+@pytest.mark.parametrize("q", [1, 2, 4, 6])
+def test_float_ring_round_trips_bit_for_bit(q):
+    ring = ring_of(q, exact=False)
+    complexes = [complex(x, 0.0) for x in FLOAT_EDGES] + [complex(1e308, -5e-324),
+                                                          complex(0.0, 1 / 3)]
+    for values in (FLOAT_EDGES, complexes):
+        scale, [parts] = ring.encode([values])
+        assert len(parts) == (2 if values is FLOAT_EDGES else 4)
+        assert all(type(v) is int for part in parts for v in part.tolist())
+        got = ring.decode([part.tolist() for part in parts], scale, 0)
+        assert [type(v) for v in got] == [type(v) for v in values]
+        assert [repr(v) for v in got] == [repr(v) for v in values]
+    # one imaginary part anywhere gives every column an imaginary plane
+    scale, columns = ring.encode([[1.5], [2.0, complex(0.0, -1.0)]])
+    assert [len(parts) for parts in columns] == [4, 4]
+    assert ring.decode(columns[0], scale, 0) == [complex(1.5, 0.0)]
+
+
+def test_float_ring_drops_the_sign_of_zero():
+    ring = ring_of(6, exact=False)
+    scale, [parts] = ring.encode([[-0.0, complex(-0.0, -0.0)]])
+    got = ring.decode(parts, scale, 0)
+    assert [repr(v) for v in got] == [repr(0j), repr(0j)]
+    scale, [parts] = ring.encode([[-0.0]])
+    assert repr(ring.decode(parts, scale, 0)[0]) == "0.0"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1.0, math.nan),
+                                 complex(math.inf, 0.0)], ids=repr)
+def test_float_ring_refuses_a_non_finite_value(bad):
+    with pytest.raises(ValueError, match="finite"):
+        ring_of(6, exact=False).encode([[1.0, bad]])
+
+
+@pytest.mark.parametrize("q", [1, 2, 4, 6, 12])
+def test_float_ring_times_root_rounds_the_exact_product_once(q):
+    ring = ring_of(q, exact=False)
+    values = [1.0, -2.5, 1 / 3, 1e300, 5e-324, 0.1]
+    scale, [parts] = ring.encode([values])
+    got = ring.decode(ring.times_root(parts), scale, 0)
+    want = [float(sqrt_q(q) * AlgebraicValue(Fraction(x), 0, q)) for x in values]
+    assert [repr(v) for v in got] == [repr(v) for v in want]
+    scale, [parts] = ring.encode([[complex(x, -x / 7) for x in values]])
+    got = ring.decode(ring.times_root(parts), scale, 0)
+    want = [complex(float(sqrt_q(q) * Fraction(x)), float(sqrt_q(q) * Fraction(-x / 7)))
+            for x in values]
+    assert [repr(v) for v in got] == [repr(v) for v in want]
+    # past the float range the one rounding raises, as float() of the value does
+    scale, [parts] = ring.encode([[1.7976931348623157e308]])
+    if q > 1:
+        with pytest.raises(OverflowError):
+            ring.decode(ring.times_root(parts), scale, 0)

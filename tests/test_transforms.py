@@ -433,12 +433,16 @@ def test_oracles_float_lane_matches_the_per_term_loops():
                     seq = kind.of(params, inputs, exact=False)
                     got = oracle(seq, n_max).values
                     want = reference(seq, N if n_max is None else n_max)
-                    # Python numbers, not numpy scalars; a term-free value is a
-                    # float 0.0 in both, even among complex values
-                    assert [type(v) for v in got] == [type(v) for v in want]
-                    assert {type(v) for v in got} <= {float, complex}, oracle.__name__
-                    for a, b in zip(got, want):
-                        assert abs(a - b) <= 1e-12 * abs(b), (params, N, oracle.__name__)
+                    # Python numbers, not numpy scalars; a complex input gives
+                    # complex outputs throughout, term-free values included
+                    lane = complex if inputs is mixed else float
+                    assert {type(v) for v in got} == {lane}, oracle.__name__
+                    # the oracle rounds the exact value once; the loop's rounding
+                    # at n carries over from the values before it, and it leaves
+                    # noise where the exact value cancels to 0
+                    for n, (a, b) in enumerate(zip(got, want)):
+                        scale = max(abs(w) for w in want[: n + 1])
+                        assert abs(a - b) <= 1e-12 * scale, (params, N, oracle.__name__)
 
 
 def test_counts_oracle_refuses_the_wrong_middle_exponent():
@@ -539,3 +543,61 @@ def test_dual_inverse_float_lane_raises_past_the_float_range():
     f = RadialSeq.of(P34, [1e300] * 41, exact=False)
     with pytest.raises(OverflowError):
         dual_abel_inv(f)
+
+
+# -- the float lanes of the other dual transforms: the same one rounding --------------
+
+OTHER_DUALS = [(dual_abel, EvenSeq), (dual_abel_via_counts, EvenSeq),
+               (dual_abel_inv_recurrence, RadialSeq)]
+
+
+@pytest.mark.parametrize("transform, kind", OTHER_DUALS, ids=lambda x: getattr(x, "__name__", ""))
+@pytest.mark.parametrize("k, r", REFERENCE_PAIRS)
+def test_dual_float_lanes_round_the_exact_transform_once(k, r, transform, kind):
+    params = GraphParams(k, r)
+    rng = random.Random(59)
+    for N in ORACLE_LENGTHS:
+        values = [rng.uniform(-9, 9) * params.q ** rng.randint(-3, 3) for _ in range(N + 1)]
+        lifted = kind.of(params, [Fraction(v) for v in values])
+        for n_max in sorted({max(N - 1, 0), N, N + 3}):
+            got = transform(kind.of(params, values, exact=False), n_max).values
+            want = transform(lifted, n_max).values
+            assert got == tuple(float(v) for v in want), (params, N, n_max)
+            assert {type(v) for v in got} == {float}
+
+
+@pytest.mark.parametrize("transform, kind", OTHER_DUALS, ids=lambda x: getattr(x, "__name__", ""))
+def test_dual_float_lanes_split_a_complex_input(transform, kind):
+    rng = random.Random(61)
+    real = [rng.uniform(-1, 1) for _ in range(8)]
+    imag = [rng.uniform(-1, 1) for _ in range(8)]
+    imag[2] = 0.0
+    mixed = [complex(a, b) for a, b in zip(real, imag)]
+    mixed[2] = real[2]  # a float among the complex values
+    for n_max in (None, 3, 10):
+        got = transform(kind.of(P34, mixed, exact=False), n_max).values
+        on_real = transform(kind.of(P34, real, exact=False), n_max).values
+        on_imag = transform(kind.of(P34, imag, exact=False), n_max).values
+        assert got == tuple(complex(a, b) for a, b in zip(on_real, on_imag))
+        assert {type(v) for v in got} == {complex}
+
+
+@pytest.mark.parametrize("transform, kind", OTHER_DUALS, ids=lambda x: getattr(x, "__name__", ""))
+@pytest.mark.parametrize("bad", [math.nan, -math.inf, complex(1.0, math.nan)], ids=repr)
+def test_dual_float_lanes_refuse_a_non_finite_input(bad, transform, kind):
+    with pytest.raises(ValueError):
+        transform(kind.of(P34, [1.0, bad, 2.0], exact=False))
+
+
+def test_dual_oracles_float_lane_reach_past_the_float_range_of_their_integers():
+    # at (3, 4) the counts sum divides by delta(n) ~ q^n and the recurrence's
+    # integers carry q^n, past 1e308 near n = 400, while these values stay
+    # inside the float range
+    g = EvenSeq.of(P34, [1.0, 0.5, 0.25], exact=False)
+    for n_max, want in ((300, 2.0001056586541874e-117), (420, 4.0923984878822906e-164)):
+        assert dual_abel_via_counts(g, n_max).values[-1] == want
+        assert dual_abel(g, n_max).values[-1] == want
+    f = RadialSeq.of(P34, [1.0] * 420, exact=False)
+    want = 5.2681357781341675e162
+    assert dual_abel_inv_recurrence(f).values[-1] == want == dual_abel_inv(f).values[-1]
+    assert dual_abel_inv_recurrence(f).values == dual_abel_inv(f).values

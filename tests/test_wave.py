@@ -409,6 +409,47 @@ def test_float_closed_form_scales_before_it_rounds():
     assert abs(want) > 1e60
 
 
+@pytest.mark.parametrize("params", [GraphParams(2, 3), GraphParams(3, 4), GraphParams(3, 3),
+                                    GraphParams(4, 3), GraphParams(2, 2)])
+def test_float_solvers_round_the_exact_solve_once(params):
+    # float data of mixed magnitudes, its exact binary rationals, and a
+    # complex copy: every float value, stepped or closed, read one at a time
+    # or in full, is float() of the exact solve of the lifted data, and a
+    # complex one is complex(solve of the real parts, solve of the imaginary)
+    rng = random.Random(67)
+    steps, observe = 3, 1
+    pool = list(ball(params, 1))
+
+    def floats(count):
+        return [rng.uniform(-9, 9) * 10.0 ** rng.randint(-30, 30) for _ in range(count)]
+
+    f = dict(zip(pool, floats(len(pool))))
+    g = dict(zip(pool[::2], floats(len(pool))))
+    g_imag = dict(zip(pool[1::2], floats(len(pool))))
+
+    def data(f_values, g_values, exact):
+        lift = Fraction if exact else (lambda v: v)
+        return CauchyData(*(VertexFun.of(params, {w: lift(v) for w, v in values.items()}, exact)
+                            for values in (f_values, g_values)))
+
+    real = wave_direct(params, data(f, g, True), steps, observe)
+    imag = wave_direct(params, data({}, g_imag, True), steps, observe)
+    mixed = {w: complex(g.get(w, 0.0), g_imag.get(w, 0.0)) for w in {*g, *g_imag}}
+    for g_values, want in ((g, lambda x, n: float(real.at(x, n))),
+                           (mixed, lambda x, n: complex(float(real.at(x, n)),
+                                                        float(imag.at(x, n))))):
+        numeric = data(f, g_values, False)
+        lazy = wave_direct(params, numeric, steps, observe)
+        full = wave_direct(params, numeric, steps, observe)
+        full.decode_all()
+        for n in [m for m in range(-steps, steps + 1) if m]:  # u(., 0) is f as given
+            read = full.fields[n].data
+            for x in ball(params, observe):
+                value = want(x, n)
+                for got in (lazy.at(x, n), read[x], wave_closed_at(params, numeric, x, n)):
+                    assert type(got) is type(value) and repr(got) == repr(value), (x, n)
+
+
 def test_velocity_weights_equal_the_inverse_dual_fold():
     # c(m) is 2k sqrt(q)^m times the inverse dual Abel transform at m; the
     # velocity terms lift c(l) at each radius l < m of opposite parity by
@@ -431,17 +472,21 @@ def test_velocity_weights_equal_the_inverse_dual_fold():
 
 
 def test_weight_rows_are_cached_per_time_and_bounded():
-    # one entry per (graph, time, lane), however many points ask; the rows
-    # are shared, so they are tuples, and the cache never outgrows its size
+    # one entry per (graph, time), however many points ask and in both lanes;
+    # the rows are shared, so they are tuples, and the cache never outgrows
+    # its size
     rows = wave_module._rows
     rows.cache_clear()
     data = random_data(P34, random.Random(83))
+    numeric = CauchyData(*(VertexFun.of(P34, {w: float(v) for w, v in fun.items()}, exact=False)
+                           for fun in (data.initial, data.velocity)))
     for x in ball(P34, 1):
-        wave_closed_at(P34, data, x, 3)
-        wave_closed_at(P34, data, x, -3)
+        for lane in (data, numeric):
+            wave_closed_at(P34, lane, x, 3)
+            wave_closed_at(P34, lane, x, -3)
     assert rows.cache_info().currsize == 1
-    c, v, owed = rows(P34, 3, True)
-    assert (c, v, owed) == (*_weights(P34, 3), 3)
+    c, v = rows(P34, 3)
+    assert (c, v) == _weights(P34, 3)
     assert type(c) is tuple and type(v) is tuple
     limit = rows.cache_info().maxsize
     assert limit is not None
@@ -454,7 +499,8 @@ def reference_closed_at(params, data, x, n):
     """The closed form on numpy arrays, as it was computed before plain-number
     shell sums: a distance array, shell profiles by ``np.add.at``, the weight
     rows as arrays and matrix products.  Returns the value and the largest
-    |weight x shell sum| term, over the same denominator."""
+    |weight x shell sum| term, over the same denominator.  Both lanes read
+    the parts (A, B) of real data; the float lane rounds the exact value."""
     if n == 0:
         return data.initial.value(x), 0
     size, sign, q = abs(n), 1 if n > 0 else -1, params.q
@@ -468,10 +514,7 @@ def reference_closed_at(params, data, x, n):
         return out
 
     def row(weights):
-        if data.exact:
-            return np.array([weights], dtype=object)
-        den, root = q ** (size // 2), q ** ((size % 2) / 2)
-        return np.array([[w / den / root for w in weights]])
+        return np.array([weights], dtype=object)
 
     c, v = _weights(params, size)
     c_row, v_row = row(c), row([2 * sign * w for w in v])
@@ -480,12 +523,13 @@ def reference_closed_at(params, data, x, n):
     p_parts = [(c_row @ shells)[0] for shells in f_shells]
     q_parts = [(v_row @ shells)[0] for shells in g_shells]
     den = 2 * params.k * scale
+    (pa, pb), (qa, qb) = p_parts, q_parts  # sqrt(q) (A + B sqrt(q)) = qB + A sqrt(q)
+    value = AlgebraicValue(pa + q * qb, pb + qa, q) / den / q_half_power(q, size)
     if data.exact:
-        (pa, pb), (qa, qb) = p_parts, q_parts  # sqrt(q) (A + B sqrt(q)) = qB + A sqrt(q)
-        return AlgebraicValue(pa + q * qb, pb + qa, q) / den / q_half_power(q, size), 0
+        return value, 0
     terms = [c_row[0] * f_shells[0], v_row[0] * g_shells[0] * q ** 0.5]
-    largest = max(float(np.max(np.abs(t), initial=0.0)) for t in terms)
-    return ((p_parts[0] + q_parts[0] * q ** 0.5) / den).item(), largest / den
+    largest = max(float(np.max(np.abs(t), initial=0)) for t in terms)
+    return float(value), largest / den / q ** (size / 2)
 
 
 @pytest.mark.parametrize("params", [GraphParams(2, 2), GraphParams(2, 3), GraphParams(3, 2),
