@@ -22,7 +22,6 @@ import math
 import re
 import sys
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -118,10 +117,6 @@ class AlgebraicValue:
     @property
     def b(self) -> Fraction:
         return Fraction(self.triple[1], self.triple[2])
-
-    @classmethod
-    def rational(cls, value, q: int) -> "AlgebraicValue":
-        return cls(value, 0, q)
 
     def _parts(self, other) -> tuple | None:
         """The triple of a ring element or a rational, or None for anything else."""
@@ -303,7 +298,7 @@ class ExactRing:
 
     def __init__(self, q: int):
         self.q = q
-        self.zero = AlgebraicValue(0, 0, q)
+        self.zero = _canonical(0, 0, 1, q)
 
     def qpow(self, m: int) -> AlgebraicValue:
         return q_half_power(self.q, m)
@@ -357,11 +352,6 @@ class ExactRing:
         return [_canonical(x, y, den, q) for x, y in pairs]
 
 
-# one exact ring per q for the float rings' array lane: a float ring is built
-# per container, and an exact ring builds its zero
-_exact_ring = lru_cache(maxsize=64)(ExactRing)
-
-
 def _lift(x: float) -> Fraction:
     # the exact binary rational of a finite float
     if not math.isfinite(x):
@@ -385,7 +375,7 @@ class FloatRing:
     def __init__(self, q: int):
         self.q = q
         self.zero = 0.0
-        self._exact = _exact_ring(q)
+        self._exact = ring_of(q)
 
     def qpow(self, m: int) -> float:
         return self.q ** (m / 2.0)
@@ -409,10 +399,14 @@ class FloatRing:
         return planes[0] if len(planes) == 1 else [complex(*v) for v in zip(*planes)]
 
 
+# the shared rings, at most 64, keyed by (q, lane); the oldest is dropped first
+_RINGS: dict[tuple[int, bool], "ExactRing | FloatRing"] = {}
+
+
 def ring_of(q: int, exact: bool = True) -> ExactRing | FloatRing:
     """The arithmetic lane for ring parameter q: exact or float.
 
-    A ring is cheap; containers build theirs once and share its zero.
+    Each (q, lane) has one ring, from a bounded cache, shared by every caller.
     Rational constants need no help from the ring: an ``AlgebraicValue``, a
     float or a complex times ``Fraction(n, d)`` stays in its own lane.
     For array code each ring also has ``encode`` (value lists to integer
@@ -422,7 +416,12 @@ def ring_of(q: int, exact: bool = True) -> ExactRing | FloatRing:
     exactly (see ``FloatRing``), so integer linear maps act on the parts the
     same way in both.
     """
-    return ExactRing(q) if exact else FloatRing(q)
+    key = (q, bool(exact))
+    if key not in _RINGS:
+        _RINGS[key] = ExactRing(q) if exact else FloatRing(q)
+        if len(_RINGS) > 64:
+            del _RINGS[next(iter(_RINGS))]
+    return _RINGS[key]
 
 
 _RATIONAL = r"\d+(?:/\d+)?"

@@ -26,7 +26,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebraic import AlgebraicValue
 from .boundary import BoundaryRay, busemann, sphere_horocycle_count, translate_ray
 from .spectral import (
     VertexFun,
@@ -193,7 +192,7 @@ def _dual_failures(params: GraphParams, rng: random.Random) -> _Failures:
         fwd = dual_abel(g)
         if fwd.values != dual_abel_via_counts(g).values:
             yield "dual-closed-vs-counts", dict(trial=trial)
-        lhs = AlgebraicValue(0, 0, params.q)
+        lhs = 0
         for n in range(fwd.support_radius + 1):
             lhs = lhs + fwd.value(n) * f.value(n) * params.delta(n)
         af = abel(f)

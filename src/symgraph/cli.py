@@ -175,10 +175,10 @@ def cmd_info(params: GraphParams, args) -> tuple[dict, list, dict, int]:
     outputs += _rows("q", params.q)
     outputs += _rows("sigma", params.sigma)
     outputs += _rows("degree", deg)
-    outputs += _rows("alpha", AlgebraicValue(params.alpha, 0, params.q))
+    outputs += _rows("alpha", params.alpha)
     if params.q >= 2:
         gamma0 = (sqrt_q(params.q) * 2 + params.sigma) * Fraction(1, deg)
-        lo = (AlgebraicValue(params.sigma, 0, params.q) - sqrt_q(params.q) * 2) * Fraction(1, deg)
+        lo = (params.sigma - sqrt_q(params.q) * 2) * Fraction(1, deg)
         outputs += _rows("tau", params.tau)
         outputs += _rows("beta", params.beta)
         outputs += _rows("spectral_gap", params.spectral_gap)
@@ -189,7 +189,7 @@ def cmd_info(params: GraphParams, args) -> tuple[dict, list, dict, int]:
         for key in ("tau", "beta", "spectral_gap", "gamma0", "segment_lo", "segment_hi"):
             outputs += _rows(key, None)
     if params.k > params.r:
-        outputs += _rows("gamma_atom", AlgebraicValue(gamma_atom(params), 0, params.q))
+        outputs += _rows("gamma_atom", gamma_atom(params))
         outputs += _rows("atom_mass", Fraction(params.k - params.r, params.k))
     return {}, outputs, {}, 0
 

@@ -79,7 +79,7 @@ class GraphParams:
     @property
     def spectral_gap(self) -> AlgebraicValue:
         """alpha - beta = 1 - gamma(0), the distance of the L2 spectrum from 1."""
-        return AlgebraicValue(self.alpha, 0, self.q) - self.beta
+        return self.alpha - self.beta
 
     def require_spectral(self) -> None:
         if self.q < 2:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from symgraph import algebraic
 from symgraph.algebraic import (
     AlgebraicValue,
     RingMismatchError,
@@ -14,6 +15,9 @@ from symgraph.algebraic import (
     sqrt_q,
     _root_approx,
 )
+from symgraph.spectral import VertexFun
+from symgraph.transforms import EvenSeq, RadialSeq, abel
+from symgraph.words import GraphParams
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=60)
 
@@ -318,3 +322,52 @@ def test_float_ring_times_root_rounds_the_exact_product_once(q):
     if q > 1:
         with pytest.raises(OverflowError):
             ring.decode(ring.times_root(parts), scale, 0)
+
+
+# -- one shared ring per (q, lane) ----------------------------------------------------
+
+
+@pytest.mark.parametrize("q", [1, 4, 6])
+def test_ring_of_shares_one_ring_per_q_and_lane(q):
+    exact = ring_of(q)
+    assert ring_of(q, True) is exact and ring_of(q, exact=True) is exact
+    inexact = ring_of(q, False)
+    assert ring_of(q, exact=False) is inexact and inexact is not exact
+    assert ring_of(q + 1) is not exact
+    params = GraphParams(3, 4)  # q = 6
+    for lane in (True, False):
+        ring = ring_of(6, lane)
+        assert RadialSeq.of(params, [1, 2], lane).ring is ring
+        assert EvenSeq.of(params, [1], exact=lane).ring is ring
+        assert VertexFun.of(params, {}, lane).ring is ring
+
+
+def test_ring_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(algebraic, "_RINGS", {})
+    for q in range(1000, 1100):
+        ring_of(q, q % 2 == 0)
+    assert len(algebraic._RINGS) <= 64
+    assert ring_of(1099, False) is ring_of(1099, exact=False)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_a_request_creates_as_many_values_on_a_fresh_cache_as_on_a_repeat(monkeypatch, exact):
+    # a shared ring must not make the first request of a process create more
+    # values than its repeat, which a traced benchmark counts
+    params = GraphParams(3, 4)
+    values = [Fraction(1, 3), AlgebraicValue(1, 2, 6), 0, 5] if exact else [0.5, -1.0, 2.0]
+    created = []
+    init = AlgebraicValue.__init__
+
+    def counted(self, *args, **kwargs):
+        created.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(algebraic, "_RINGS", {})
+    monkeypatch.setattr(AlgebraicValue, "__init__", counted)
+    counts = []
+    for _ in range(2):
+        created.clear()
+        abel(RadialSeq.of(params, values, exact))
+        counts.append(len(created))
+    assert counts[0] == counts[1]
