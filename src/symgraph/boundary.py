@@ -22,6 +22,7 @@ import random
 from operator import add
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator
 
 from .algebraic import AlgebraicValue, q_half_power
@@ -68,6 +69,11 @@ class BoundaryRay:
             raise DepthError(f"node {m} not available at depth {self.depth}")
         return ReducedWord._make(self.params, self.prefix.syllables[:m])
 
+    @cached_property
+    def parent(self) -> ReducedWord:
+        """The node one step short of the prefix, built once per ray."""
+        return self.node(self.depth - 1)
+
     def truncate(self, m: int) -> "BoundaryRay":
         if not 1 <= m <= self.depth:
             raise DepthError(f"cannot truncate depth-{self.depth} ray to {m}")
@@ -101,13 +107,16 @@ def busemann(x: ReducedWord, ray: BoundaryRay) -> int:
     """Horocycle index of x along the ray: depth - d(x, prefix).
 
     Stable in the truncation depth once depth > |x|; shallower rays raise.
+    Where the ray is deeper than |x| + 1, the index is checked against the
+    ray's ``parent`` node, which the ray holds once, so the check costs one
+    more ``distance`` call and no word.
     """
-    m = ray.depth
-    if m <= len(x):
-        raise DepthError(f"busemann at |x| = {len(x)} needs ray depth > {len(x)}, got {m}")
+    m, size = ray.depth, len(x)
+    if m <= size:
+        raise DepthError(f"busemann at |x| = {size} needs ray depth > {size}, got {m}")
     value = m - distance(x, ray.prefix)
-    if m - 1 > len(x):
-        assert value == (m - 1) - distance(x, ray.node(m - 1)), "busemann depth instability"
+    if m - 1 > size:
+        assert value == (m - 1) - distance(x, ray.parent), "busemann depth instability"
     return value
 
 

@@ -124,7 +124,8 @@ def _fixture_rays(params: GraphParams, depth: int, rng: random.Random) -> list[B
 def _horocycle_failures(params: GraphParams, rng: random.Random) -> _Failures:
     nmax = 4
     for ray in _fixture_rays(params, nmax + 1, rng):
-        counts = Counter((len(x), busemann(x, ray)) for x in ball(params, nmax))
+        counts = Counter((n, busemann(x, ray))
+                         for n in range(nmax + 1) for x in sphere(params, n))
         for n in range(nmax + 1):
             for h in range(-nmax, nmax + 1):
                 expected = sphere_horocycle_count(params, n, h)

@@ -30,7 +30,10 @@ over one denominator, decoded once per output value, so a float output is
 float() of the exact transform of the lifted inputs.  Shared arithmetic is
 not a shared formula: each dual oracle still checks the closed form by its
 own route, the counts sum and the forward recurrence, as ``radon`` and
-``abel_via_radon`` check the Abel side by enumeration.
+``abel_via_radon`` check the Abel side by enumeration.  Those two visit
+every word of the ball with one ``distance`` call each, but count the words
+of each sphere per horocycle in plain integers and weight each nonzero count
+by f(n) once, so their ring arithmetic grows with the shells, not the words.
 
 A closed form of N values holds about N^2 log2(q) bits, and one past
 ``MAX_CLOSED_BITS`` is refused with ``ValueError`` before any arithmetic;
@@ -40,12 +43,13 @@ the dual oracles share that bound.  The dual transforms refuse a negative
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebraic import ring_of
-from .boundary import BoundaryRay, DepthError, horocycle_section, shell_sums, sphere_horocycle_count
-from .words import GraphParams, ball
+from .boundary import BoundaryRay, DepthError, shell_sums, sphere_horocycle_count
+from .words import GraphParams, sphere
 
 __all__ = [
     "RadialSeq",
@@ -155,14 +159,32 @@ def _n_max(seq: _Seq, n_max: int | None) -> int:
 # -- Radon transform ----------------------------------------------------------
 
 
+def _sphere_counts(f: RadialSeq, ray: BoundaryRay) -> Iterator[list[int]]:
+    """For each n from 0 to f's support radius N, the number of words of
+    the sphere of radius n at each distance d <= depth + N from the ray's
+    prefix, that is on horocycle depth - d: plain integer counts, with one
+    ``distance`` call per word of the ball.  Needs ray depth > N."""
+    radius = f.support_radius
+    if ray.depth <= radius:
+        raise DepthError(f"needs ray depth > {radius}")
+    for n in range(radius + 1):
+        words = ((x, (1,)) for x in sphere(f.params, n))
+        yield shell_sums(ray.prefix, words, ray.depth + radius, 1)[0]
+
+
 def radon(f: RadialSeq, ray: BoundaryRay, h: int):
     """Horocycle sum of f by explicit vertex enumeration (the oracle path).
 
-    Adds f(|x|) over the section of the h-th horocycle of the ray by the
-    ball of the support radius; needs ray depth > support radius.
+    Counts the words of the ball of the support radius on the h-th
+    horocycle of the ray sphere by sphere, and adds f(n) times the count
+    of sphere n; needs ray depth > support radius.
     """
-    section = horocycle_section(ray, h, f.support_radius)
-    return sum((f.value(len(x)) for x in section), f.ring.zero)
+    d = ray.depth - h
+    total = f.ring.zero
+    for n, counts in enumerate(_sphere_counts(f, ray)):
+        if 0 <= d < len(counts) and counts[d]:
+            total = total + f.value(n) * counts[d]
+    return total
 
 
 def radon_via_counts(f: RadialSeq, h: int):
@@ -201,16 +223,20 @@ def abel(f: RadialSeq) -> EvenSeq:
 
 
 def abel_via_radon(f: RadialSeq, ray: BoundaryRay) -> EvenSeq:
-    """Abel transform computed from enumerated horocycle sums on one ray."""
-    radius = f.support_radius
-    if ray.depth <= radius:
-        raise DepthError(f"needs ray depth > {radius}")
-    params, ring, depth = f.params, f.ring, ray.depth
+    """Abel transform computed from enumerated horocycle sums on one ray.
+
+    Every word of the ball is counted into its horocycle sphere by sphere,
+    and each nonzero count of sphere n adds f(n) times the count once."""
+    radius, ring, depth = f.support_radius, f.ring, ray.depth
     # horocycle h is the shell at distance depth - h around the prefix
-    pairs = ((x, (f.value(len(x)),)) for x in ball(params, radius))
-    sums = shell_sums(ray.prefix, pairs, depth + radius, 1, ring.zero)[0]
+    sums = [ring.zero] * (depth + radius + 1)
+    for n, counts in enumerate(_sphere_counts(f, ray)):
+        value = f.value(n)
+        for d, count in enumerate(counts):
+            if count:
+                sums[d] = sums[d] + value * count
     out = tuple(ring.qpow(h) * sums[depth - h] for h in range(radius + 1))
-    return EvenSeq(params, out, f.exact)
+    return EvenSeq(f.params, out, f.exact)
 
 
 def abel_inv(g: EvenSeq) -> RadialSeq:

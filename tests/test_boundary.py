@@ -52,6 +52,22 @@ def test_busemann_depth_stability():
         assert busemann(x, ray) == busemann(x, ray.truncate(4))
 
 
+def test_busemann_checks_the_held_parent(monkeypatch):
+    # the ray holds its parent node once; a distance that disagrees there
+    # must still trip the depth-stability check on every call
+    ray = BoundaryRay.alternating(P34, 4)
+    assert ray.parent == ray.node(3)
+    assert ray.parent is ray.parent
+
+    def off_at_parent(x, y):
+        return distance(x, y) + (y == ray.node(3))
+
+    monkeypatch.setattr("symgraph.boundary.distance", off_at_parent)
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="^busemann depth instability$"):
+            busemann(P34.identity(), ray)
+
+
 def test_poisson_values():
     ray = BoundaryRay.alternating(P34, 4)
     assert poisson_power(P34.identity(), ray, 1 + 2j) == 1

@@ -84,6 +84,7 @@ CASES = [
     ("spectral", "plancherel_norm", mass_plus_one, "plancherel-mass", "plancherel-mass"),
     ("wave", "wave_closed_at", plus_one, "wave-closed-vs-direct", "wave-closed-vs-direct"),
     ("wave", "wave_direct", past_off_when_still, "wave-time-symmetry", "wave-time-symmetry"),
+    ("boundary", "busemann", plus_one, "horocycle-count", "horocycle-count"),
 ]
 
 

@@ -7,8 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import symgraph.boundary
 from symgraph.algebraic import AlgebraicValue, ExactRing, q_half_power
-from symgraph.boundary import BoundaryRay, DepthError, sphere_horocycle_count
+from symgraph.boundary import (
+    BoundaryRay,
+    DepthError,
+    horocycle_section,
+    shell_sums,
+    sphere_horocycle_count,
+)
 from symgraph.transforms import (
     MAX_CLOSED_BITS,
     EvenSeq,
@@ -26,7 +33,7 @@ from symgraph.transforms import (
     radon_via_counts,
     schwartz_norm,
 )
-from symgraph.words import GraphParams
+from symgraph.words import GraphParams, ball, ball_size
 
 P34 = GraphParams(3, 4)
 
@@ -496,6 +503,100 @@ def test_oversized_n_max_is_refused_alike(monkeypatch):
             transform(seq, n_max=5773)  # 5774 values; 5773 is the last admitted length
         messages.add(str(err.value))
     assert len(messages) == 1 and str(MAX_CLOSED_BITS) in messages.pop()
+
+
+# -- the enumeration oracles: integer counts per shell, one weight per count -----------
+
+# ``radon`` and ``abel_via_radon`` count the ball's words per horocycle sphere by
+# sphere and weight each count by f(n) once.  These are the per-word sums they
+# replace, one ring value per word: the exact lane must agree with == and equal
+# repr, the float lane to rounding.
+
+
+def _reference_radon(f, ray, h):
+    section = horocycle_section(ray, h, f.support_radius)
+    return sum((f.value(len(x)) for x in section), f.ring.zero)
+
+
+def _reference_abel_via_radon(f, ray):
+    radius, ring, depth = f.support_radius, f.ring, ray.depth
+    pairs = ((x, (f.value(len(x)),)) for x in ball(f.params, radius))
+    sums = shell_sums(ray.prefix, pairs, depth + radius, 1, ring.zero)[0]
+    return tuple(ring.qpow(h) * sums[depth - h] for h in range(radius + 1))
+
+
+def _enumeration_cases(params, rng):
+    """(values, ray, horocycles): for N = 0, 1, 3, values with and without
+    interior zeros on the alternating ray and a random ray of depth N + 1,
+    with every horocycle the ball meets; for N = 5, whose ball at (4, 4)
+    holds 88573 words, values with interior zeros on a random ray, with
+    horocycle 0."""
+    for N in (0, 1, 3, 5):
+        values = [_fractional_value(rng, params.q) for _ in range(N + 1)]
+        holes = [0 if 0 < n < N and n % 2 else v for n, v in enumerate(values)]
+        if N == 5:
+            yield holes, BoundaryRay.random(params, N + 1, rng), (0,)
+            continue
+        for inputs in ([values, holes] if N > 1 else [values]):
+            for ray in (BoundaryRay.alternating(params, N + 1),
+                        BoundaryRay.random(params, N + 1, rng)):
+                yield inputs, ray, range(-N, N + 1)
+
+
+def test_enumeration_oracles_equal_their_per_word_sums():
+    rng = random.Random(59)
+    for params in GRID:
+        for values, ray, horocycles in _enumeration_cases(params, rng):
+            f = RadialSeq.of(params, values)
+            got, want = abel_via_radon(f, ray).values, _reference_abel_via_radon(f, ray)
+            assert got == want, (params, values, ray)
+            assert [repr(v) for v in got] == [repr(v) for v in want]
+            for h in horocycles:
+                got, want = radon(f, ray, h), _reference_radon(f, ray, h)
+                assert got == want and repr(got) == repr(want), (params, values, ray, h)
+
+
+def test_enumeration_oracles_float_lane_matches_the_per_word_sums():
+    # a count times a float rounds once where the per-word sum rounds at
+    # every word, so the two agree to rounding of the largest value
+    rng = random.Random(61)
+    for params in GRID:
+        for values, ray, horocycles in _enumeration_cases(params, rng):
+            real = [float(v) for v in values]
+            mixed = [complex(v, w) for v, w in zip(real, reversed(real))]
+            for inputs in (real, mixed):
+                f = RadialSeq.of(params, inputs, exact=False)
+                got, want = abel_via_radon(f, ray).values, _reference_abel_via_radon(f, ray)
+                scale = max(abs(w) for w in want)
+                assert all(abs(a - b) <= 1e-12 * scale for a, b in zip(got, want)), params
+                sums = [(radon(f, ray, h), _reference_radon(f, ray, h)) for h in horocycles]
+                scale = max(abs(b) for _, b in sums)
+                assert all(abs(a - b) <= 1e-12 * scale for a, b in sums), params
+
+
+@pytest.mark.parametrize("values", [[1], [Fraction(1, 2), 0, 3], [0, 0, 0, 2], [1, 0, 0, 0]],
+                         ids=repr)
+def test_enumeration_oracles_call_distance_once_per_ball_word(monkeypatch, values):
+    # the route stays every word of the ball, spheres where f is 0 included
+    calls = []
+    measure = symgraph.boundary.distance
+
+    def counted(x, y):
+        calls.append(1)
+        return measure(x, y)
+
+    monkeypatch.setattr(symgraph.boundary, "distance", counted)
+    for params in (P34, GraphParams(2, 2), GraphParams(4, 3)):
+        f = RadialSeq.of(params, values)
+        ray = BoundaryRay.alternating(params, f.support_radius + 2)
+        size = ball_size(params, f.support_radius)
+        calls.clear()
+        abel_via_radon(f, ray)
+        assert len(calls) == size, params
+        for h in (-1, 0, 2):
+            calls.clear()
+            radon(f, ray, h)
+            assert len(calls) == size, (params, h)
 
 
 # -- the float lane of dual_abel_inv: one rounding of the exact transform --------------
