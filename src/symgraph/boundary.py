@@ -111,12 +111,12 @@ def busemann(x: ReducedWord, ray: BoundaryRay) -> int:
     ray's ``parent`` node, which the ray holds once, so the check costs one
     more ``distance`` call and no word.
     """
-    m, size = ray.depth, len(x)
+    m, size = len(ray.prefix.syllables), len(x.syllables)
     if m <= size:
         raise DepthError(f"busemann at |x| = {size} needs ray depth > {size}, got {m}")
     value = m - distance(x, ray.prefix)
-    if m - 1 > size:
-        assert value == (m - 1) - distance(x, ray.parent), "busemann depth instability"
+    if m - 1 > size and value != (m - 1) - distance(x, ray.parent):
+        raise AssertionError("busemann depth instability")
     return value
 
 

@@ -123,9 +123,13 @@ def _fixture_rays(params: GraphParams, depth: int, rng: random.Random) -> list[B
 
 def _horocycle_failures(params: GraphParams, rng: random.Random) -> _Failures:
     nmax = 4
-    for ray in _fixture_rays(params, nmax + 1, rng):
-        counts = Counter((n, busemann(x, ray))
-                         for n in range(nmax + 1) for x in sphere(params, n))
+    rays = _fixture_rays(params, nmax + 1, rng)
+    tallies = [Counter() for _ in rays]
+    for n in range(nmax + 1):  # each sphere listed once, counted for every ray
+        words = list(sphere(params, n))
+        for ray, counts in zip(rays, tallies):
+            counts.update((n, busemann(x, ray)) for x in words)
+    for ray, counts in zip(rays, tallies):
         for n in range(nmax + 1):
             for h in range(-nmax, nmax + 1):
                 expected = sphere_horocycle_count(params, n, h)

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import repeat
 from operator import mul
 
 import numpy as np
@@ -26,7 +27,7 @@ import numpy as np
 from .algebraic import ring_of
 from .boundary import BoundaryRay, DepthError, busemann, shell_sums
 from .transforms import EvenSeq, RadialSeq
-from .words import GraphParams, ReducedWord, ball, sphere
+from .words import GraphParams, ReducedWord, _product, ball, sphere
 
 __all__ = [
     "VertexFun",
@@ -196,7 +197,7 @@ def phi_oracle(params: GraphParams, lam, x: ReducedWord, depth: int):
     lnq = math.log(params.q)
     totals = np.zeros(len(lams), dtype=complex)
     # the cylinders by their Busemann index z = depth - d(x, y) at x
-    cylinders = ((y, (1,)) for y in sphere(params, depth))
+    cylinders = zip(sphere(params, depth), repeat((1,)))
     for d, count in enumerate(shell_sums(x, cylinders, depth + len(x), 1)[0]):
         if count:
             totals += count * np.exp((0.5 + 1j * lams) * (depth - d) * lnq)
@@ -501,19 +502,24 @@ def invert_helgason(f: VertexFun, x: ReducedWord, depth: int, tol: float = 1e-9)
 
 
 def convolve(f: VertexFun, g: VertexFun) -> VertexFun:
-    """Group convolution sum_y f(y) g(y^-1 x), by support pairs."""
-    if f.params != g.params:
+    """Group convolution sum_y f(y) g(y^-1 x), by support pairs.
+
+    Products are taken and summed on syllable tuples, in pair order, and
+    each distinct output word is built once at the end."""
+    params = f.params
+    if params != g.params:
         raise ValueError("convolution operands live on different graphs")
     exact = f.exact and g.exact
-    ring = ring_of(f.params.q, exact)
+    ring = ring_of(params.q, exact)
+    k, zero = params.k, ring.zero
     out: dict = {}
-    left = [(y, ring.coerce(v)) for y, v in f.items()]
-    right = [(z, ring.coerce(v)) for z, v in g.items()]
+    left = [(y.syllables, ring.coerce(v)) for y, v in f.items()]
+    right = [(z.syllables, ring.coerce(v)) for z, v in g.items()]
     for y, fv in left:
         for z, gv in right:
-            w = y * z
-            out[w] = out.get(w, ring.zero) + fv * gv
-    return VertexFun(f.params, out, exact)
+            w = _product(y, z, k)
+            out[w] = out.get(w, zero) + fv * gv
+    return VertexFun(params, {ReducedWord._make(params, w): v for w, v in out.items()}, exact)
 
 
 def convolve_radial(f: VertexFun, chi: RadialSeq) -> VertexFun:

@@ -46,6 +46,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 from .algebraic import ring_of
 from .boundary import BoundaryRay, DepthError, shell_sums, sphere_horocycle_count
@@ -168,7 +169,7 @@ def _sphere_counts(f: RadialSeq, ray: BoundaryRay) -> Iterator[list[int]]:
     if ray.depth <= radius:
         raise DepthError(f"needs ray depth > {radius}")
     for n in range(radius + 1):
-        words = ((x, (1,)) for x in sphere(f.params, n))
+        words = zip(sphere(f.params, n), repeat((1,)))
         yield shell_sums(ray.prefix, words, ray.depth + radius, 1)[0]
 
 

@@ -15,6 +15,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -136,21 +137,10 @@ class ReducedWord:
         return len(self.syllables)
 
     def __mul__(self, other: "ReducedWord") -> "ReducedWord":
-        # both factors are reduced, so only the junction reduces: a's last
-        # syllable cancels or merges with b's first while they share a
-        # generator, and a merge that leaves a nonzero exponent ends it
         params = self.params
         if other.params is not params and other.params != params:
             raise ValueError("cannot multiply words over different graph parameters")
-        a, b, k = self.syllables, other.syllables, params.k
-        i, j = len(a), 0
-        while i and j < len(b) and a[i - 1][0] == b[j][0]:
-            g, e = a[i - 1]
-            merged = (e + b[j][1]) % k
-            i, j = i - 1, j + 1
-            if merged:
-                return ReducedWord._make(params, a[:i] + ((g, merged),) + b[j:])
-        return ReducedWord._make(params, a[:i] + b[j:])
+        return ReducedWord._make(params, _product(self.syllables, other.syllables, params.k))
 
     def __invert__(self) -> "ReducedWord":
         k = self.params.k
@@ -198,10 +188,47 @@ def distance(x: ReducedWord, y: ReducedWord) -> int:
     return la + lb
 
 
+def _product(a: tuple, b: tuple, k: int) -> tuple:
+    """The syllables of the product of reduced words with syllables a and b.
+
+    Both factors are reduced, so only the junction reduces: a's last syllable
+    cancels or merges with b's first while they share a generator, and a
+    merge that leaves a nonzero exponent ends it.  Most products have
+    distinct junction generators and are the plain concatenation.
+    """
+    if not a or not b or a[-1][0] != b[0][0]:
+        return a + b
+    i, j = len(a), 0
+    while i and j < len(b) and a[i - 1][0] == b[j][0]:
+        g, e = a[i - 1]
+        merged = (e + b[j][1]) % k
+        i, j = i - 1, j + 1
+        if merged:
+            return a[:i] + ((g, merged),) + b[j:]
+    return a[:i] + b[j:]
+
+
+@lru_cache(maxsize=64)
+def _steps(params: GraphParams) -> tuple:
+    """The one-syllable suffixes ``((g, e),)`` that extend a reduced word,
+    in ``_children`` order, indexed by the word's last generator; entry -1
+    (the last) is the identity's.  Every word of a walk shares these pairs."""
+    def after(last: int) -> tuple:
+        return tuple(((g, e),) for g in range(params.r) if g != last
+                     for e in range(1, params.k))
+    return tuple(after(last) for last in range(params.r)) + (after(-1),)
+
+
+def _next_level(level, steps: tuple):
+    """The words one syllable longer than those of ``level``, as syllable
+    tuples in ``_children`` order, each parent's children in turn."""
+    return (word + step for word in level for step in steps[word[-1][0] if word else -1])
+
+
 def _children(params: GraphParams, syllables: tuple) -> list[tuple]:
     """The reduced words one syllable longer than ``syllables``, in increasing
     order: a_g^e appended for every generator g but the last and every e in
-    [1, k-1].
+    [1, k-1], read from the shared ``_steps`` table.
 
     This rule is the ball layout.  ``sphere`` and ``ball`` list each level as
     the children of the level before, so a sphere is in increasing syllable
@@ -210,9 +237,7 @@ def _children(params: GraphParams, syllables: tuple) -> list[tuple]:
     siblings share its aligned block of k-1.  ``position``, ``neighbors`` and
     ``_self_plus_neighbors`` read it back.
     """
-    last = syllables[-1][0] if syllables else -1
-    return [syllables + ((g, e),) for g in range(params.r) if g != last
-            for e in range(1, params.k)]
+    return list(_next_level((syllables,), _steps(params)))
 
 
 def sphere(params: GraphParams, n: int) -> Iterator[ReducedWord]:
@@ -220,21 +245,34 @@ def sphere(params: GraphParams, n: int) -> Iterator[ReducedWord]:
     syllable order; the order is part of the CLI output contract."""
     if n < 0:
         raise ValueError(f"radius must be nonnegative, got {n}")
+    steps = _steps(params)
     level = iter([()])
     for _ in range(n):
-        level = (child for word in level for child in _children(params, word))
+        level = _next_level(level, steps)
+    new = object.__new__
     for syllables in level:
-        yield ReducedWord._make(params, syllables)
+        # built as ``ReducedWord._make`` builds, without a call per word
+        word = new(ReducedWord)
+        word.params = params
+        word.syllables = syllables
+        word._hash = hash(syllables)
+        yield word
 
 
 def ball(params: GraphParams, n: int) -> Iterator[ReducedWord]:
     """Yield every word of length <= n, sphere by sphere."""
+    steps = _steps(params)
+    new = object.__new__
     level = [()]
     for m in range(n + 1):
         for syllables in level:
-            yield ReducedWord._make(params, syllables)
+            word = new(ReducedWord)
+            word.params = params
+            word.syllables = syllables
+            word._hash = hash(syllables)
+            yield word
         if m < n:
-            level = [child for word in level for child in _children(params, word)]
+            level = list(_next_level(level, steps))
 
 
 def ball_size(params: GraphParams, radius: int, cap: int | None = None) -> int:

@@ -1,6 +1,10 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -66,6 +70,29 @@ def test_busemann_checks_the_held_parent(monkeypatch):
     for _ in range(2):
         with pytest.raises(AssertionError, match="^busemann depth instability$"):
             busemann(P34.identity(), ray)
+
+
+def test_busemann_check_survives_optimized_mode():
+    # python -O drops assert statements; the depth-stability check is an
+    # explicit raise, so a distance one off at the parent still trips it
+    script = (
+        "import symgraph.boundary as boundary\n"
+        "from symgraph.words import GraphParams, distance\n"
+        "ray = boundary.BoundaryRay.alternating(GraphParams(3, 4), 4)\n"
+        "boundary.distance = lambda x, y: distance(x, y) + (y == ray.parent)\n"
+        "print(__debug__)\n"
+        "try:\n"
+        "    boundary.busemann(ray.params.identity(), ray)\n"
+        "except AssertionError as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\nAssertionError busemann depth instability\n"
 
 
 def test_poisson_values():

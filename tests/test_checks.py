@@ -2,6 +2,7 @@
 the suite has to name the failure, drop the pass and carry a witness."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -116,3 +117,18 @@ def test_horocycle_failure_skips_the_cocycle_check(monkeypatch):
     _, collected = run_suite("boundary", [P34], 0)
     assert [(result.name, result.ok) for _, _, result in collected] == [
         ("horocycle-count", False)]
+
+
+def test_horocycle_check_counts_the_second_ray(monkeypatch):
+    # both fixture rays share one walk of each sphere; a busemann that is
+    # off on the second ray alone must still fail, with that ray as witness
+    first, second = checks._fixture_rays(P34, 5, random.Random(0))
+    assert first.prefix != second.prefix
+    exact = checks.busemann
+    monkeypatch.setattr(checks, "busemann",
+                        lambda x, ray: exact(x, ray) + (ray.prefix == second.prefix))
+    ok, collected = run_suite("boundary", [P34], 0)
+    results = [result for _, _, result in collected]
+    assert not ok
+    assert [(result.name, result.ok) for result in results] == [("horocycle-count", False)]
+    assert results[0].witness["ray"] == str(second.prefix)

@@ -54,11 +54,13 @@ def test_cli_stdout_matches_the_golden_file(capsys):
     # the Plancherel measure has its atom, and ``wave --method direct`` and
     # ``--method both`` runs with no ``--at``, which read every stepped
     # value, ``info`` on k > r (the atom rows), on q = 1 (the null rows)
-    # and on a perfect square q, and ``verify --suite abel`` at (3,4) and
+    # and on a perfect square q, ``verify --suite abel`` at (3,4) and
     # ``verify --suite boundary`` at (4,4), whose oracles count words per
-    # shell; the file holds each stdout with ``runtime_ms`` dropped
+    # shell, and a ``ks-check``, a ``verify --suite group`` and a
+    # ``spherical`` run at (4,4) and (4,3), which walk the words layer
+    # hardest; the file holds each stdout with ``runtime_ms`` dropped
     cases = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert len(cases) == 24
+    assert len(cases) == 27
     for case in cases:
         code, out = run(capsys, *shlex.split(case["command"]))
         assert code == 0, case["command"]

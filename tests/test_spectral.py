@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from symgraph.algebraic import AlgebraicValue
+from symgraph.algebraic import AlgebraicValue, ring_of
 from symgraph.boundary import BoundaryRay, DepthError
 from symgraph.spectral import (
     VertexFun,
@@ -37,7 +37,7 @@ from symgraph.spectral import (
     spherical_transform_atom,
 )
 from symgraph.transforms import EvenSeq, RadialSeq, abel
-from symgraph.words import GraphParams, SpectralDomainError, ball, sphere
+from symgraph.words import GraphParams, ReducedWord, SpectralDomainError, ball, sphere
 
 P34 = GraphParams(3, 4)
 SPECTRAL_GRID = [
@@ -288,6 +288,46 @@ def test_convolution_group_identities():
     a, b = P34.generator(0), P34.generator(1, 2)
     point = convolve(VertexFun.delta_at(a), VertexFun.delta_at(b))
     assert point.data == {a * b: AlgebraicValue(1, 0, 6)}
+
+
+def reference_convolve(f, g):
+    """The pairwise sum of f(y) g(z) over y * z, in pair order."""
+    ring = ring_of(f.params.q, f.exact and g.exact)
+    out = {}
+    for y, fv in f.items():
+        for z, gv in g.items():
+            w = y * z
+            out[w] = out.get(w, ring.zero) + ring.coerce(fv) * ring.coerce(gv)
+    return out
+
+
+@pytest.mark.parametrize("k, r", [(2, 3), (2, 4), (3, 3), (3, 4), (4, 3)])
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_convolve_matches_the_pairwise_products(k, r, exact):
+    # same keys in the same order, values == in the exact lane and bit for
+    # bit in the float lane; g holds inverses of f's words, so some products
+    # cancel to the identity and many more merge or cancel at the junction
+    params = GraphParams(k, r)
+    rng = random.Random(k * 10 + r)
+    pool = list(ball(params, 2))
+    for _ in range(3):
+        support = rng.sample(pool, min(12, len(pool)))
+        others = [~x for x in support[:6]] + rng.sample(pool, 6)
+        if exact:
+            def value():
+                return AlgebraicValue(Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+                                      Fraction(rng.randint(-9, 9), rng.randint(1, 5)), params.q)
+        else:
+            def value():
+                return rng.uniform(-1, 1)
+        f = VertexFun.of(params, {x: value() for x in support}, exact)
+        g = VertexFun.of(params, {x: value() for x in others}, exact)
+        got, expected = convolve(f, g).data, reference_convolve(f, g)
+        assert list(got) == list(expected)
+        assert params.identity() in got
+        for w, v in got.items():
+            assert v == expected[w] and repr(v) == repr(expected[w])
+            assert w.params is params and hash(w) == hash(ReducedWord(params, w.syllables))
 
 
 def test_convolve_radial_path_agrees():

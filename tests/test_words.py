@@ -9,6 +9,8 @@ import symgraph.words
 from symgraph.words import (
     GraphParams,
     ReducedWord,
+    _children,
+    _product,
     ball,
     ball_size,
     distance,
@@ -230,7 +232,9 @@ def test_product_is_the_reduced_concatenation(case):
     params, (x, y, z) = case
     for a, b in ((x, y), (y, z), (x, z), (y, x)):
         product = a * b
-        assert product.syllables == reference_reduce(a.syllables + b.syllables, params.k)
+        expected = reference_reduce(a.syllables + b.syllables, params.k)
+        assert _product(a.syllables, b.syllables, params.k) == expected
+        assert product.syllables == expected
         assert product == ReducedWord(params, product.syllables)
     assert (x * y) * z == x * (y * z)
     assert x * ~x == params.identity() == ~x * x
@@ -243,6 +247,24 @@ def test_product_is_the_reduced_concatenation(case):
             x * other.identity()
         with pytest.raises(ValueError, match="different graph"):
             other.identity() * y
+
+
+@pytest.mark.parametrize("k, r", [(2, 3), (3, 3), (4, 2), (3, 4)])
+def test_walks_follow_the_children_rule(k, r):
+    # every child appends a_g^e for each generator g but the last, in order,
+    # and the words that sphere and ball build in place are whole words
+    params = GraphParams(k, r)
+    for x in ball(params, 2):
+        last = x.syllables[-1][0] if x.syllables else -1
+        assert _children(params, x.syllables) == [
+            x.syllables + ((g, e),) for g in range(r) if g != last for e in range(1, k)]
+    walked = list(ball(params, 3))
+    assert walked == [w for n in range(4) for w in sphere(params, n)]
+    for x in itertools.chain(walked, sphere(params, 3)):
+        twin = ReducedWord(params, x.syllables)
+        assert x.params is params and x == twin and hash(x) == hash(twin)
+    assert [x.syllables for x in sphere(params, 3)] == [
+        c for x in sphere(params, 2) for c in _children(params, x.syllables)]
 
 
 def test_tracer_hooks_stay_in_place():
