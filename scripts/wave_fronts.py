@@ -7,6 +7,7 @@ value (they agree exactly; the table shows floats).
 """
 
 import argparse
+import sys
 
 from symgraph import CauchyData, GraphParams, VertexFun, wave_closed_at, wave_direct
 from symgraph.words import sphere
@@ -32,7 +33,10 @@ def main() -> None:
             x = next(iter(sphere(params, d)))
             direct = float(field.at(x, n))
             closed = float(wave_closed_at(params, data, x, n))
-            assert direct == closed
+            if direct != closed:
+                print(f"closed form {closed!r} != stepper {direct!r} at x={x}, n={n}",
+                      file=sys.stderr)
+                sys.exit(1)
             row.append(f"{direct:+.4f}")
         print(f"{n:>3}  " + "  ".join(row))
 

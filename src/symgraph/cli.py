@@ -108,7 +108,10 @@ def _parse_vertex_fun(params: GraphParams, text: str) -> VertexFun:
             word_text, _, value_text = item.partition(":")
             if not value_text:
                 raise ValueError(f"expected 'word:value', got {item!r}")
-            data[parse_word(params, word_text.strip())] = parse_value(value_text.strip(), params.q)
+            word = parse_word(params, word_text.strip())
+            if word in data:
+                raise ValueError(f"the word {word} is given twice")
+            data[word] = parse_value(value_text.strip(), params.q)
     return VertexFun.of(params, data)
 
 
@@ -357,8 +360,12 @@ def cmd_wave(params: GraphParams, args) -> tuple[dict, list, dict, int]:
         _parse_vertex_fun(params, args.g),
     )
     if args.at:
-        word_text, _, n_text = args.at.rpartition(",")
-        x, n = parse_word(params, word_text), int(n_text)
+        try:
+            word_text, n_text = args.at.rsplit(",", 1)
+            n = int(n_text)
+        except ValueError:
+            raise ValueError(f"--at expects WORD,TIME, got {args.at!r}") from None
+        x = parse_word(params, word_text)
         if abs(n) > args.steps:
             raise ValueError(f"time {n} beyond --steps {args.steps}")
         times, words = [n], [x]

@@ -30,11 +30,13 @@ around x, so it reads the distance profile of the union of the supports
 plain Python numbers), takes two dot products with the weight rows and
 decodes once.  The graph is tree-like at the origin, so only the words
 under x's first syllable need a ``distance`` call; every other word enters
-through per-length sums of the data, built with its encoding.  A time whose
-weights would hold more than ``MAX_CLOSED_BITS`` bits is refused up front.
-Between calls only the encoded data and the weight rows are kept, the rows
-per graph and time (``_rows``, a bounded cache both lanes share); in
-particular no value or distance is remembered per point.
+through per-length sums of the data, built with its encoding.  The shell
+sums do not depend on the time, so the data keeps them for the first
+``_MAX_PROFILES`` points and every later time reads them; a point past the
+bound is measured out to |n| on every call, as nothing is evicted.  A time
+whose weights would hold more than ``MAX_CLOSED_BITS`` bits is refused up front.
+The weight rows are kept per graph and time (``_rows``, a bounded cache both
+lanes share); no value is remembered per point.
 """
 
 from __future__ import annotations
@@ -179,6 +181,12 @@ class CauchyData:
             part.flags.writeable = False
         numbers = zip(*(part.tolist() for parts in columns for part in parts))
         return words, scale, columns, branch_index(zip(words, numbers), 2 * len(columns[0]))
+
+    @cached_property
+    def _profiles(self) -> dict:
+        """Point x -> the shell sums of the parts around x out to |x| + L,
+        L the longest support word; shared by every time, so read-only."""
+        return {}
 
 
 class WaveField:
@@ -443,6 +451,10 @@ def _weights(params: GraphParams, m: int) -> tuple[tuple[int, ...], tuple[int, .
     return tuple(-(q - 1 + (r - k) * p) for p in powers) + (k,), tuple(1 - p for p in powers)
 
 
+# points whose shell sums a CauchyData keeps: about 600 B each at (3, 4), radius 2
+_MAX_PROFILES = 4096
+
+
 # c(m) and v(m) cached per graph and time, shared by every point and both lanes
 _rows = lru_cache(maxsize=32)(_weights)
 
@@ -477,16 +489,19 @@ def wave_closed_at(params: GraphParams, data: CauchyData, x: ReducedWord, n: int
     q (1 - t^j) - (q - 1 + (r - k) t^(j + 1)) = 1 - t^(j + 2) for t = 1 - k.
 
     So each value reads the shell sums F_l and G_l, plain Python numbers,
-    from ``boundary.branch_shell_sums`` over the union of the supports, and a
-    word farther than |n| from x is in no shell.  Only the words under x's
-    first syllable cost a ``distance`` call (none at x = e); the others sit
-    at |x| + |y| or |x| + |y| - 1 and come from the per-length sums in
-    ``CauchyData._encoded``.  The dot products take the weight rows of
-    ``_rows`` (cached per graph and time, never per point), then one
-    ``times_root`` and one ``decode``, exact in either lane.  A time whose
-    weights would hold more than ``MAX_CLOSED_BITS`` bits raises
-    ``ValueError`` before any of that, and so do a ``params`` that is not
-    the graph of the data and a point ``x`` on another graph.
+    from ``boundary.branch_shell_sums`` over the union of the supports, and
+    the dot products stop at shell |n|.  Only the words under x's first
+    syllable cost a ``distance`` call (none at x = e); the others sit at
+    |x| + |y| or |x| + |y| - 1 and come from the per-length sums in
+    ``CauchyData._encoded``.  F and G do not depend on n, so the first call
+    at x measures every shell (out to |x| + L, L the longest support word)
+    and keeps them on the data for every later time; past ``_MAX_PROFILES``
+    kept points, a new point is measured out to |n| per call.  The dot
+    products take the weight rows of ``_rows`` (cached per graph and time),
+    then one ``times_root`` and one ``decode``, exact in either lane.  A
+    time whose weights would hold more than ``MAX_CLOSED_BITS`` bits raises
+    ``ValueError`` before any of that, keeping nothing, and so do a
+    ``params`` that is not the graph of the data and a point on another graph.
     """
     _require_graph(params, data.params, "data")
     _require_graph(params, x.params, "point")
@@ -496,7 +511,13 @@ def wave_closed_at(params: GraphParams, data: CauchyData, x: ReducedWord, n: int
     size = abs(n)
     _, scale, columns, branches = data._encoded
     half, sign = len(columns[0]), 1 if n > 0 else -1
-    sums = branch_shell_sums(x, branches, size)  # f's parts, then g's
+    profiles = data._profiles
+    sums = profiles.get(x)  # f's parts, then g's
+    if sums is None:
+        if len(profiles) < _MAX_PROFILES:  # branches[1]: the sums per support length
+            sums = profiles[x] = branch_shell_sums(x, branches, len(x) + len(branches[1]) - 1)
+        else:
+            sums = branch_shell_sums(x, branches, size)
     c, v = _rows(params, size)
     ring = data.initial.ring
     p_parts = [sum(map(mul, c, shells)) for shells in sums[:half]]

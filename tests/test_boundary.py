@@ -285,12 +285,15 @@ def test_walks_make_one_distance_call_per_word(monkeypatch):
     f = VertexFun.of(P34, {P34.identity(): 1, a: Fraction(1, 2)})
     data = CauchyData(f, VertexFun.of(P34, {a: 3, b * a: -1}))
     # the closed form measures only the words under x's first syllable: b a
-    # under b's, none at e; e and a enter through the per-length sums
+    # under b's, none at e; e and a enter through the per-length sums.  The
+    # profile of x is built on the first nonzero time and read at the others,
+    # once per data
     for x, want in ((b, 1), (P34.identity(), 0)):
-        for n in (0, 1, -2, 3):
-            calls.clear()
-            wave_closed_at(P34, data, x, n)
-            assert len(calls) == (want if n else 0), (x, n)
+        for fresh in (data, CauchyData(data.initial, data.velocity)):
+            for n, first in ((0, False), (1, True), (-2, False), (3, False)):
+                calls.clear()
+                wave_closed_at(P34, fresh, x, n)
+                assert len(calls) == (want if first else 0), (x, n)
     calls.clear()
     phi_oracle(P34, 0.4, b * a, 3)
     assert len(calls) == P34.delta(3)

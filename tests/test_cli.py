@@ -372,6 +372,26 @@ def test_usage_errors_exit_two(capsys, monkeypatch):
     assert "beyond --steps" in capsys.readouterr().err
 
 
+def test_malformed_inputs_are_one_error_line(capsys):
+    # a wave --at without an integer time names the WORD,TIME form, and a word
+    # given twice in a vertex function is refused by name, not overwritten
+    wave = ["wave", "--k", "3", "--r", "4", "--f", "e:1", "--steps", "3"]
+    for argv, message in (
+            ([*wave, "--at", "e"], "--at expects WORD,TIME, got 'e'"),
+            ([*wave, "--at", "e,x"], "--at expects WORD,TIME, got 'e,x'"),
+            (["helgason", "--k", "3", "--r", "4", "--values", "e:1;e:2", "--lambda", "0.3",
+              "--ray", "a0^1"], "the word e is given twice"),
+            ([*wave, "--g", "a0^1:1;a1^1:2; a0^1 :1"], "the word a0^1 is given twice"),
+            (["invert", "--k", "3", "--r", "4", "--values", "a0^1.a1^2:1;e:1;a0^1.a1^2:1",
+              "--at", "e"], "the word a0^1.a1^2 is given twice")):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n", argv
+    # an empty word is still the identity
+    code, out = run(capsys, *wave, "--at", ",1")
+    assert code == 0 and [row["key"] for row in json.loads(out)["outputs"]] == ["u[1][e]"]
+
+
 def test_closed_form_bound_refuses_before_walking(capsys, monkeypatch):
     base = ["--f", "e:1", "--g", "a0^1:1", "--method", "closed"]
     # e,3000 at (4, 3) answers; its weights hold about 3000^2 log2(3) / 2 bits

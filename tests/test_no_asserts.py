@@ -1,8 +1,9 @@
-"""No package module relies on an ``assert`` statement.
+"""No package module or script relies on an ``assert`` statement.
 
 ``python -O`` strips assert statements, so a check written as one would
 vanish there, together with any work its condition does.  The package
-raises explicitly instead; checked with ``ast`` alone.
+raises explicitly instead, and the scripts print one line to stderr and exit
+1; checked with ``ast`` alone.
 """
 
 import ast
@@ -10,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "symgraph"
-MODULES = sorted(PACKAGE.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(ROOT.glob("src/symgraph/*.py")) + sorted(ROOT.glob("scripts/*.py"))
 
 
 def assert_lines(source: str) -> list[int]:
@@ -24,6 +25,10 @@ def test_the_check_finds_an_assert():
               "        raise AssertionError('x')\n    return [y for y in x if y]\n"
               "class C:\n    def g(self):\n        assert self\n")
     assert assert_lines(source) == [2, 8]
+
+
+def test_the_scripts_are_covered():
+    assert {"wave_fronts.py", "plancherel_mass.py"} <= {path.name for path in MODULES}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

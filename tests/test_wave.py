@@ -372,6 +372,80 @@ def test_closed_form_refuses_a_point_from_another_graph(monkeypatch):
             field.at(stranger, n)
 
 
+def float_lane(data):
+    return CauchyData(*(VertexFun.of(data.params, {w: float(v) for w, v in fun.items()},
+                                     exact=False)
+                        for fun in (data.initial, data.velocity)))
+
+
+def closed_values(params, data, order, fresh=False):
+    # wave_closed_at over ball(2) x [-4, 4], times outermost or points
+    # outermost, on one shared data or on a fresh copy of it per call
+    pool, times = list(ball(params, 2)), range(-4, 5)
+    pairs = ([(x, n) for n in times for x in pool] if order == "times"
+             else [(x, n) for x in pool for n in times])
+    return {(x, n): wave_closed_at(params, CauchyData(data.initial, data.velocity)
+                                   if fresh else data, x, n) for x, n in pairs}
+
+
+def same_values(got: dict, want: dict) -> None:
+    # exact values ==, every value of the same type and repr (floats bit for bit)
+    assert list(got) == list(want)
+    for key, value in got.items():
+        assert type(value) is type(want[key]), key
+        assert value == want[key] and repr(value) == repr(want[key]), key
+
+
+@pytest.mark.parametrize("params", [GraphParams(2, 3), GraphParams(2, 4), GraphParams(3, 4),
+                                    GraphParams(3, 3), GraphParams(3, 2), GraphParams(4, 3)])
+def test_kept_profiles_give_the_values_of_fresh_data(params):
+    # data out to radius 2, so a point's profile reaches past |x| + 1; one
+    # shared data per visiting order against a fresh data per call
+    exact = fractional_data(params, random.Random(97), radius=2)
+    for data in (exact, float_lane(exact)):
+        for order in ("times", "points"):
+            shared = CauchyData(data.initial, data.velocity)
+            want = closed_values(params, data, order, fresh=True)
+            same_values(closed_values(params, shared, order), want)
+            assert list(shared._profiles) == list(ball(params, 2))
+
+
+def test_kept_profiles_are_bounded(monkeypatch):
+    # past the bound a point is measured at radius |n|, per call, and not kept
+    params = GraphParams(3, 3)
+    data = fractional_data(params, random.Random(98), radius=2)
+    pool = list(ball(params, 2))
+    measured = []
+    branch_shell_sums = wave_module.branch_shell_sums
+
+    def spy(x, index, radius):
+        measured.append((x, radius))
+        assert len(data._profiles) <= 3
+        return branch_shell_sums(x, index, radius)
+
+    want = closed_values(params, data, "times", fresh=True)
+    monkeypatch.setattr(wave_module, "_MAX_PROFILES", 3)
+    monkeypatch.setattr(wave_module, "branch_shell_sums", spy)
+    same_values(closed_values(params, data, "times"), want)
+    assert list(data._profiles) == pool[:3]
+    kept = [(x, len(x) + 2) for x in pool[:3]]
+    past = [(x, abs(n)) for n in range(-4, 5) if n for x in pool[3:]]
+    assert measured == kept + past
+
+
+def test_refused_calls_keep_no_profile():
+    data = fractional_data(P34, random.Random(99))
+    a, b = P34.generator(0), P34.generator(1, 2)
+    wave_closed_at(P34, data, a, 1)
+    refused = [(GraphParams(4, 3), a, 1),  # params of another graph, same q
+               (P34, GraphParams(4, 3).generator(0), 1),  # a point of another graph
+               (P34, b, 10**4 + 1)]  # a time past MAX_CLOSED_BITS
+    for params, x, n in refused:
+        with pytest.raises(ValueError, match="graph"):
+            wave_closed_at(params, data, x, n)
+        assert list(data._profiles) == [a]
+
+
 def test_float_closed_forms_track_exact_when_k_exceeds_r():
     params = GraphParams(4, 3)
     rng = random.Random(57)
