@@ -22,8 +22,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-
-import numpy as np
+from functools import lru_cache
 
 __all__ = [
     "AlgebraicValue",
@@ -44,21 +43,15 @@ def _exact_root(q: int) -> int | None:
     return root if root * root == q else None
 
 
-# 60-digit rational approximations of sqrt(q), keyed by q.  float(a + b*sqrt(q))
-# goes through these so that cancellation between the two parts does not
-# destroy the result.
-_ROOT_APPROX: dict[int, Fraction] = {}
-
 _SCALE = 10**60
 
 
+@lru_cache(maxsize=64)
 def _root_approx(q: int) -> Fraction:
-    try:
-        return _ROOT_APPROX[q]
-    except KeyError:
-        approx = Fraction(math.isqrt(q * _SCALE * _SCALE), _SCALE)
-        _ROOT_APPROX[q] = approx
-        return approx
+    # the 60-digit rational approximation of sqrt(q); float(a + b*sqrt(q)) goes
+    # through it so that cancellation between the two parts does not destroy
+    # the result
+    return Fraction(math.isqrt(q * _SCALE * _SCALE), _SCALE)
 
 
 def _canonical(A: int, B: int, D: int, q: int) -> "AlgebraicValue":
@@ -314,7 +307,8 @@ class ExactRing:
 
     # Array lane: a value list becomes integer parts (A, B) over a common
     # denominator D, value = (A + B sqrt(q)) / D entrywise.  The parts are
-    # object arrays of Python ints, which never overflow.
+    # tuples of Python ints, which never overflow; code that vectorises
+    # builds its own arrays from them.
 
     def encode(self, columns) -> tuple[int, list]:
         """One common denominator D of every column, and each column's parts (A, B).
@@ -325,12 +319,13 @@ class ExactRing:
         scale = math.lcm(1, *{D for col in triples for _, _, D in col})
 
         def ints(col, i):
-            return np.array([scale // t[2] * t[i] for t in col], dtype=object)
+            return tuple(scale // t[2] * t[i] for t in col)
 
         return scale, [(ints(col, 0), ints(col, 1)) for col in triples]
 
     def times_root(self, parts) -> tuple:
-        """Parts of sqrt(q) * value: (A, B) -> (q B, A)."""
+        """Parts of sqrt(q) * value: (A, B) -> (q B, A), for parts that are
+        numbers or vectorised arrays, never tuples: q times a tuple repeats it."""
         a, b = parts
         return (b * self.q, a)
 
@@ -410,11 +405,11 @@ def ring_of(q: int, exact: bool = True) -> ExactRing | FloatRing:
     Rational constants need no help from the ring: an ``AlgebraicValue``, a
     float or a complex times ``Fraction(n, d)`` stays in its own lane.
     For array code each ring also has ``encode`` (value lists to integer
-    part arrays over a common denominator), ``times_root`` (multiply parts,
-    arrays or numbers, by sqrt(q)) and ``decode`` (parts over
-    ``scale * sqrt(q)^m`` back to values).  Both lanes run that arithmetic
-    exactly (see ``FloatRing``), so integer linear maps act on the parts the
-    same way in both.
+    parts, tuples of Python ints, over a common denominator), ``times_root``
+    (multiply parts, numbers or arrays, by sqrt(q)) and ``decode`` (parts
+    over ``scale * sqrt(q)^m`` back to values).  Both lanes run that
+    arithmetic exactly (see ``FloatRing``), so integer linear maps act on
+    the parts the same way in both.
     """
     key = (q, bool(exact))
     if key not in _RINGS:

@@ -328,7 +328,7 @@ def dual_abel(g: EvenSeq, n_max: int | None = None) -> RadialSeq:
     n_max = _n_max(g, n_max)
     _check_size(params, n_max + 1)
     scale, (parts,) = ring.encode([g.values[: n_max + 1]])
-    columns = [column.tolist() + [0] * (n_max + 1 - len(column)) for column in parts]
+    columns = [column + (0,) * (n_max + 1 - len(column)) for column in parts]
     out = ring.decode([[column[0]] for column in columns], scale, 0)
     same, diff = [0] * len(columns), [column[0] for column in columns]
     for n in range(1, n_max + 1):
@@ -361,7 +361,6 @@ def dual_abel_via_counts(g: EvenSeq, n_max: int | None = None) -> RadialSeq:
     n_max = _n_max(g, n_max)
     _check_size(params, n_max + 1)
     scale, (parts,) = ring.encode([g.values])
-    parts = [column.tolist() for column in parts]
     powers = [q**e for e in range(n_max + 1)]
     out = []
     for n in range(n_max + 1):
@@ -415,7 +414,7 @@ def dual_abel_inv(f: RadialSeq, n_max: int | None = None) -> EvenSeq:
     scale, (parts,) = ring.encode([f.values[: N + 1]])
     columns = []
     for column in parts:
-        part = column.tolist() + [0] * (N + 2 - len(column))  # f(0), ..., f(N+1)
+        part = column + (0,) * (N + 2 - len(column))  # f(0), ..., f(N+1)
         # g(0) and g(1) times 2kr sqrt(q)^2 and 2kr sqrt(q)^3
         scaled = [2 * k * r * q * part[0], k * r * q * (deg * part[1] - sigma * part[0])]
         plain = geometric = 0  # P(n), Q(n)
@@ -458,7 +457,7 @@ def dual_abel_inv_recurrence(f: RadialSeq, n_max: int | None = None) -> EvenSeq:
     scale, (parts,) = ring.encode([f.values[: N + 1]])
     columns = []
     for column in parts:
-        part = column.tolist() + [0] * (N + 2 - len(column))  # f(0), ..., f(N+1)
+        part = column + (0,) * (N + 2 - len(column))  # f(0), ..., f(N+1)
         big_h = [2 * part[0], deg * part[1] - sigma * part[0]]
         power = 1  # q^n
         for n in range(N - 1):

@@ -8,15 +8,16 @@ of radius R + N and nothing else; the stepping solver works on exactly that
 light cone.
 
 A ``CauchyData`` is encoded once, on first use: f and g over their common
-denominator D, as integer parts on the union of their supports.  Both solvers
-read that form.
+denominator D, as integer parts (tuples of Python ints) on the union of their
+supports.  Both solvers read that form.
 
-The stepper works on arrays, not on words.  Scaled by 2D sqrt(q)^|n| the
-solution obeys an integer recurrence, so it steps two Python-int arrays (the
-rational and the sqrt(q) parts; four for complex data).  The float ring's
-array lane is exact too (see ``algebraic.FloatRing``), so neither solver
-branches on its lane.  The arrays follow ``ball()`` order (see
-``words.position``), in which the neighbour sum needs no table.
+The stepper works on arrays, not on words, and is the one code that
+vectorises.  Scaled by 2D sqrt(q)^|n| the solution obeys an integer
+recurrence, so it steps two object arrays of Python ints, built from the
+parts (the rational and the sqrt(q) parts; four for complex data).  The
+float ring's array lane is exact too (see ``algebraic.FloatRing``), so
+neither solver branches on its lane.  The arrays follow ``ball()`` order
+(see ``words.position``), in which the neighbour sum needs no table.
 Each time slice keeps its parts and decodes on read: one value when one word
 is read, the whole slice once when it is read in full.  A window of more
 than ``MAX_WINDOW_VALUES`` vertex-values is refused up front.
@@ -31,9 +32,10 @@ plain Python numbers), takes two dot products with the weight rows and
 decodes once.  The graph is tree-like at the origin, so only the words
 under x's first syllable need a ``distance`` call; every other word enters
 through per-length sums of the data, built with its encoding.  The shell
-sums do not depend on the time, so the data keeps them for the first
-``_MAX_PROFILES`` points and every later time reads them; a point past the
-bound is measured out to |n| on every call, as nothing is evicted.  A time
+sums do not depend on the time: each point is measured out to |x| + L, L the
+longest support word, so every word measured lands in a shell, and the data
+keeps the sums of the first ``_MAX_PROFILES`` points for every later time (a
+later point is measured again on each call, as nothing is evicted).  A time
 whose weights would hold more than ``MAX_CLOSED_BITS`` bits is refused up front.
 The weight rows are kept per graph and time (``_rows``, a bounded cache both
 lanes share); no value is remembered per point.
@@ -41,7 +43,7 @@ lanes share); no value is remembered per point.
 
 from __future__ import annotations
 
-from collections.abc import MutableMapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
@@ -166,20 +168,18 @@ class CauchyData:
     def _encoded(self) -> tuple[list[ReducedWord], int, list, tuple]:
         """The union of the supports (f's words, then the words only in g),
         the common denominator D of f and g, the parts of D f and D g on
-        those words as the ring's ``encode`` gives them, and the
-        ``boundary.branch_index`` of the words with the same parts as Python
-        numbers (f's, then g's): the words under each first syllable and the
+        those words as the ring's ``encode`` gives them (tuples of Python
+        ints), and the ``boundary.branch_index`` of the words with the same
+        parts (f's, then g's): the words under each first syllable and the
         per-length part sums the closed form adds without a ``distance``
-        call.  Every call shares them, so the part arrays are read-only."""
+        call.  Every call shares them; the parts are tuples, so read-only."""
         f, g = self.initial.data, self.velocity.data
         ring = self.initial.ring
         words = list(f)
         words += [y for y in g if y not in f]
         scale, columns = ring.encode([[f.get(y, ring.zero) for y in words],
                                       [g.get(y, ring.zero) for y in words]])
-        for part in (part for parts in columns for part in parts):
-            part.flags.writeable = False
-        numbers = zip(*(part.tolist() for parts in columns for part in parts))
+        numbers = zip(*(part for parts in columns for part in parts))
         return words, scale, columns, branch_index(zip(words, numbers), 2 * len(columns[0]))
 
     @cached_property
@@ -280,25 +280,25 @@ def check_window(params: GraphParams, support_radius: int, steps: int,
 
 
 def _on_ball(column, words: list[ReducedWord], radius: int, offsets: list[int]):
-    # column holds one entry per word; those of the words in ball(radius),
-    # placed in ball() order, zero elsewhere
-    out = np.zeros(offsets[radius + 1], dtype=column.dtype)
+    # column holds one int per word; those of the words in ball(radius),
+    # placed in ball() order, zero elsewhere, as an object array
+    out = np.zeros(offsets[radius + 1], dtype=object)
     near = [i for i, y in enumerate(words) if len(y) <= radius]
-    out[[offsets[len(words[i])] + position(words[i]) for i in near]] = column[near]
+    out[[offsets[len(words[i])] + position(words[i]) for i in near]] = [column[i] for i in near]
     return out
 
 
-class _Slice(MutableMapping):
-    """One stepper time slice: the values on ``ball(radius)`` in ``ball()``
-    order, kept as the parts of w(n) until read, each value being
+class _Slice(Mapping):
+    """One stepper time slice, read-only: the values on ``ball(radius)`` in
+    ``ball()`` order, kept as the parts of w(n) until read, each value being
     ``ring.decode(parts, scale, power)``.
 
     Reading one word decodes that value alone (a word of another graph or
     past the radius raises ``KeyError``, as a dict would), and ``len``
-    decodes nothing.  Any full read (iteration, ``keys``/``items``/``values``,
-    assignment, deletion) decodes the whole slice once; from then on it is
-    the dict of ``decoded()``, keyed by ``words()``, the shared list of the
-    stepped ball."""
+    decodes nothing.  Any full read (iteration, and so ``keys``/``items``/
+    ``values``) decodes the whole slice once; from then on it reads the dict
+    of ``decoded()``, keyed by ``words()``, the shared list of the stepped
+    ball."""
 
     __slots__ = ("_params", "_ring", "_parts", "_scale", "_power", "_radius", "_offsets",
                  "_words", "_full")
@@ -329,21 +329,6 @@ class _Slice(MutableMapping):
 
     def __iter__(self):
         return iter(self.decoded())
-
-    def __setitem__(self, x, value) -> None:
-        self.decoded()[x] = value
-
-    def __delitem__(self, x) -> None:
-        del self.decoded()[x]
-
-    def keys(self):
-        return self.decoded().keys()
-
-    def items(self):
-        return self.decoded().items()
-
-    def values(self):
-        return self.decoded().values()
 
 
 def _require_graph(params: GraphParams, home: GraphParams, what: str) -> None:
@@ -493,10 +478,11 @@ def wave_closed_at(params: GraphParams, data: CauchyData, x: ReducedWord, n: int
     the dot products stop at shell |n|.  Only the words under x's first
     syllable cost a ``distance`` call (none at x = e); the others sit at
     |x| + |y| or |x| + |y| - 1 and come from the per-length sums in
-    ``CauchyData._encoded``.  F and G do not depend on n, so the first call
-    at x measures every shell (out to |x| + L, L the longest support word)
-    and keeps them on the data for every later time; past ``_MAX_PROFILES``
-    kept points, a new point is measured out to |n| per call.  The dot
+    ``CauchyData._encoded``.  F and G do not depend on n, so x is measured
+    out to |x| + L (L the longest support word, so every word measured lands
+    in a shell), and while the data keeps fewer than ``_MAX_PROFILES``
+    points it keeps x's sums for every later time; a point not kept is
+    measured again per call.  The dot
     products take the weight rows of ``_rows`` (cached per graph and time),
     then one ``times_root`` and one ``decode``, exact in either lane.  A
     time whose weights would hold more than ``MAX_CLOSED_BITS`` bits raises
@@ -513,11 +499,10 @@ def wave_closed_at(params: GraphParams, data: CauchyData, x: ReducedWord, n: int
     half, sign = len(columns[0]), 1 if n > 0 else -1
     profiles = data._profiles
     sums = profiles.get(x)  # f's parts, then g's
-    if sums is None:
-        if len(profiles) < _MAX_PROFILES:  # branches[1]: the sums per support length
-            sums = profiles[x] = branch_shell_sums(x, branches, len(x) + len(branches[1]) - 1)
-        else:
-            sums = branch_shell_sums(x, branches, size)
+    if sums is None:  # branches[1]: the sums per support length
+        sums = branch_shell_sums(x, branches, len(x) + len(branches[1]) - 1)
+        if len(profiles) < _MAX_PROFILES:
+            profiles[x] = sums
     c, v = _rows(params, size)
     ring = data.initial.ring
     p_parts = [sum(map(mul, c, shells)) for shells in sums[:half]]

@@ -278,8 +278,9 @@ def test_float_ring_round_trips_bit_for_bit(q):
     for values in (FLOAT_EDGES, complexes):
         scale, [parts] = ring.encode([values])
         assert len(parts) == (2 if values is FLOAT_EDGES else 4)
-        assert all(type(v) is int for part in parts for v in part.tolist())
-        got = ring.decode([part.tolist() for part in parts], scale, 0)
+        assert all(type(part) is tuple for part in parts)
+        assert all(type(v) is int for part in parts for v in part)
+        got = ring.decode(parts, scale, 0)
         assert [type(v) for v in got] == [type(v) for v in values]
         assert [repr(v) for v in got] == [repr(v) for v in values]
     # one imaginary part anywhere gives every column an imaginary plane
@@ -322,6 +323,38 @@ def test_float_ring_times_root_rounds_the_exact_product_once(q):
     if q > 1:
         with pytest.raises(OverflowError):
             ring.decode(ring.times_root(parts), scale, 0)
+
+
+@pytest.mark.parametrize("exact, columns, planes", [
+    (True, [[AlgebraicValue(Fraction(1, 3), Fraction(-2, 7), 6), Fraction(-5, 2), 0], []], 2),
+    (False, [[-0.0, 1.5, 1e308], [5e-324]], 2),
+    (False, [[-0.0, 2.0], [complex(0.5, -1.0)]], 4),
+], ids=["exact", "float", "complex"])
+def test_encode_gives_tuples_of_ints(exact, columns, planes):
+    ring = ring_of(6, exact)
+    scale, encoded = ring.encode(columns)
+    assert type(scale) is int and scale > 0
+    assert [len(parts) for parts in encoded] == [planes] * len(columns)
+    for column, parts in zip(columns, encoded):
+        assert all(type(part) is tuple and len(part) == len(column) for part in parts)
+        assert all(type(v) is int for part in parts for v in part)
+        assert ring.decode(parts, scale, 0) == [ring.coerce(v) for v in column]
+    if not exact:  # -0.0 is the int 0 in every plane
+        assert [part[0] for part in encoded[0]] == [0] * planes
+
+
+@pytest.mark.parametrize("q", [1, 4, 6, 12])
+def test_times_root_on_int_parts_multiplies_by_the_root(q):
+    ring = ring_of(q)
+    values = [AlgebraicValue(a, b, q) for a, b in [
+        (0, 0), (3, 0), (0, 1), (Fraction(-5, 6), 1), (Fraction(1, 2), Fraction(-3, 14))]]
+    scale, [(a, b)] = ring.encode([values])
+    for i, value in enumerate(values):
+        rooted = [[part] for part in ring.times_root((a[i], b[i]))]
+        assert all(type(part[0]) is int for part in rooted)
+        got = ring.decode(rooted, scale, 0)[0]
+        assert got == sqrt_q(q) * value and repr(got) == repr(sqrt_q(q) * value)
+        assert ring.decode(rooted, scale, 1)[0] == value
 
 
 # -- one shared ring per (q, lane) ----------------------------------------------------

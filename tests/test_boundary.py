@@ -253,7 +253,7 @@ def test_branch_split_matches_the_walk_over_every_pair(params):
     for data, points in split_cases(params, rng):
         words, _, columns, branches = data._encoded
         width = 2 * len(columns[0])
-        numbers = list(zip(*(part.tolist() for parts in columns for part in parts)))
+        numbers = list(zip(*(part for parts in columns for part in parts)))
         pairs = list(zip(words, numbers))
         scale = sum(abs(v) for parts in numbers for v in parts)
         for x in points:

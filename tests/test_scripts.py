@@ -27,6 +27,15 @@ def test_script_runs(argv):
     assert done.stdout
 
 
+def test_bench_harness_tests_pass():
+    # the bench harness reads package internals (wave.distance, the traced
+    # counts of radial_exact and wave_exact); its own tests pin them
+    done = subprocess.run([sys.executable, "-m", "pytest", "bench", "-q", "-p", "no:cacheprovider"],
+                          cwd=ROOT, env=_checkout_env(), capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
 def test_package_runs_as_a_module():
     done = subprocess.run([sys.executable, "-m", "symgraph", "info", "--k", "3", "--r", "4"],
                           cwd=ROOT, env=_checkout_env(), capture_output=True, text=True,

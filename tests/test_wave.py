@@ -331,6 +331,20 @@ def test_cauchy_data_is_encoded_once(monkeypatch):
         assert field.at(x, n) == value
 
 
+def test_cauchy_data_holds_its_parts_as_tuples():
+    exact = fractional_data(P34, random.Random(62))
+    complex_lane = CauchyData(*(VertexFun.of(P34, {w: complex(float(v), 1.0)
+                                                   for w, v in fun.items()}, exact=False)
+                                for fun in (exact.initial, exact.velocity)))
+    for data, planes in ((exact, 2), (float_lane(exact), 2), (complex_lane, 4)):
+        words, scale, columns, _ = data._encoded
+        assert type(scale) is int and len(columns) == 2
+        for parts in columns:
+            assert len(parts) == planes
+            assert all(type(part) is tuple and len(part) == len(words) for part in parts)
+            assert all(type(v) is int for part in parts for v in part)
+
+
 def test_solvers_refuse_data_from_another_graph(monkeypatch):
     # (3, 4) and (4, 3) share q = 6, so nothing downstream would notice
     data = CauchyData(VertexFun.delta_at(P34.identity()), VertexFun.of(P34, {}))
@@ -411,7 +425,7 @@ def test_kept_profiles_give_the_values_of_fresh_data(params):
 
 
 def test_kept_profiles_are_bounded(monkeypatch):
-    # past the bound a point is measured at radius |n|, per call, and not kept
+    # past the bound a point is measured out to |x| + L per call, and not kept
     params = GraphParams(3, 3)
     data = fractional_data(params, random.Random(98), radius=2)
     pool = list(ball(params, 2))
@@ -429,7 +443,7 @@ def test_kept_profiles_are_bounded(monkeypatch):
     same_values(closed_values(params, data, "times"), want)
     assert list(data._profiles) == pool[:3]
     kept = [(x, len(x) + 2) for x in pool[:3]]
-    past = [(x, abs(n)) for n in range(-4, 5) if n for x in pool[3:]]
+    past = [(x, len(x) + 2) for n in range(-4, 5) if n for x in pool[3:]]
     assert measured == kept + past
 
 
@@ -578,7 +592,8 @@ def reference_closed_at(params, data, x, n):
     if n == 0:
         return data.initial.value(x), 0
     size, sign, q = abs(n), 1 if n > 0 else -1, params.q
-    words, scale, (f_columns, g_columns), _ = data._encoded
+    words, scale, columns, _ = data._encoded
+    f_columns, g_columns = ([np.array(part, dtype=object) for part in parts] for parts in columns)
     dist = np.array([distance(x, y) for y in words], dtype=int)
     near = dist <= size
 
@@ -691,9 +706,24 @@ def test_float_recurrence_tolerance_scales_with_values():
     field.check_recurrence(1)
     # a defect of one part in a million is still caught
     x = P34.generator(0)
-    field.fields[1].data[x] += 1e-6 * abs(field.fields[1].data[x])
+    defect = dict(field.fields[1].data)
+    defect[x] += 1e-6 * abs(defect[x])
+    field.fields[1] = VertexFun(P34, defect, exact=False)
     with pytest.raises(AssertionError):
         field.check_recurrence(1)
+
+
+def test_slices_are_read_only():
+    data = CauchyData(VertexFun.delta_at(P34.identity()), VertexFun.of(P34, {}))
+    lazy = wave_direct(P34, data, 2).fields[1].data
+    x = P34.identity()
+    before = lazy[x]
+    with pytest.raises(TypeError):
+        lazy[x] = 0
+    with pytest.raises(TypeError):
+        del lazy[x]
+    assert not hasattr(lazy, "pop") and not hasattr(lazy, "update")
+    assert lazy[x] == before and dict(lazy.items())[x] == before
 
 
 def test_float_stepper_tracks_exact():
