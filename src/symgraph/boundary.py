@@ -10,7 +10,8 @@ silent extension would hide depth-dependence bugs.
 horocycle sum of the other layers reads (a horocycle is a shell around a
 ray prefix).  ``branch_shell_sums`` gives the same sums from a
 ``branch_index`` of the pairs, walking only the words that share the
-centre's first syllable.  Both live outside ``words``, so each of their
+centre's first syllable; every other word enters from the index's part sums
+per word length.  Both live outside ``words``, so each of their
 ``distance`` calls is a call into that layer.
 """
 
@@ -136,16 +137,15 @@ def shell_sums(x: ReducedWord, pairs, radius: int, width: int, zero=0) -> list[l
 
 
 def branch_index(pairs, width: int) -> tuple:
-    """(word y, ``width`` parts) pairs indexed for ``branch_shell_sums``.
+    """(word y, ``width`` parts) pairs indexed for ``branch_shell_sums``:
+    the pairs under each first syllable, one dict of part sums per word
+    length L, the longest word length, ``width``, and a dict that
+    ``branch_shell_sums`` fills with each first syllable's off-branch rows
+    on first use.
 
-    The index holds the pairs under each first syllable, the part sums T[L]
-    over the words of each length L (the origin's parts at L = 0) and, per
-    first syllable s = (g, e), the rows that a point under s adds from the
-    words off its branch.  Row j goes into shell |x| - 1 + j and is
-    T[j - 1] - G_g[j - 1] + G_g[j] - A_s[j], where G_g adds the words of
-    first generator g and A_s those of first syllable s.  A g or s that no
-    pair starts with keeps its rows under g or under None.  Each A_s[L] is
-    summed first, in pair order, and G_g and T from those."""
+    The dict of length L holds the part sums under each first syllable s,
+    under each first generator g (from the sums under its syllables) and over
+    all words (key None, which holds the origin at L = 0)."""
     under, groups = {}, {}
     for pair in pairs:
         syllables = pair[0].syllables
@@ -154,28 +154,14 @@ def branch_index(pairs, width: int) -> tuple:
             under.setdefault(s, []).append(pair)
         groups.setdefault((s, len(syllables)), []).append(pair[1])
     zero = [0] * width
-    total, branch, own = {}, {}, {}
+    sums = {}
     for (s, size), parts in groups.items():
-        sums = [sum(column) for column in zip(*parts)]
-        tables = [total]
+        level = sums.setdefault(size, {})
+        level[s] = own = [sum(column) for column in zip(*parts)]
         if s is not None:
-            own.setdefault(s, {})[size] = sums
-            tables.append(branch.setdefault(s[0], {}))
-        for table in tables:
-            table[size] = list(map(add, table.get(size, zero), sums))
-    longest = max(total, default=0)
-
-    def rows(g_sums: dict, s_sums: dict) -> list[list]:
-        return [[t - a + b - c for t, a, b, c in zip(total.get(j - 1, zero),
-                                                      g_sums.get(j - 1, zero),
-                                                      g_sums.get(j, zero), s_sums.get(j, zero))]
-                for j in range(longest + 2)]
-
-    profiles = {None: rows({}, {})}
-    profiles.update((g, rows(sums, {})) for g, sums in branch.items())
-    profiles.update((s, rows(branch[s[0]], sums)) for s, sums in own.items())
-    totals = [total.get(size, zero) for size in range(longest + 1)]
-    return under, totals, profiles, width
+            for key in (s[0], None):
+                level[key] = list(map(add, level.get(key, zero), own))
+    return under, sums, max(sums, default=0), width, {}
 
 
 def branch_shell_sums(x: ReducedWord, index: tuple, radius: int) -> list[list]:
@@ -186,22 +172,27 @@ def branch_shell_sums(x: ReducedWord, index: tuple, radius: int) -> list[list]:
     The graph is tree-like at the origin: a word y of another first
     syllable lies at |x| + |y| when its first generator is not g and at
     |x| + |y| - 1 when it is (a sibling exponent of s), and the origin at
-    |x|, so those words enter through the index's rows for s.  Integer
-    parts give ``shell_sums``'s sums exactly; float parts add in another
-    order, so they agree up to rounding.
+    |x|.  So for each length L, the sums of all words less those under g
+    enter shell |x| + L, and those under g less those under s enter shell
+    |x| + L - 1.  These rows depend on s alone, so the index keeps them
+    once built.  The parts are integers, so the sums are exact in any order.
     """
-    if radius < 0:
-        raise ValueError(f"radius must be nonnegative, got {radius}")
-    under, totals, profiles, width = index
-    if x.syllables:
-        s = x.syllables[0]
-        shells = shell_sums(x, under.get(s, ()), radius, width)
-        rows = profiles.get(s) or profiles.get(s[0]) or profiles[None]
-        start = len(x) - 1
-    else:
-        shells = [[0] * (radius + 1) for _ in range(width)]
-        rows, start = totals, 0
-    for d, parts in enumerate(rows, start):
+    under, sums, longest, width, off_branch = index
+    # the origin is under no syllable: () keys nothing, so at x = e no word
+    # is walked and every word enters at its own length
+    s = x.syllables[0] if x.syllables else ()
+    shells = shell_sums(x, under.get(s, ()), radius, width)
+    rows = off_branch.get(s)
+    if rows is None:  # row j enters shell |x| + j
+        g, zero = s[0] if s else (), [0] * width
+        rows = off_branch[s] = [[0] * width for _ in range(longest + 1)]
+        for size, level in sums.items():
+            for i, (t, b, a) in enumerate(zip(level[None], level.get(g, zero),
+                                              level.get(s, zero))):
+                rows[size][i] += t - b
+                if size:
+                    rows[size - 1][i] += b - a
+    for d, parts in enumerate(rows, len(x)):
         if d > radius:
             break
         for shell, value in zip(shells, parts):

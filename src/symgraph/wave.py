@@ -28,10 +28,10 @@ velocity terms of every radius fold into one closed weight vector.  Scaled
 by 2k D sqrt(q)^|n| the value is integer linear in the shell sums of the data
 around x, so it reads the distance profile of the union of the supports
 (``boundary.branch_shell_sums``, the parts added into shell sums held in
-plain Python numbers), takes two dot products with the weight rows and
+plain Python ints), takes two dot products with the weight rows and
 decodes once.  The graph is tree-like at the origin, so only the words
 under x's first syllable need a ``distance`` call; every other word enters
-through per-length sums of the data, built with its encoding.  The shell
+through sums of the data per word length, built with its encoding.  The shell
 sums do not depend on the time: each point is measured out to |x| + L, L the
 longest support word, so every word measured lands in a shell, and the data
 keeps the sums of the first ``_MAX_PROFILES`` points for every later time (a
@@ -170,9 +170,9 @@ class CauchyData:
         the common denominator D of f and g, the parts of D f and D g on
         those words as the ring's ``encode`` gives them (tuples of Python
         ints), and the ``boundary.branch_index`` of the words with the same
-        parts (f's, then g's): the words under each first syllable and the
-        per-length part sums the closed form adds without a ``distance``
-        call.  Every call shares them; the parts are tuples, so read-only."""
+        parts (f's, then g's): the words under each first syllable, the part
+        sums per word length and the longest word.  Every call shares them;
+        the parts are tuples, so read-only; the index keeps the rows it builds."""
         f, g = self.initial.data, self.velocity.data
         ring = self.initial.ring
         words = list(f)
@@ -473,16 +473,16 @@ def wave_closed_at(params: GraphParams, data: CauchyData, x: ReducedWord, n: int
     v(m + 2) = q v(m) + c(m + 1), since
     q (1 - t^j) - (q - 1 + (r - k) t^(j + 1)) = 1 - t^(j + 2) for t = 1 - k.
 
-    So each value reads the shell sums F_l and G_l, plain Python numbers,
-    from ``boundary.branch_shell_sums`` over the union of the supports, and
-    the dot products stop at shell |n|.  Only the words under x's first
+    So each value reads the shell sums F_l and G_l, plain Python ints, from
+    ``boundary.branch_shell_sums`` over the union of the supports, and the
+    dot products stop at shell |n|.  Only the words under x's first
     syllable cost a ``distance`` call (none at x = e); the others sit at
-    |x| + |y| or |x| + |y| - 1 and come from the per-length sums in
-    ``CauchyData._encoded``.  F and G do not depend on n, so x is measured
-    out to |x| + L (L the longest support word, so every word measured lands
-    in a shell), and while the data keeps fewer than ``_MAX_PROFILES``
-    points it keeps x's sums for every later time; a point not kept is
-    measured again per call.  The dot
+    |x| + |y| or |x| + |y| - 1 and come from the part sums per word length
+    in ``CauchyData._encoded``.  F and G do not depend on n, so x is
+    measured out to |x| + L (L the longest support word, which the index
+    carries, so every word measured lands in a shell), and while the data
+    keeps fewer than ``_MAX_PROFILES`` points it keeps x's sums for every
+    later time; a point not kept is measured again per call.  The dot
     products take the weight rows of ``_rows`` (cached per graph and time),
     then one ``times_root`` and one ``decode``, exact in either lane.  A
     time whose weights would hold more than ``MAX_CLOSED_BITS`` bits raises
@@ -499,8 +499,8 @@ def wave_closed_at(params: GraphParams, data: CauchyData, x: ReducedWord, n: int
     half, sign = len(columns[0]), 1 if n > 0 else -1
     profiles = data._profiles
     sums = profiles.get(x)  # f's parts, then g's
-    if sums is None:  # branches[1]: the sums per support length
-        sums = branch_shell_sums(x, branches, len(x) + len(branches[1]) - 1)
+    if sums is None:  # branches[2]: the longest support word
+        sums = branch_shell_sums(x, branches, len(x) + branches[2])
         if len(profiles) < _MAX_PROFILES:
             profiles[x] = sums
     c, v = _rows(params, size)

@@ -1,12 +1,16 @@
-"""No package module imports a name it never uses.
+"""No package module imports a name it never uses, and no private helper
+goes unused.
 
 Checked with ``ast`` alone: a name counts as used when the module reads it,
 lists it in ``__all__`` or names it in a quoted annotation.  An import whose
 line carries ``# noqa: F401`` is kept on purpose.  ``__init__.py`` is left
-out, since re-exporting is what it is for.
+out, since re-exporting is what it is for.  A private module-level function
+or class (a leading underscore, not a dunder) must be named somewhere in the
+package outside its own definition, so a refactor cannot leave a dead helper.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -53,3 +57,36 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unnamed_private_defs(sources: dict[str, str]) -> list[str]:
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    named = Counter()
+    for tree in trees.values():
+        named.update(_names(tree))
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")
+                    and named[node.name] == _names(node)[node.name]):
+                dead.append(f"{module}: {node.name}")
+    return dead
+
+
+def _names(tree) -> Counter:
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def test_the_check_finds_an_unused_private_helper():
+    sources = {"a.py": ("def _dead(n):\n    return _dead(n - 1) if n else 0\n"
+                        "def _kept():\n    return 1\nclass _Shape:\n    pass\n"
+                        "def public():\n    return _kept()\n"),
+               "b.py": "from . import a\nVALUE = a._Shape\n"}
+    assert unnamed_private_defs(sources) == ["a.py: _dead"]
+
+
+def test_every_private_helper_is_named_outside_its_definition():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert unnamed_private_defs(sources) == []
