@@ -4,9 +4,11 @@ Output is machine readable: a JSON object {command, params, inputs, outputs,
 diagnostics} where each output row carries the key, the exact ring value as
 text when one exists, and a float.  CSV emits the same rows, quoting a field
 that holds a comma.  Exit codes: 0 pass, 1 failed verification/inequality or
-a quadrature that did not reach --tol, 2 usage error (a value outside the
-float range, a request past a work bound, an --out that cannot be written
-and a lone --k or --r among them).
+a quadrature that did not reach --tol, 2 usage error (a request past a work
+bound, checked before the work; a value outside the float range or an exact
+value whose text would pass the interpreter's int-to-str digit limit, both
+found when the value is printed; an --out that cannot be written and a lone
+--k or --r among them).
 
 Every handler takes the graph (``None`` for ``verify`` over the default grid)
 and the parsed arguments, and returns (inputs, outputs, diagnostics, code).
@@ -50,7 +52,6 @@ from .spectral import (
 from .transforms import (
     EvenSeq,
     RadialSeq,
-    _check_size,
     abel,
     abel_inv,
     dual_abel,
@@ -64,7 +65,12 @@ __all__ = ["main"]
 
 def _rows(key: str, value) -> list[dict]:
     if isinstance(value, (AlgebraicValue, int, Fraction)):
-        return [{"key": key, "exact": str(value), "float": float(value)}]
+        try:
+            text = str(value)
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            raise ValueError("an exact output would print an integer of more than "
+                             f"{sys.get_int_max_str_digits()} digits") from None
+        return [{"key": key, "exact": text, "float": float(value)}]
     if isinstance(value, complex):
         if value.imag == 0.0:
             return [{"key": key, "exact": None, "float": value.real}]
@@ -145,33 +151,6 @@ _MAX_TRIAL_PRODUCTS = 10_000
 _MAX_VERIFY_BALL = 20_000
 
 
-def _check_printable(params: GraphParams, values, terms: int, half_powers: int,
-                     k_powers: int = 0, degree: int = 1) -> None:
-    """Refuse, before any work, exact outputs whose text would hold an integer
-    past the interpreter's int-to-str limit (``sys.get_int_max_str_digits()``,
-    4300 digits by default; 0 lifts it), which ``str`` would raise on after
-    the work.
-
-    An output is a sum of at most ``terms`` products of ``degree`` input
-    values and a coefficient of the closed form.  Over a common denominator
-    a coefficient's integers are at most 4kr q^2 max(sqrt(q)^half_powers,
-    (k-1)^k_powers): the factor covers the small constants and the sqrt(q)
-    moved between the two parts.  So a printed integer is at most that,
-    times terms + 2, times the inputs' common denominator or largest integer
-    part over it, to the power ``degree``.
-    """
-    limit = sys.get_int_max_str_digits()
-    triples = [value.triple for value in values]
-    den = math.lcm(*(D for _, _, D in triples))
-    top = max([den, *(max(abs(A), abs(B)) * (den // D) for A, B, D in triples)])
-    k, q = params.k, params.q
-    bits = (degree * top.bit_length()
-            + max(half_powers * math.log2(q) / 2, k_powers * math.log2(k - 1))
-            + math.log2(4 * k * params.r * q * q * (terms + 2)))
-    if limit and bits * math.log10(2) >= limit:
-        raise ValueError(f"an exact output would print an integer of more than {limit} digits")
-
-
 def cmd_info(params: GraphParams, args) -> tuple[dict, list, dict, int]:
     deg = params.degree
     outputs = []
@@ -218,41 +197,31 @@ def cmd_table(params: GraphParams, args) -> tuple[dict, list, dict, int]:
     return inputs, outputs, {}, 0
 
 
-def _radial(params: GraphParams, text: str, seq_type, transform, key: str, powers,
+def _radial(params: GraphParams, text: str, seq_type, transform, key: str,
             n_max: int | None = None) -> list:
-    """Rows key[n] of a radial transform applied to the parsed sequence.
-
-    ``powers(N)`` gives the ``_check_printable`` exponents of the transform's
-    coefficients for N output values, from its closed form: sqrt(q)^N for
-    ``abel`` and ``dual``, also (k-1)^N for the geometric sums of ``abel_inv``,
-    and q^N for ``dual_abel_inv``.  The transform's own work bound is checked
-    first, so a request past both reads as past the work bound.
-    """
+    """Rows key[n] of a radial transform applied to the parsed sequence."""
     seq = seq_type.of(params, _parse_seq(params, text))
-    length = len(seq.values) if n_max is None else n_max + 1
-    _check_size(params, length)
-    _check_printable(params, seq.values, len(seq.values), *powers(length))
     result = transform(seq) if n_max is None else transform(seq, n_max=n_max)
     return [row for n, value in enumerate(result.values) for row in _rows(f"{key}[{n}]", value)]
 
 
 def cmd_abel(params: GraphParams, args) -> tuple[dict, list, dict, int]:
-    outputs = _radial(params, args.radial, RadialSeq, abel, "A", lambda n: (n,))
+    outputs = _radial(params, args.radial, RadialSeq, abel, "A")
     return {"radial": args.radial}, outputs, {}, 0
 
 
 def cmd_abel_inv(params: GraphParams, args) -> tuple[dict, list, dict, int]:
-    outputs = _radial(params, args.even, EvenSeq, abel_inv, "f", lambda n: (n, n))
+    outputs = _radial(params, args.even, EvenSeq, abel_inv, "f")
     return {"even": args.even}, outputs, {}, 0
 
 
 def cmd_dual(params: GraphParams, args) -> tuple[dict, list, dict, int]:
-    outputs = _radial(params, args.even, EvenSeq, dual_abel, "dual", lambda n: (n,), args.nmax)
+    outputs = _radial(params, args.even, EvenSeq, dual_abel, "dual", args.nmax)
     return {"even": args.even, "nmax": args.nmax}, outputs, {}, 0
 
 
 def cmd_dual_inv(params: GraphParams, args) -> tuple[dict, list, dict, int]:
-    outputs = _radial(params, args.radial, RadialSeq, dual_abel_inv, "g", lambda n: (2 * n,))
+    outputs = _radial(params, args.radial, RadialSeq, dual_abel_inv, "g")
     return {"radial": args.radial}, outputs, {}, 0
 
 
@@ -283,8 +252,6 @@ def cmd_transform(params: GraphParams, args) -> tuple[dict, list, dict, int]:
 
 def cmd_plancherel(params: GraphParams, args) -> tuple[dict, list, dict, int]:
     f = RadialSeq.of(params, _parse_seq(params, args.radial))
-    # sum f(n)^2 delta(n), with delta(n) = r(k-1) q^(n-1)
-    _check_printable(params, f.values, len(f.values), 2 * len(f.values), degree=2)
     direct = f.norm_sq()
     spectral = plancherel_norm(f, tol=args.tol)
     outputs = _rows("norm_sq_direct", direct) + _rows("norm_sq_spectral", spectral.value)
@@ -372,14 +339,13 @@ def cmd_wave(params: GraphParams, args) -> tuple[dict, list, dict, int]:
         observe, latest = len(x), abs(n)
     else:
         observe, latest = data.support_radius + args.steps, args.steps
-    # the work bounds first, then the text of u at the latest time, whose
-    # closed form has coefficients up to (k-1)^n over sqrt(q)^(n+1)
+    # the work bounds, before any work; they also bound the output loop's
+    # ball_size(params, supp + |n|), an integer of order q^|n| that is slow
+    # to build for a time past them
     if not args.at or args.method != "closed":
         check_window(params, data.support_radius, args.steps, observe)
     if args.method != "direct":
         _check_closed_time(params, latest)
-    values = [*data.initial.data.values(), *data.velocity.data.values()]
-    _check_printable(params, values, len(values), latest + 1, latest)
     if not args.at:
         times = range(-args.steps, args.steps + 1)
         words = list(ball(params, observe))

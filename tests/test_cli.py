@@ -9,6 +9,7 @@ import sys
 import time
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -213,6 +214,29 @@ def test_ks_check_command(capsys):
     assert code == 0
     rows = {row["key"]: row["float"] for row in doc["outputs"]}
     assert rows["worst_core_ratio"] <= 1 + 1e-12
+
+
+def test_ks_check_witness_exits_one(capsys, monkeypatch):
+    trials = iter(range(20))
+
+    def report(f, chi):
+        core = 1.5 if next(trials) == 2 else 0.5
+        return SimpleNamespace(core_ratio=core, young_ratio=0.25, holder_ratio=0.75)
+
+    monkeypatch.setattr(symgraph.cli, "kunze_stein_check", report)
+    code, doc = run_json(capsys, "ks-check", "--k", "3", "--r", "4", "--trials", "5")
+    assert code == 1
+    assert doc["diagnostics"]["witness"] == {"trial": 2, "ratio": "core", "value": 1.5}
+    rows = {row["key"]: row["float"] for row in doc["outputs"]}
+    assert rows == {"worst_core_ratio": 1.5, "worst_young_ratio": 0.25,
+                    "worst_holder_ratio": 0.75}
+
+
+def test_ks_check_refuses_k_above_r(capsys):
+    assert main(["ks-check", "--k", "4", "--r", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_wave_both_methods(capsys):
@@ -516,88 +540,84 @@ def str_digits():
     sys.set_int_max_str_digits(before)
 
 
-class _Admitted(Exception):
-    pass
-
-
-def _admitted(monkeypatch, capsys, solver, argv):
-    """Whether main passes every up-front check of argv and reaches ``solver``;
-    a refusal must be the printable bound's."""
-    def reached(*args, **kwargs):
-        raise _Admitted
-
-    with monkeypatch.context() as patch:
-        patch.setattr(symgraph.cli, solver, reached)
-        try:
-            code = main(argv)
-        except _Admitted:
-            return True
-    assert code == 2 and "would print an integer" in capsys.readouterr().err, argv
-    return False
-
-
 PRINTABLE_REFUSAL = "error: an exact output would print an integer of more than 4300 digits\n"
+PRINTED_EDGES = (
+    # (argv at size n, the largest n whose values print, output rows there)
+    (lambda n: ["dual", "--k", "100", "--r", "100", "--even", "1", "--nmax", str(n)],
+     2153, 2154),
+    # the input's size counts: a 4200-digit denominator leaves 256 powers of
+    # sqrt(6) in dual, and plancherel squares its input
+    (lambda n: ["dual", "--k", "3", "--r", "4", "--even", "1/" + "9" * 4200, "--nmax", str(n)],
+     256, 257),
+    (lambda n: ["plancherel", "--k", "3", "--r", "4", "--radial", "1/" + "9" * n], 2150, 2),
+    (lambda n: ["wave", "--k", "3", "--r", "10", "--f", "e:1", "--g", "a0^1:1",
+                "--method", "closed", "--steps", "9000", "--at", f"e,{n}"], 6850, 1),
+)
 
 
-def test_printable_bound_refuses_at_its_edge(capsys, monkeypatch, str_digits):
+def test_printable_bound_refuses_at_its_edge(capsys, str_digits, tmp_path):
+    # the digit limit is met where str() meets it, after the work: the last
+    # request whose values print answers with every row, and the next is
+    # refused with one error line, no output and no --out file
     str_digits(4300)
-    # the integers of dual at (100, 100) pass 4300 digits from --nmax 2154 on;
-    # the bound refuses from 2148 on, before the transform runs
-    for nmax in ("2148", "2160"):
-        assert not _admitted(monkeypatch, capsys, "dual_abel",
-                             ["dual", "--k", "100", "--r", "100", "--even", "1", "--nmax", nmax])
-    # the last admitted request prints and the next is refused.  The inputs'
-    # size counts: a 4200-digit denominator leaves room for 245 powers of
-    # sqrt(6) in dual, and plancherel squares its input.  The values print up
-    # to 256 powers, to a plancherel denominator of 2150 nines and, in wave,
-    # to time 6850: the bound is conservative by a few percent of a power
-    base = ["--k", "3", "--r", "4"]
-    edges = (
-        (lambda n: ["dual", *base, "--even", "1/" + "9" * 4200, "--nmax", str(n)], 245),
-        (lambda n: ["plancherel", *base, "--radial", "1/" + "9" * n], 2147),
-        (lambda n: ["wave", "--k", "3", "--r", "10", "--f", "e:1", "--g", "a0^1:1",
-                    "--method", "closed", "--steps", "9000", "--at", f"e,{n}"], 6841),
-    )
-    for argv, edge in edges:
+    target = tmp_path / "out"
+    for argv, edge, rows in PRINTED_EDGES:
         code, doc = run_json(capsys, *argv(edge))
-        assert code == 0 and doc["outputs"], argv(edge)[0]
-        assert main(argv(edge + 1)) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == PRINTABLE_REFUSAL
+        assert code == 0 and len(doc["outputs"]) == rows, argv(edge)[0]
+        code, out = run(capsys, *argv(edge), "--format", "csv")
+        assert code == 0 and len(out.splitlines()) == rows + 1
+        for fmt in ("json", "csv"):
+            assert main([*argv(edge + 1), "--format", fmt]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == PRINTABLE_REFUSAL, (argv(edge)[0], fmt)
+        assert main([*argv(edge + 1), "--out", str(target)]) == 2
+        assert capsys.readouterr().err == PRINTABLE_REFUSAL and not target.exists()
+
+
+def test_no_digit_limit_refuses_nothing(capsys, str_digits):
+    str_digits(0)
+    code, doc = run_json(capsys, "dual", "--k", "100", "--r", "100", "--even", "1",
+                         "--nmax", "2154")
+    assert code == 0 and len(doc["outputs"]) == 2155
+
+
+def _answers(capsys, argv) -> bool:
+    """Whether main answers argv; a refusal must be one error line that
+    names the digit limit or the float range."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    if code == 0:
+        return True
+    assert code == 2 and captured.out == "", argv[0]
+    assert captured.err in (PRINTABLE_REFUSAL.replace("4300", "640"),
+                            "error: value outside the float range\n"), argv[0]
+    return False
 
 
 @pytest.mark.parametrize("k, r", [(12, 3), (3, 12), (9, 9)])
 def test_every_admitted_exact_output_prints(capsys, monkeypatch, str_digits, k, r):
-    # at the lowest digit limit, and with inputs of 212-digit denominators, the
-    # edges are short; at each command's largest admitted size every exact
-    # value prints.  Rows keep only the text, since growing values leave the
-    # float range first
+    # at the lowest digit limit, and with inputs of 212-digit denominators,
+    # the edges are short: each command answers up to some size and refuses
+    # the next with one error line
     str_digits(640)
-    monkeypatch.setattr(symgraph.cli, "_rows",
-                        lambda key, value: [{"key": key, "exact": str(value), "float": None}])
     # values are immutable, so the many equal inputs may share one parse
     monkeypatch.setattr(symgraph.cli, "parse_value", functools.lru_cache(symgraph.cli.parse_value))
     value = f"1/{7 ** 250}+2/3*sqrt({(k - 1) * (r - 1)})"
     base = ["--k", str(k), "--r", str(r)]
-    commands = {
-        "abel": ("abel", lambda n: ["abel", *base, "--radial", ",".join([value] * n)]),
-        "abel_inv": ("abel-inv", lambda n: ["abel-inv", *base, "--even", ",".join([value] * n)]),
-        "dual_abel": ("dual", lambda n: ["dual", *base, "--even", value, "--nmax", str(n)]),
-        "dual_abel_inv": ("dual-inv",
-                          lambda n: ["dual-inv", *base, "--radial", ",".join([value] * n)]),
-        "wave_closed_at": ("wave", lambda n: ["wave", *base, "--f", f"e:{value}", "--g",
-                                              f"a0^1:{value}", "--method", "closed",
-                                              "--steps", str(n), "--at", f"a1^1,{n}"]),
-    }
-    for solver, (name, argv) in commands.items():
+    commands = (
+        lambda n: ["abel", *base, "--radial", ",".join([value] * n)],
+        lambda n: ["abel-inv", *base, "--even", ",".join([value] * n)],
+        lambda n: ["dual", *base, "--even", value, "--nmax", str(n)],
+        lambda n: ["dual-inv", *base, "--radial", ",".join([value] * n)],
+        lambda n: ["wave", *base, "--f", f"e:{value}", "--g", f"a0^1:{value}",
+                   "--method", "closed", "--steps", str(n), "--at", f"a1^1,{n}"],
+    )
+    for argv in commands:
         lo, hi = 1, 1500
-        assert _admitted(monkeypatch, capsys, solver, argv(lo)) and not _admitted(
-            monkeypatch, capsys, solver, argv(hi))
+        assert _answers(capsys, argv(lo)) and not _answers(capsys, argv(hi))
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if _admitted(monkeypatch, capsys, solver, argv(mid)) else (lo, mid)
-        code, doc = run_json(capsys, *argv(lo))
-        assert code == 0 and doc["outputs"], name
+            lo, hi = (mid, hi) if _answers(capsys, argv(mid)) else (lo, mid)
 
 
 def test_plancherel_tolerance_scales_with_the_norm(capsys):

@@ -61,6 +61,20 @@ def test_radon_of_unit_sphere():
         radon(f, BoundaryRay.alternating(P34, 1), 0)
 
 
+def test_radon_via_counts_matches_radon():
+    # the closed sphere-horocycle counts against the enumeration oracle, on
+    # every horocycle that meets the support and one past it on each side
+    rng = random.Random(5)
+    for params in GRID:
+        for N in range(4):
+            f = radial(params, [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))
+                                for _ in range(N + 1)])
+            for ray in (BoundaryRay.alternating(params, N + 2),
+                        BoundaryRay.random(params, N + 2, rng)):
+                for h in range(-N - 1, N + 2):
+                    assert radon_via_counts(f, h) == radon(f, ray, h), (params, N, h)
+
+
 def test_abel_examples():
     assert abel(RadialSeq.delta_origin(P34)).values == (AlgebraicValue(1, 0, 6),)
     g = abel(radial(P34, [0, 1]))
