@@ -6,13 +6,16 @@ the cylinder of rays that begin with it).  Every operation states the depth
 it needs and raises ``DepthError`` rather than extending a ray implicitly:
 silent extension would hide depth-dependence bugs.
 
-``shell_sums`` is the one distance-profile walk that every shell and
-horocycle sum of the other layers reads (a horocycle is a shell around a
-ray prefix).  ``branch_shell_sums`` gives the same sums from a
-``branch_index`` of the pairs, walking only the words that share the
+``shell_sums`` is the distance-profile walk over (word, parts) pairs that
+the shell and horocycle sums of the other layers read (a horocycle is a
+shell around a ray prefix).  ``branch_shell_sums`` gives the same sums from
+a ``branch_index`` of the pairs, walking only the words that share the
 centre's first syllable; every other word enters from the index's part sums
 per word length.  Both live outside ``words``, so each of their
-``distance`` calls is a call into that layer.
+``distance`` calls is a call into that layer.  The enumeration oracles
+only count words, so they measure syllable tuples, one measurement per word:
+``_distance_counts`` per distance, ``_busemann_index`` (``busemann``'s body)
+per horocycle.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from functools import cached_property
 from typing import Iterator
 
 from .algebraic import AlgebraicValue, q_half_power
-from .words import GraphParams, ReducedWord, SpectralDomainError, ball, distance
+from .words import (GraphParams, ReducedWord, SpectralDomainError, _syllable_distance, ball,
+                    distance)
 
 __all__ = [
     "BoundaryRay",
@@ -110,15 +114,32 @@ def busemann(x: ReducedWord, ray: BoundaryRay) -> int:
     Stable in the truncation depth once depth > |x|; shallower rays raise.
     Where the ray is deeper than |x| + 1, the index is checked against the
     ray's ``parent`` node, which the ray holds once, so the check costs one
-    more ``distance`` call and no word.
+    more measurement and no word.
     """
-    m, size = len(ray.prefix.syllables), len(x.syllables)
+    if x.params is not ray.params and x.params != ray.params:
+        raise ValueError("cannot measure distance between different graphs")
+    return _busemann_index(x.syllables, ray.prefix.syllables, ray.parent.syllables)
+
+
+def _busemann_index(x: tuple, prefix: tuple, parent: tuple) -> int:
+    """``busemann`` of the syllables x along the ray of ``prefix`` and its ``parent``."""
+    m, size = len(prefix), len(x)
     if m <= size:
         raise DepthError(f"busemann at |x| = {size} needs ray depth > {size}, got {m}")
-    value = m - distance(x, ray.prefix)
-    if m - 1 > size and value != (m - 1) - distance(x, ray.parent):
+    value = m - _syllable_distance(x, prefix)
+    if m - 1 > size and value != (m - 1) - _syllable_distance(x, parent):
         raise AssertionError("busemann depth instability")
     return value
+
+
+def _distance_counts(center: tuple, walk, radius: int) -> list[int]:
+    """``counts[d]``: the syllable tuples of ``walk`` at distance d <= radius from center."""
+    counts = [0] * (radius + 1)
+    for y in walk:
+        d = _syllable_distance(center, y)
+        if d <= radius:
+            counts[d] += 1
+    return counts
 
 
 def shell_sums(x: ReducedWord, pairs, radius: int, width: int, zero=0) -> list[list]:
@@ -231,10 +252,8 @@ def horocycle_section(ray: BoundaryRay, h: int, radius: int) -> Iterator[Reduced
     """All x with |x| <= radius on the h-th horocycle of the ray, each once."""
     if ray.depth <= radius:
         raise DepthError(f"sections up to radius {radius} need ray depth > {radius}")
-    m = ray.depth
-    prefix = ray.prefix
     for x in ball(ray.params, radius):
-        if m - distance(x, prefix) == h:
+        if busemann(x, ray) == h:
             yield x
 
 

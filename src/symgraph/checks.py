@@ -26,7 +26,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .boundary import BoundaryRay, busemann, sphere_horocycle_count, translate_ray
+from .boundary import (BoundaryRay, _busemann_index, busemann, sphere_horocycle_count,
+                       translate_ray)
 from .spectral import (
     VertexFun,
     fourier_z,
@@ -49,7 +50,7 @@ from .transforms import (
     dual_abel_via_counts,
 )
 from .wave import CauchyData, wave_closed_at, wave_direct
-from .words import GraphParams, ball, distance, sphere
+from .words import GraphParams, _sphere_syllables, ball, distance, sphere
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "grid_params"]
 
@@ -126,9 +127,10 @@ def _horocycle_failures(params: GraphParams, rng: random.Random) -> _Failures:
     rays = _fixture_rays(params, nmax + 1, rng)
     tallies = [Counter() for _ in rays]
     for n in range(nmax + 1):  # each sphere listed once, counted for every ray
-        words = list(sphere(params, n))
+        words = list(_sphere_syllables(params, n))
         for ray, counts in zip(rays, tallies):
-            counts.update((n, busemann(x, ray)) for x in words)
+            prefix, parent = ray.prefix.syllables, ray.parent.syllables
+            counts.update((n, _busemann_index(x, prefix, parent)) for x in words)
     for ray, counts in zip(rays, tallies):
         for n in range(nmax + 1):
             for h in range(-nmax, nmax + 1):

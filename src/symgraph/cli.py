@@ -139,13 +139,11 @@ def _on_lambda_grid(params: GraphParams, grid: int, key: str, value) -> list[dic
 # Work bounds of the commands whose cost is linear in one flag: refused with
 # exit 2 before any work, like the stepper's window and the cylinder walks.
 _MAX_PHI_TERMS = 100_000  # spherical --nmax: one float and one output row per term
-# The ks-check times are in-process on a 2-vCPU x86-64 machine: the median per
-# trial of five runs of 200 trials, and one trial alone at (10, 10).
-_MAX_TRIALS = 10_000  # ks-check --trials: about 0.35 ms per trial at (3, 4)
-# ks-check, one trial: |ball(1)| * |ball(2)| convolution products, 513 at (3, 4)
-# (about 0.35 ms) and 7161 at (5, 5) (about 5 ms); 10^4 admits k = r <= 5 and
-# refuses (10, 10), 671671 products and about 0.6 s per trial.
-_MAX_TRIAL_PRODUCTS = 10_000
+# ks-check: --trials times the |ball(1)| * |ball(2)| products of a trial, 513 at
+# (3, 4).  On a 2-vCPU x86-64 machine a product takes 0.8 us at (5, 5) to 2 us
+# at (2, 3), where the fixed cost of a trial weighs most: 25000 trials there,
+# the slowest request admitted, run in 2.3 s as a subprocess.
+_MAX_KS_PRODUCTS = 1_000_000
 # verify --k --r: every suite walks at most the ball of radius 4, 9841 words at
 # (4, 4), the largest point of the default grid; (10, 10) took minutes.
 _MAX_VERIFY_BALL = 20_000
@@ -288,12 +286,10 @@ def cmd_invert(params: GraphParams, args) -> tuple[dict, list, dict, int]:
 def cmd_ks_check(params: GraphParams, args) -> tuple[dict, list, dict, int]:
     if params.k > params.r:
         raise ValueError("the smoothing inequality is checked for k <= r only")
-    if args.trials > _MAX_TRIALS:
-        raise ValueError(f"--trials {args.trials} is past the bound of {_MAX_TRIALS} trials")
-    products = ball_size(params, 1) * ball_size(params, 2)
-    if products > _MAX_TRIAL_PRODUCTS:
-        raise ValueError(f"one trial at ({params.k}, {params.r}) takes {products} products, "
-                         f"past the bound of {_MAX_TRIAL_PRODUCTS}")
+    products = args.trials * ball_size(params, 1) * ball_size(params, 2)
+    if products > _MAX_KS_PRODUCTS:
+        raise ValueError(f"{args.trials} trials at ({params.k}, {params.r}) take {products} "
+                         f"products, past the bound of {_MAX_KS_PRODUCTS}")
     rng = random.Random(args.seed)
     worst = {"core": 0.0, "young": 0.0, "holder": 0.0}
     witness = None

@@ -18,16 +18,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from itertools import repeat
+from functools import lru_cache, reduce
 from operator import mul
 
 import numpy as np
 
 from .algebraic import ring_of
-from .boundary import BoundaryRay, DepthError, busemann, shell_sums
+from .boundary import BoundaryRay, DepthError, _distance_counts, busemann, shell_sums
 from .transforms import EvenSeq, RadialSeq
-from .words import GraphParams, ReducedWord, _product, ball, sphere
+from .words import GraphParams, ReducedWord, _product, _sphere_syllables, ball, sphere
 
 __all__ = [
     "VertexFun",
@@ -80,6 +79,14 @@ class QuadResult:
     error: float
 
 
+@lru_cache(maxsize=8)
+def _gauss_legendre_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """``leggauss(order)``, read-only, built once per order: 32 to 4096 by default."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def gauss_legendre_adaptive(fn, a: float, b: float, tol: float = 1e-9,
                             start_order: int = 32, max_order: int = 4096):
     """Integrate a vectorized callable on [a, b], doubling the order until stable.
@@ -96,7 +103,7 @@ def gauss_legendre_adaptive(fn, a: float, b: float, tol: float = 1e-9,
     previous, change = None, math.inf
     order = start_order
     while order <= max_order:
-        nodes, weights = np.polynomial.legendre.leggauss(order)
+        nodes, weights = _gauss_legendre_nodes(order)
         xs = 0.5 * (b - a) * nodes + 0.5 * (a + b)
         terms = weights * fn(xs)
         value = complex(0.5 * (b - a) * np.sum(terms))
@@ -197,8 +204,8 @@ def phi_oracle(params: GraphParams, lam, x: ReducedWord, depth: int):
     lnq = math.log(params.q)
     totals = np.zeros(len(lams), dtype=complex)
     # the cylinders by their Busemann index z = depth - d(x, y) at x
-    cylinders = zip(sphere(params, depth), repeat((1,)))
-    for d, count in enumerate(shell_sums(x, cylinders, depth + len(x), 1)[0]):
+    cylinders = _sphere_syllables(params, depth)
+    for d, count in enumerate(_distance_counts(x.syllables, cylinders, depth + len(x))):
         if count:
             totals += count * np.exp((0.5 + 1j * lams) * (depth - d) * lnq)
     totals /= params.delta(depth)
@@ -298,7 +305,12 @@ def _spherical_sum(params: GraphParams, values, gamma):
     phi = spherical_phi(params, gamma, len(values) - 1)
     total = values[0] * phi[0]
     for n in range(1, len(values)):
-        total = total + values[n] * phi[n] * params.delta(n)
+        delta = params.delta(n)
+        try:
+            total = total + values[n] * phi[n] * delta
+        except OverflowError:  # float(delta) overflows: put about sqrt(delta) in phi first
+            shift = delta.bit_length() // 2
+            total = total + values[n] * np.ldexp(phi[n], shift) * (delta >> shift)
     return total
 
 
@@ -506,11 +518,16 @@ def convolve(f: VertexFun, g: VertexFun) -> VertexFun:
 
     Products are taken and summed on syllable tuples, in pair order, and
     each distinct output word is built once at the end."""
+    params, sums = f.params, _convolution_sums(f, g).items()
+    return VertexFun(params, {ReducedWord._make(params, w): v for w, v in sums}, f.exact and g.exact)
+
+
+def _convolution_sums(f: VertexFun, g: VertexFun) -> dict:
+    """The values of ``convolve(f, g)``, keyed by the syllables of their words."""
     params = f.params
     if params != g.params:
         raise ValueError("convolution operands live on different graphs")
-    exact = f.exact and g.exact
-    ring = ring_of(params.q, exact)
+    ring = ring_of(params.q, f.exact and g.exact)
     k, zero = params.k, ring.zero
     out: dict = {}
     left = [(y.syllables, ring.coerce(v)) for y, v in f.items()]
@@ -519,7 +536,7 @@ def convolve(f: VertexFun, g: VertexFun) -> VertexFun:
         for z, gv in right:
             w = _product(y, z, k)
             out[w] = out.get(w, zero) + fv * gv
-    return VertexFun(params, {ReducedWord._make(params, w): v for w, v in out.items()}, exact)
+    return out
 
 
 def convolve_radial(f: VertexFun, chi: RadialSeq) -> VertexFun:
@@ -591,7 +608,9 @@ def kunze_stein_check(f: VertexFun, chi: RadialSeq, p: float = 2.0,
     if any(v < 0 for v in chi_float):
         raise ValueError("the kernel must be nonnegative")
 
-    conv = convolve(f, VertexFun.from_radial(chi))
+    # keyed by syllable tuples: the norms read only the values, so no word is built
+    conv = VertexFun(params, _convolution_sums(f, VertexFun.from_radial(chi)),
+                     f.exact and chi.exact)
     conv_l2 = math.sqrt(abs(conv.norm_sq()))
 
     phi0 = spherical_phi(params, gamma_of(params, 0.0), chi.support_radius)

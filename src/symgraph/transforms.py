@@ -31,9 +31,10 @@ float() of the exact transform of the lifted inputs.  Shared arithmetic is
 not a shared formula: each dual oracle still checks the closed form by its
 own route, the counts sum and the forward recurrence, as ``radon`` and
 ``abel_via_radon`` check the Abel side by enumeration.  Those two visit
-every word of the ball with one ``distance`` call each, but count the words
-of each sphere per horocycle in plain integers and weight each nonzero count
-by f(n) once, so their ring arithmetic grows with the shells, not the words.
+every word of the ball with one measurement of its syllable tuple each, but
+count the words of each sphere per horocycle in plain integers and weight
+each nonzero count by f(n) once, so their ring arithmetic grows with the
+shells, not the words.
 
 A closed form of N values holds about N^2 log2(q) bits, and one past
 ``MAX_CLOSED_BITS`` is refused with ``ValueError`` before any arithmetic;
@@ -46,11 +47,10 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 
 from .algebraic import ring_of
-from .boundary import BoundaryRay, DepthError, shell_sums, sphere_horocycle_count
-from .words import GraphParams, sphere
+from .boundary import BoundaryRay, DepthError, _distance_counts, sphere_horocycle_count
+from .words import GraphParams, _sphere_syllables
 
 __all__ = [
     "RadialSeq",
@@ -164,13 +164,13 @@ def _sphere_counts(f: RadialSeq, ray: BoundaryRay) -> Iterator[list[int]]:
     """For each n from 0 to f's support radius N, the number of words of
     the sphere of radius n at each distance d <= depth + N from the ray's
     prefix, that is on horocycle depth - d: plain integer counts, with one
-    ``distance`` call per word of the ball.  Needs ray depth > N."""
+    measurement per word of the ball and no word built.  Needs ray depth > N."""
     radius = f.support_radius
     if ray.depth <= radius:
         raise DepthError(f"needs ray depth > {radius}")
+    prefix = ray.prefix.syllables
     for n in range(radius + 1):
-        words = zip(sphere(f.params, n), repeat((1,)))
-        yield shell_sums(ray.prefix, words, ray.depth + radius, 1)[0]
+        yield _distance_counts(prefix, _sphere_syllables(f.params, n), ray.depth + radius)
 
 
 def radon(f: RadialSeq, ray: BoundaryRay, h: int):

@@ -175,7 +175,11 @@ def distance(x: ReducedWord, y: ReducedWord) -> int:
     """
     if x.params is not y.params and x.params != y.params:
         raise ValueError("cannot measure distance between different graphs")
-    a, b = x.syllables, y.syllables
+    return _syllable_distance(x.syllables, y.syllables)
+
+
+def _syllable_distance(a: tuple, b: tuple) -> int:
+    """``distance`` between the words of one graph with syllables a and b."""
     common = 0
     for sa, sb in zip(a, b):
         if sa != sb:
@@ -240,15 +244,19 @@ def _children(params: GraphParams, syllables: tuple) -> list[tuple]:
     return list(_next_level((syllables,), _steps(params)))
 
 
-def sphere(params: GraphParams, n: int) -> Iterator[ReducedWord]:
-    """Yield every reduced word of exactly n syllables once, in increasing
-    syllable order; the order is part of the CLI output contract."""
+def _sphere_syllables(params: GraphParams, n: int):
+    """The syllable tuples of ``sphere(params, n)``, in its order, lazily."""
     if n < 0:
         raise ValueError(f"radius must be nonnegative, got {n}")
     steps = _steps(params)
     level = iter([()])
     for _ in range(n):
         level = _next_level(level, steps)
+    return level
+
+
+def _words(params: GraphParams, level):
+    """The words with the syllable tuples of ``level``, in its order."""
     new = object.__new__
     for syllables in level:
         # built as ``ReducedWord._make`` builds, without a call per word
@@ -259,18 +267,18 @@ def sphere(params: GraphParams, n: int) -> Iterator[ReducedWord]:
         yield word
 
 
+def sphere(params: GraphParams, n: int) -> Iterator[ReducedWord]:
+    """Yield every reduced word of exactly n syllables once, in increasing
+    syllable order; the order is part of the CLI output contract."""
+    yield from _words(params, _sphere_syllables(params, n))
+
+
 def ball(params: GraphParams, n: int) -> Iterator[ReducedWord]:
     """Yield every word of length <= n, sphere by sphere."""
     steps = _steps(params)
-    new = object.__new__
     level = [()]
     for m in range(n + 1):
-        for syllables in level:
-            word = new(ReducedWord)
-            word.params = params
-            word.syllables = syllables
-            word._hash = hash(syllables)
-            yield word
+        yield from _words(params, level)
         if m < n:
             level = list(_next_level(level, steps))
 

@@ -11,6 +11,7 @@ import pytest
 from symgraph.boundary import (
     BoundaryRay,
     DepthError,
+    _busemann_index,
     branch_shell_sums,
     busemann,
     cylinder_measure,
@@ -22,7 +23,8 @@ from symgraph.boundary import (
     translate_ray,
 )
 from symgraph.algebraic import AlgebraicValue
-from symgraph.words import GraphParams, ReducedWord, SpectralDomainError, ball, distance, sphere
+from symgraph.words import (GraphParams, ReducedWord, SpectralDomainError, _syllable_distance,
+                            ball, distance, sphere)
 
 P34 = GraphParams(3, 4)
 P23 = GraphParams(2, 3)
@@ -56,6 +58,29 @@ def test_busemann_depth_stability():
         assert busemann(x, ray) == busemann(x, ray.truncate(4))
 
 
+def test_tuple_busemann_index_is_busemann():
+    rng = random.Random(5)
+    for params in (P34, P23, GraphParams(4, 3)):
+        for depth in (1, 2, 4):
+            ray = BoundaryRay.random(params, depth, rng)
+            prefix, parent = ray.prefix.syllables, ray.parent.syllables
+            for x in ball(params, 3):
+                if len(x) < depth:
+                    assert _busemann_index(x.syllables, prefix, parent) == busemann(x, ray)
+                    continue
+                # a ray no deeper than |x| is too shallow on both routes
+                with pytest.raises(DepthError):
+                    _busemann_index(x.syllables, prefix, parent)
+                with pytest.raises(DepthError):
+                    busemann(x, ray)
+    # a parent that is not the prefix's trips the depth-stability check
+    prefix = BoundaryRay.alternating(P34, 4).prefix.syllables
+    with pytest.raises(AssertionError, match="^busemann depth instability$"):
+        _busemann_index((), prefix, prefix)
+    with pytest.raises(ValueError, match="different graphs"):
+        busemann(P23.identity(), BoundaryRay.alternating(P34, 2))
+
+
 def test_busemann_checks_the_held_parent(monkeypatch):
     # the ray holds its parent node once; a distance that disagrees there
     # must still trip the depth-stability check on every call
@@ -63,10 +88,10 @@ def test_busemann_checks_the_held_parent(monkeypatch):
     assert ray.parent == ray.node(3)
     assert ray.parent is ray.parent
 
-    def off_at_parent(x, y):
-        return distance(x, y) + (y == ray.node(3))
+    def off_at_parent(a, b):
+        return _syllable_distance(a, b) + (b == ray.node(3).syllables)
 
-    monkeypatch.setattr("symgraph.boundary.distance", off_at_parent)
+    monkeypatch.setattr("symgraph.boundary._syllable_distance", off_at_parent)
     for _ in range(2):
         with pytest.raises(AssertionError, match="^busemann depth instability$"):
             busemann(P34.identity(), ray)
@@ -77,9 +102,10 @@ def test_busemann_check_survives_optimized_mode():
     # explicit raise, so a distance one off at the parent still trips it
     script = (
         "import symgraph.boundary as boundary\n"
-        "from symgraph.words import GraphParams, distance\n"
+        "from symgraph.words import GraphParams, _syllable_distance\n"
         "ray = boundary.BoundaryRay.alternating(GraphParams(3, 4), 4)\n"
-        "boundary.distance = lambda x, y: distance(x, y) + (y == ray.parent)\n"
+        "boundary._syllable_distance = lambda a, b: (\n"
+        "    _syllable_distance(a, b) + (b == ray.parent.syllables))\n"
         "print(__debug__)\n"
         "try:\n"
         "    boundary.busemann(ray.params.identity(), ray)\n"
@@ -275,7 +301,12 @@ def test_walks_make_one_distance_call_per_word(monkeypatch):
         calls.append(None)
         return distance(x, y)
 
+    def counted_tuples(a, b):
+        calls.append(None)
+        return _syllable_distance(a, b)
+
     monkeypatch.setattr(symgraph.boundary, "distance", counted)
+    monkeypatch.setattr(symgraph.boundary, "_syllable_distance", counted_tuples)
     a, b = P34.generator(0), P34.generator(1, 2)
     f = VertexFun.of(P34, {P34.identity(): 1, a: Fraction(1, 2)})
     data = CauchyData(f, VertexFun.of(P34, {a: 3, b * a: -1}))

@@ -85,7 +85,7 @@ CASES = [
     ("spectral", "plancherel_norm", mass_plus_one, "plancherel-mass", "plancherel-mass"),
     ("wave", "wave_closed_at", plus_one, "wave-closed-vs-direct", "wave-closed-vs-direct"),
     ("wave", "wave_direct", past_off_when_still, "wave-time-symmetry", "wave-time-symmetry"),
-    ("boundary", "busemann", plus_one, "horocycle-count", "horocycle-count"),
+    ("boundary", "_busemann_index", plus_one, "horocycle-count", "horocycle-count"),
 ]
 
 
@@ -120,13 +120,13 @@ def test_horocycle_failure_skips_the_cocycle_check(monkeypatch):
 
 
 def test_horocycle_check_counts_the_second_ray(monkeypatch):
-    # both fixture rays share one walk of each sphere; a busemann that is
-    # off on the second ray alone must still fail, with that ray as witness
+    # both fixture rays share one walk of each sphere; a Busemann index that
+    # is off on the second ray alone must still fail, with that ray as witness
     first, second = checks._fixture_rays(P34, 5, random.Random(0))
     assert first.prefix != second.prefix
-    exact = checks.busemann
-    monkeypatch.setattr(checks, "busemann",
-                        lambda x, ray: exact(x, ray) + (ray.prefix == second.prefix))
+    exact = checks._busemann_index
+    monkeypatch.setattr(checks, "_busemann_index", lambda x, prefix, parent: (
+        exact(x, prefix, parent) + (prefix == second.prefix.syllables)))
     ok, collected = run_suite("boundary", [P34], 0)
     results = [result for _, _, result in collected]
     assert not ok

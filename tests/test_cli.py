@@ -3,6 +3,7 @@ import csv
 import functools
 import io
 import json
+import math
 import re
 import shlex
 import sys
@@ -471,6 +472,29 @@ def test_cylinder_bound_refuses_before_walking(capsys, monkeypatch):
         check_depth(GraphParams(3, 4), -1)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_verify_passes_every_suite_over_the_default_grid(capsys, seed):
+    # the seeds and grid that the cli_mix benchmark cycles
+    code, doc = run_json(capsys, "verify", "--suite", "all", "--seed", str(seed))
+    assert code == 0
+    suites = {row["key"].split("[")[0] for row in doc["outputs"]}
+    assert suites == {"group", "boundary", "abel", "dual", "spectral", "wave"}
+    assert len(doc["outputs"]) == 96
+    assert all(row["float"] == 1.0 for row in doc["outputs"])
+
+
+def test_plancherel_sums_terms_past_the_float_range_of_delta(capsys):
+    # delta(n) = 8 * 6^(n-1) passes the float range from n = 397 at (3, 4);
+    # the terms of these 500 values, and their norm, stay inside it
+    values = ",".join(["1/1" + "0" * 300] * 500)
+    code, doc = run_json(capsys, "plancherel", "--k", "3", "--r", "4", "--radial", values)
+    assert code == 0
+    direct, spectral = (row["float"] for row in doc["outputs"])
+    assert 3e-212 < direct < 3.3e-212
+    # --tol is absolute, so a norm this small is resolved only to a few percent
+    assert math.isfinite(spectral) and abs(spectral - direct) < 0.1 * direct
+
+
 def test_linear_work_bounds_refuse_before_work(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("started the work")
@@ -485,12 +509,16 @@ def test_linear_work_bounds_refuse_before_work(capsys, monkeypatch):
     for argv, bound in (
             (["spherical", *base, "--lambda", "0.4", "--nmax", str(10**8)],
              symgraph.cli._MAX_PHI_TERMS),
-            (["ks-check", *base, "--trials", str(10**8)], symgraph.cli._MAX_TRIALS),
-            # one trial at (10, 10) convolves 91 * 7381 pairs; at (14, 14) still more
-            (["ks-check", "--k", "10", "--r", "10", "--trials", "1"],
-             symgraph.cli._MAX_TRIAL_PRODUCTS),
+            # ks-check bounds trials times the 513 products of a trial at (3, 4)
+            (["ks-check", *base, "--trials", str(10**8)], symgraph.cli._MAX_KS_PRODUCTS),
+            # 10^4 trials of 7161 products at (5, 5) were admitted and ran for over 30 s
+            (["ks-check", "--k", "5", "--r", "5", "--trials", "10000"],
+             symgraph.cli._MAX_KS_PRODUCTS),
+            # a trial at (10, 10) convolves 91 * 7381 pairs; at (14, 14) still more
+            (["ks-check", "--k", "10", "--r", "10", "--trials", "2"],
+             symgraph.cli._MAX_KS_PRODUCTS),
             (["ks-check", "--k", "14", "--r", "14", "--trials", "1"],
-             symgraph.cli._MAX_TRIAL_PRODUCTS),
+             symgraph.cli._MAX_KS_PRODUCTS),
             # every suite walks the ball of radius 4: 166726 words at (10, 3)
             (["verify", "--k", "10", "--r", "3", "--suite", "abel"], symgraph.cli._MAX_VERIFY_BALL),
             (["verify", "--k", "10", "--r", "10"], symgraph.cli._MAX_VERIFY_BALL)):

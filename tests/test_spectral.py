@@ -387,6 +387,9 @@ def test_kunze_stein_report():
             assert report.core_ratio <= 1 + 1e-12
             assert report.young_ratio <= 1 + 1e-12
             assert report.holder_ratio <= 1 + 1e-12
+            # the check reads the sums of the public convolution, in its order
+            conv = convolve(f, VertexFun.from_radial(chi))
+            assert report.conv_l2 == math.sqrt(abs(conv.norm_sq()))
 
 
 def test_kunze_stein_point_mass():
@@ -407,6 +410,20 @@ def test_quadrature_reports_error():
     value, err = gauss_legendre_adaptive(lambda xs: np.sin(xs), 0.0, math.pi, 1e-12)
     assert value == pytest.approx(2.0, abs=1e-12)
     assert err <= 1e-12
+
+
+def test_gauss_legendre_nodes_are_built_once_per_order_and_read_only():
+    from symgraph.spectral import _gauss_legendre_nodes
+
+    assert _gauss_legendre_nodes.cache_info().maxsize == 8
+    for order in (32, 64, 128, 256, 512):
+        nodes, weights = _gauss_legendre_nodes(order)
+        want_nodes, want_weights = np.polynomial.legendre.leggauss(order)
+        assert np.array_equal(nodes, want_nodes) and np.array_equal(weights, want_weights)
+        assert _gauss_legendre_nodes(order)[0] is nodes
+        for array in (nodes, weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
 
 
 def test_quadrature_failure_carries_achieved_error():

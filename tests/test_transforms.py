@@ -591,15 +591,16 @@ def test_enumeration_oracles_float_lane_matches_the_per_word_sums():
 @pytest.mark.parametrize("values", [[1], [Fraction(1, 2), 0, 3], [0, 0, 0, 2], [1, 0, 0, 0]],
                          ids=repr)
 def test_enumeration_oracles_call_distance_once_per_ball_word(monkeypatch, values):
-    # the route stays every word of the ball, spheres where f is 0 included
+    # the route stays every word of the ball, spheres where f is 0 included,
+    # each measured once on its syllable tuple
     calls = []
-    measure = symgraph.boundary.distance
+    measure = symgraph.boundary._syllable_distance
 
-    def counted(x, y):
+    def counted(a, b):
         calls.append(1)
-        return measure(x, y)
+        return measure(a, b)
 
-    monkeypatch.setattr(symgraph.boundary, "distance", counted)
+    monkeypatch.setattr(symgraph.boundary, "_syllable_distance", counted)
     for params in (P34, GraphParams(2, 2), GraphParams(4, 3)):
         f = RadialSeq.of(params, values)
         ray = BoundaryRay.alternating(params, f.support_radius + 2)

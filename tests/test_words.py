@@ -11,6 +11,7 @@ from symgraph.words import (
     ReducedWord,
     _children,
     _product,
+    _syllable_distance,
     ball,
     ball_size,
     distance,
@@ -163,6 +164,17 @@ def test_distance_matches_quotient_length(x, y):
     assert distance(x, y) == len(~x * y)
     assert distance(x, y) == distance(y, x)
     assert distance(P34.identity(), x) == len(x)
+
+
+@pytest.mark.parametrize("k, r", [(2, 3), (3, 4), (4, 3), (4, 4)])
+def test_syllable_distance_is_the_distance_of_the_words(k, r):
+    # the enumeration oracles measure syllable tuples; every pair of ball(2)
+    params = GraphParams(k, r)
+    pool = list(ball(params, 2))
+    for x in pool:
+        for y in pool:
+            d = _syllable_distance(x.syllables, y.syllables)
+            assert d == distance(x, y) == len(~x * y), (x, y)
 
 
 @given(word_strategy(P34), word_strategy(P34), word_strategy(P34))
