@@ -329,22 +329,27 @@ class ExactRing:
         a, b = parts
         return (b * self.q, a)
 
-    def decode(self, parts, scale: int, m: int) -> list[AlgebraicValue]:
-        """The values (A + B sqrt(q)) / (scale * sqrt(q)^m), m >= 0, from
-        parts that are sequences of Python ints.
+    def decoder(self, scale: int, m: int):
+        """The function (A, B) -> (A + B sqrt(q)) / (scale * sqrt(q)^m), m >= 0,
+        of one value's parts, Python ints; the denominator is worked out once.
 
         For odd m the parts swap: (A + B sqrt(q)) / sqrt(q) = (qB + A sqrt(q)) / q.
         When q is a perfect square the sqrt(q) part folds into A.
         """
-        q, (a, b) = self.q, parts
+        q = self.q
         root = _exact_root(q)
         if root is not None:
-            den, pairs = scale * root**m, ((x + y * root, 0) for x, y in zip(a, b))
-        elif m % 2:
-            den, pairs = scale * q ** (m // 2 + 1), ((y * q, x) for x, y in zip(a, b))
-        else:
-            den, pairs = scale * q ** (m // 2), zip(a, b)
-        return [_canonical(x, y, den, q) for x, y in pairs]
+            den = scale * root**m
+            return lambda A, B: _canonical(A + B * root, 0, den, q)
+        if m % 2:
+            den = scale * q ** (m // 2 + 1)
+            return lambda A, B: _canonical(B * q, A, den, q)
+        den = scale * q ** (m // 2)
+        return lambda A, B: _canonical(A, B, den, q)
+
+    def decode(self, parts, scale: int, m: int) -> list:
+        """``decoder(scale, m)`` mapped over the values of parts, sequences of Python ints."""
+        return list(map(self.decoder(scale, m), *parts))
 
 
 def _lift(x: float) -> Fraction:
@@ -360,9 +365,10 @@ class FloatRing:
     Its array lane is exact: ``encode`` lifts each value to its exact binary
     rational (-0.0 comes back as 0.0) and encodes it with the exact ring, as
     parts (A, B), or (A, B, A', B') with the imaginary plane second when any
-    value is complex; ``times_root`` acts on each plane, and ``decode`` rounds
-    each exact value once.  A NaN or infinite value raises ``ValueError``, a
-    decoded value past the float range ``OverflowError``.
+    value is complex; ``times_root`` acts on each plane, and ``decoder`` (and
+    so ``decode``) rounds each exact value once.  A NaN or infinite value
+    raises ``ValueError``, a decoded value past the float range
+    ``OverflowError``.
     """
 
     __slots__ = ("q", "zero", "_exact")
@@ -388,10 +394,18 @@ class FloatRing:
     def times_root(self, parts) -> tuple:
         return sum((self._exact.times_root(parts[i:i + 2]) for i in range(0, len(parts), 2)), ())
 
-    def decode(self, parts, scale: int, m: int) -> list:
-        planes = [[float(v) for v in self._exact.decode(parts[i:i + 2], scale, m)]
-                  for i in range(0, len(parts), 2)]
-        return planes[0] if len(planes) == 1 else [complex(*v) for v in zip(*planes)]
+    def decoder(self, scale: int, m: int):
+        """The exact ring's decoder, each plane rounded once: (A, B) gives a
+        float, (A, B, A', B') a complex."""
+        exact = self._exact.decoder(scale, m)
+
+        def one(A, B, *imag):
+            real = float(exact(A, B))
+            return complex(real, float(exact(*imag))) if imag else real
+
+        return one
+
+    decode = ExactRing.decode
 
 
 # the shared rings, at most 64, keyed by (q, lane); the oldest is dropped first
@@ -407,7 +421,8 @@ def ring_of(q: int, exact: bool = True) -> ExactRing | FloatRing:
     For array code each ring also has ``encode`` (value lists to integer
     parts, tuples of Python ints, over a common denominator), ``times_root``
     (multiply parts, numbers or arrays, by sqrt(q)) and ``decode`` (parts
-    over ``scale * sqrt(q)^m`` back to values).  Both lanes run that
+    over ``scale * sqrt(q)^m`` back to values), which maps ``decoder(scale,
+    m)``, the function of one value's parts, over them.  Both lanes run that
     arithmetic exactly (see ``FloatRing``), so integer linear maps act on
     the parts the same way in both.
     """

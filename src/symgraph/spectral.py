@@ -40,6 +40,7 @@ __all__ = [
     "phi_oracle",
     "check_depth",
     "MAX_CYLINDERS",
+    "MAX_CYLINDER_WORK",
     "c_func",
     "plancherel_density",
     "fourier_grid",
@@ -173,6 +174,14 @@ MAX_CYLINDERS = 100_000
 """Most depth-m cylinders (words of the sphere of radius m) that one
 boundary walk may visit."""
 
+MAX_CYLINDER_WORK = 850_000
+"""Most work that the walk of a nonradial integral may do, counted as
+cylinders x (support words + 4): one unit per (cylinder, support word)
+pair it measures, about 1 to 2 us on a 2-vCPU machine, and about four
+more per cylinder, which the walk builds, profiles and measures from the
+target.  The slowest walk at the bound, 4 support words at (2, 3) against
+the 98304 cylinders of depth 16, takes about 2 s."""
+
 
 def check_depth(params: GraphParams, depth: int) -> None:
     """Raise ``ValueError`` for a negative cylinder depth or one with more
@@ -304,13 +313,17 @@ def _spherical_sum(params: GraphParams, values, gamma):
     that is a float, an array or exact; the value type follows both."""
     phi = spherical_phi(params, gamma, len(values) - 1)
     total = values[0] * phi[0]
-    for n in range(1, len(values)):
-        delta = params.delta(n)
-        try:
-            total = total + values[n] * phi[n] * delta
-        except OverflowError:  # float(delta) overflows: put about sqrt(delta) in phi first
-            shift = delta.bit_length() // 2
-            total = total + values[n] * np.ldexp(phi[n], shift) * (delta >> shift)
+    with np.errstate(under="raise"):  # numpy floats only; the exact lane never raises
+        for n in range(1, len(values)):
+            delta = params.delta(n)
+            try:
+                total = total + values[n] * phi[n] * delta
+            except (OverflowError, FloatingPointError):
+                # float(delta) overflows, or values[n] * phi[n] underflows
+                # before delta applies: put about sqrt(delta) in phi first
+                shift = delta.bit_length() // 2
+                with np.errstate(under="ignore"):
+                    total = total + values[n] * np.ldexp(phi[n], shift) * (delta >> shift)
     return total
 
 
@@ -451,7 +464,9 @@ def _cylinder_profile(f: VertexFun, depth: int, reach: int = 0):
     """The boundary walk of the nonradial integrals (k <= r only): the
     depth-m cylinders, the support's Busemann indices z, the per-cylinder
     amplitudes A[y, z] = sum over support of f at index z and the cylinder
-    mass delta(depth).  The depth must exceed the support radius and reach."""
+    mass delta(depth).  The depth must exceed the support radius and reach,
+    and a walk past ``MAX_CYLINDER_WORK`` raises ``ValueError`` before it
+    starts."""
     params = f.params
     params.require_spectral()
     if params.k > params.r:
@@ -461,6 +476,12 @@ def _cylinder_profile(f: VertexFun, depth: int, reach: int = 0):
     if depth <= floor:
         raise DepthError(f"needs cylinder depth > {floor}")
     check_depth(params, depth)
+    if params.delta(depth) * (len(f.data) + 4) > MAX_CYLINDER_WORK:
+        raise ValueError(
+            f"depth {depth} on the ({params.k}, {params.r}) graph pairs {params.delta(depth)} "
+            f"cylinders with {len(f.data)} support words, past the bound of "
+            f"{MAX_CYLINDER_WORK} units of cylinders x (support words + 4)"
+        )
     support = [(x, (complex(v),)) for x, v in f.items()]
     cylinders = list(sphere(params, depth))
     z_values = np.arange(-radius, depth + 1)
@@ -492,7 +513,8 @@ def invert_helgason(f: VertexFun, x: ReducedWord, depth: int, tol: float = 1e-9)
     """Recover f(x) from the boundary transform (k <= r only).
 
     Needs cylinder depth above both the support radius and |x|; a depth past
-    ``MAX_CYLINDERS`` cylinders raises ``ValueError`` before any walk.
+    ``MAX_CYLINDERS`` cylinders, or a walk past ``MAX_CYLINDER_WORK``,
+    raises ``ValueError`` before any walk.
     """
     cylinders, z_values, amp, mass = _cylinder_profile(f, depth, len(x))
     lnq = math.log(f.params.q)

@@ -160,17 +160,18 @@ def _n_max(seq: _Seq, n_max: int | None) -> int:
 # -- Radon transform ----------------------------------------------------------
 
 
-def _sphere_counts(f: RadialSeq, ray: BoundaryRay) -> Iterator[list[int]]:
-    """For each n from 0 to f's support radius N, the number of words of
-    the sphere of radius n at each distance d <= depth + N from the ray's
-    prefix, that is on horocycle depth - d: plain integer counts, with one
-    measurement per word of the ball and no word built.  Needs ray depth > N."""
+def _sphere_counts(f: RadialSeq, rays) -> Iterator[list[list[int]]]:
+    """For each n from 0 to f's support radius N and each ray, the number of
+    words of the sphere of radius n at each distance d <= depth + N from the
+    ray's prefix, that is on horocycle depth - d: plain integer counts.  Each
+    sphere is listed once for every ray, with one measurement per word and
+    ray and no word built.  Needs every ray's depth > N."""
     radius = f.support_radius
-    if ray.depth <= radius:
+    if any(ray.depth <= radius for ray in rays):
         raise DepthError(f"needs ray depth > {radius}")
-    prefix = ray.prefix.syllables
     for n in range(radius + 1):
-        yield _distance_counts(prefix, _sphere_syllables(f.params, n), ray.depth + radius)
+        words = list(_sphere_syllables(f.params, n))
+        yield [_distance_counts(ray.prefix.syllables, words, ray.depth + radius) for ray in rays]
 
 
 def radon(f: RadialSeq, ray: BoundaryRay, h: int):
@@ -182,7 +183,7 @@ def radon(f: RadialSeq, ray: BoundaryRay, h: int):
     """
     d = ray.depth - h
     total = f.ring.zero
-    for n, counts in enumerate(_sphere_counts(f, ray)):
+    for n, (counts,) in enumerate(_sphere_counts(f, (ray,))):
         if 0 <= d < len(counts) and counts[d]:
             total = total + f.value(n) * counts[d]
     return total
@@ -228,16 +229,23 @@ def abel_via_radon(f: RadialSeq, ray: BoundaryRay) -> EvenSeq:
 
     Every word of the ball is counted into its horocycle sphere by sphere,
     and each nonzero count of sphere n adds f(n) times the count once."""
-    radius, ring, depth = f.support_radius, f.ring, ray.depth
+    return _abel_via_radon_rays(f, (ray,))[0]
+
+
+def _abel_via_radon_rays(f: RadialSeq, rays) -> list[EvenSeq]:
+    """``abel_via_radon`` on each of several rays, with each sphere listed once."""
+    radius, ring = f.support_radius, f.ring
     # horocycle h is the shell at distance depth - h around the prefix
-    sums = [ring.zero] * (depth + radius + 1)
-    for n, counts in enumerate(_sphere_counts(f, ray)):
+    sums = [[ring.zero] * (ray.depth + radius + 1) for ray in rays]
+    for n, per_ray in enumerate(_sphere_counts(f, rays)):
         value = f.value(n)
-        for d, count in enumerate(counts):
-            if count:
-                sums[d] = sums[d] + value * count
-    out = tuple(ring.qpow(h) * sums[depth - h] for h in range(radius + 1))
-    return EvenSeq(f.params, out, f.exact)
+        for shells, counts in zip(sums, per_ray):
+            for d, count in enumerate(counts):
+                if count:
+                    shells[d] = shells[d] + value * count
+    return [EvenSeq(f.params, tuple(ring.qpow(h) * shells[ray.depth - h]
+                                    for h in range(radius + 1)), f.exact)
+            for ray, shells in zip(rays, sums)]
 
 
 def abel_inv(g: EvenSeq) -> RadialSeq:

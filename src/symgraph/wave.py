@@ -17,9 +17,12 @@ recurrence, so it steps two object arrays of Python ints, built from the
 parts (the rational and the sqrt(q) parts; four for complex data).  The
 float ring's array lane is exact too (see ``algebraic.FloatRing``), so
 neither solver branches on its lane.  The arrays follow ``ball()`` order
-(see ``words.position``), in which the neighbour sum needs no table.
-Each time slice keeps its parts and decodes on read: one value when one word
-is read, the whole slice once when it is read in full.  A window of more
+(see ``words.position``), in which the neighbour sum needs no table; each
+support word is placed in it once per solve.  Each time slice keeps its
+parts and its ring's one-value decoder (``decoder``) and decodes on read:
+one value with one decoder call when one word is read, the whole slice once
+when it is read in full.  The slices of a solve share one index from a word
+to its slot, so a word read at many times is placed once.  A window of more
 than ``MAX_WINDOW_VALUES`` vertex-values is refused up front.
 
 Closed-form evaluation is one formula in every regime: Asgeirsson's mean
@@ -28,8 +31,8 @@ velocity terms of every radius fold into one closed weight vector.  Scaled
 by 2k D sqrt(q)^|n| the value is integer linear in the shell sums of the data
 around x, so it reads the distance profile of the union of the supports
 (``boundary.branch_shell_sums``, the parts added into shell sums held in
-plain Python ints), takes two dot products with the weight rows and
-decodes once.  The graph is tree-like at the origin, so only the words
+plain Python ints), takes two dot products with the weight rows and makes
+one decoder call.  The graph is tree-like at the origin, so only the words
 under x's first syllable need a ``distance`` call; every other word enters
 through sums of the data per word length, built with its encoding.  The shell
 sums do not depend on the time: each point is measured out to |x| + L, L the
@@ -38,7 +41,9 @@ keeps the sums of the first ``_MAX_PROFILES`` points for every later time (a
 later point is measured again on each call, as nothing is evicted).  A time
 whose weights would hold more than ``MAX_CLOSED_BITS`` bits is refused up front.
 The weight rows are kept per graph and time (``_rows``, a bounded cache both
-lanes share); no value is remembered per point.
+lanes share), and once a time passes that check the data keeps its plan, the
+rows and the decoder, for the first ``_MAX_PLANS`` times; no value is
+remembered per point.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 from itertools import accumulate
-from operator import mul
+from operator import add, mul
 
 import numpy as np
 
@@ -188,6 +193,13 @@ class CauchyData:
         L the longest support word; shared by every time, so read-only."""
         return {}
 
+    @cached_property
+    def _plans(self) -> dict:
+        """Time n -> the closed form's plan at n: the weight rows c and v,
+        2 sign(n) and the ring's decoder over 2k D sqrt(q)^|n|; shared by
+        every point."""
+        return {}
+
 
 class WaveField:
     """Solution values on a time window, each time valid on a recorded ball."""
@@ -279,52 +291,62 @@ def check_window(params: GraphParams, support_radius: int, steps: int,
             )
 
 
-def _on_ball(column, words: list[ReducedWord], radius: int, offsets: list[int]):
-    # column holds one int per word; those of the words in ball(radius),
-    # placed in ball() order, zero elsewhere, as an object array
-    out = np.zeros(offsets[radius + 1], dtype=object)
-    near = [i for i, y in enumerate(words) if len(y) <= radius]
-    out[[offsets[len(words[i])] + position(words[i]) for i in near]] = [column[i] for i in near]
+def _on_ball(columns, slots: list[int], size: int) -> list:
+    # one object array of length size per column (one int per support word):
+    # each word's int at its ball() slot when that slot is below size, zero elsewhere
+    near = [i for i, slot in enumerate(slots) if slot < size]
+    where, out = [slots[i] for i in near], []
+    for column in columns:
+        placed = np.zeros(size, dtype=object)
+        placed[where] = [column[i] for i in near]
+        out.append(placed)
     return out
 
 
 class _Slice(Mapping):
     """One stepper time slice, read-only: the values on ``ball(radius)`` in
     ``ball()`` order, kept as the parts of w(n) until read, each value being
-    ``ring.decode(parts, scale, power)``.
+    ``decode`` (the ring's ``decoder`` for this time) of its parts.
 
-    Reading one word decodes that value alone (a word of another graph or
-    past the radius raises ``KeyError``, as a dict would), and ``len``
-    decodes nothing.  Any full read (iteration, and so ``keys``/``items``/
-    ``values``) decodes the whole slice once; from then on it reads the dict
-    of ``decoded()``, keyed by ``words()``, the shared list of the stepped
-    ball."""
+    Reading one word decodes that value alone, with one call (a word of
+    another graph or past the radius raises ``KeyError``, as a dict would),
+    and ``len`` decodes nothing.  The slices of one field share ``index``, a
+    dict from the syllables of each word read so far to its ``ball()`` slot,
+    so a word is placed once per field, not once per slice.  Any full read
+    (iteration, and so ``keys``/``items``/``values``) decodes the whole
+    slice once; from then on it reads the dict of ``decoded()``, keyed by
+    ``words()``, the shared list of the stepped ball."""
 
-    __slots__ = ("_params", "_ring", "_parts", "_scale", "_power", "_radius", "_offsets",
-                 "_words", "_full")
+    __slots__ = ("_params", "_decode", "_parts", "_radius", "_offsets", "_index", "_words",
+                 "_full")
 
-    def __init__(self, params, ring, parts, scale, power, radius, offsets, words):
-        self._params, self._ring, self._parts = params, ring, parts
-        self._scale, self._power, self._radius = scale, power, radius
-        self._offsets, self._words, self._full = offsets, words, None
+    def __init__(self, params, decode, parts, radius, offsets, index, words):
+        self._params, self._decode, self._parts = params, decode, parts
+        self._radius, self._offsets, self._index = radius, offsets, index
+        self._words, self._full = words, None
 
     def __getitem__(self, x):
         if self._full is not None:
             return self._full[x]
-        if not (isinstance(x, ReducedWord) and len(x) <= self._radius
+        if not (isinstance(x, ReducedWord)
                 and (x.params is self._params or x.params == self._params)):
             raise KeyError(x)
-        index = self._offsets[len(x)] + position(x)
-        return self._ring.decode([[part[index]] for part in self._parts],
-                                 self._scale, self._power)[0]
+        slot = self._index.get(x.syllables)
+        if slot is None:
+            if len(x) > self._radius:
+                raise KeyError(x)
+            slot = self._index[x.syllables] = self._offsets[len(x)] + position(x)
+        elif slot >= len(self._parts[0]):  # placed by a slice of a larger radius
+            raise KeyError(x)
+        return self._decode(*[part[slot] for part in self._parts])
 
     def __len__(self) -> int:
         return len(self._parts[0]) if self._full is None else len(self._full)
 
     def decoded(self) -> dict:
         if self._full is None:
-            values = self._ring.decode(self._parts, self._scale, self._power)
-            self._full, self._parts = dict(zip(self._words(), values)), None
+            self._full = dict(zip(self._words(), map(self._decode, *self._parts)))
+            self._parts = None
         return self._full
 
     def __iter__(self):
@@ -361,12 +383,15 @@ def wave_direct(params: GraphParams, data: CauchyData, steps: int,
     data (``CauchyData._encoded``): two Python-int arrays (the rational and
     the sqrt(q) parts; four for complex data), exact in either lane.  Each
     time slice is an array over a ball in ``ball()`` order, where S needs no
-    table (see ``words._self_plus_neighbors``).  Slices decode on read:
-    ``fields[n].data`` keeps the parts, ``at`` decodes the one value it
-    reads, and a full read of a slice decodes it whole, once
-    (``WaveField.decode_all`` does so for every slice).  ``params`` must be
-    the graph of the data, and a negative ``steps`` or ``observe_radius``
-    raises ``ValueError``.
+    table (see ``words._self_plus_neighbors``); the support words' slots
+    in that order are worked out once and place every part column.  Slices
+    decode on read (see ``_Slice``): ``fields[n].data`` keeps the parts and
+    the ring's ``decoder`` for time n, ``at`` decodes the one value it reads
+    with one decoder call, the slices share one index from a word to its
+    slot, so a word is placed once per call, and a full read of a slice
+    decodes it whole, once (``WaveField.decode_all`` does so for every
+    slice).  ``params`` must be the graph of the data, and a negative
+    ``steps`` or ``observe_radius`` raises ``ValueError``.
     """
     _require_graph(params, data.params, "data")
     if steps < 0:
@@ -398,13 +423,18 @@ def wave_direct(params: GraphParams, data: CauchyData, steps: int,
     # f is needed on the first cone plus one shell, g on the first cone
     start = min(supp, cone[1] + 1)
     support, scale, (f_columns, g_columns), _ = data._encoded
-    scale *= 2
-    f_parts = [_on_ball(column, support, start, offsets) for column in f_columns]
-    g_parts = [_on_ball(column, support, cone[1], offsets) for column in g_columns]
+    # each support word's ball() slot, once; a word past both radii gets a
+    # slot past both arrays
+    reach = max(start, cone[1])
+    slots = [offsets[len(y)] + position(y) if len(y) <= reach else offsets[reach + 1]
+             for y in support]
+    f_parts = _on_ball(f_columns, slots, offsets[start + 1])
+    g_parts = _on_ball(g_columns, slots, offsets[cone[1] + 1])
+    index: dict[tuple, int] = {}  # a word's syllables -> its ball() slot, for every slice
 
     def store(n: int, parts) -> None:
-        kept = _Slice(params, ring, [p.tolist() for p in parts], scale, abs(n),
-                      cone[abs(n)], offsets, words)
+        kept = _Slice(params, ring.decoder(2 * scale, abs(n)), [p.tolist() for p in parts],
+                      cone[abs(n)], offsets, index, words)
         fields[n] = VertexFun(params, kept, exact)
         valid[n] = valid_radius(n)
 
@@ -438,6 +468,9 @@ def _weights(params: GraphParams, m: int) -> tuple[tuple[int, ...], tuple[int, .
 
 # points whose shell sums a CauchyData keeps: about 600 B each at (3, 4), radius 2
 _MAX_PROFILES = 4096
+
+# times whose weight rows and decoder a CauchyData keeps; the rows are those of _rows
+_MAX_PLANS = 32
 
 
 # c(m) and v(m) cached per graph and time, shared by every point and both lanes
@@ -483,32 +516,42 @@ def wave_closed_at(params: GraphParams, data: CauchyData, x: ReducedWord, n: int
     carries, so every word measured lands in a shell), and while the data
     keeps fewer than ``_MAX_PROFILES`` points it keeps x's sums for every
     later time; a point not kept is measured again per call.  The dot
-    products take the weight rows of ``_rows`` (cached per graph and time),
-    then one ``times_root`` and one ``decode``, exact in either lane.  A
-    time whose weights would hold more than ``MAX_CLOSED_BITS`` bits raises
-    ``ValueError`` before any of that, keeping nothing, and so do a
-    ``params`` that is not the graph of the data and a point on another graph.
+    products read the data's plan for time n (``CauchyData._plans``): the
+    weight rows of ``_rows`` (cached per graph and time) and the ring's
+    ``decoder`` over 2k D sqrt(q)^|n|, so a value is the dot products, one
+    ``times_root`` and one decoder call, exact in either lane.  The plan is
+    built once the time passes its check, and kept for the data's first
+    ``_MAX_PLANS`` times.  A time whose weights would hold more than
+    ``MAX_CLOSED_BITS`` bits raises ``ValueError`` before any of that,
+    keeping nothing, and so do a ``params`` that is not the graph of the
+    data and a point on another graph.
     """
     _require_graph(params, data.params, "data")
     _require_graph(params, x.params, "point")
     if n == 0:
         return data.initial.value(x)
-    _check_closed_time(params, n)
-    size = abs(n)
-    _, scale, columns, branches = data._encoded
-    half, sign = len(columns[0]), 1 if n > 0 else -1
+    plans = data._plans
+    plan = plans.get(n)
+    if plan is None:  # a time planned before passed the check
+        _check_closed_time(params, n)
+        c, v = _rows(params, abs(n))
+        decode = data.initial.ring.decoder(2 * params.k * data._encoded[1], abs(n))
+        plan = c, v, 2 if n > 0 else -2, decode
+        if len(plans) < _MAX_PLANS:
+            plans[n] = plan
+    c, v, twice_sign, decode = plan
     profiles = data._profiles
     sums = profiles.get(x)  # f's parts, then g's
     if sums is None:  # branches[2]: the longest support word
+        branches = data._encoded[3]
         sums = branch_shell_sums(x, branches, len(x) + branches[2])
         if len(profiles) < _MAX_PROFILES:
             profiles[x] = sums
-    c, v = _rows(params, size)
-    ring = data.initial.ring
+    half = len(sums) // 2
     p_parts = [sum(map(mul, c, shells)) for shells in sums[:half]]
-    q_parts = ring.times_root([2 * sign * sum(map(mul, v, shells)) for shells in sums[half:]])
-    parts = [[a + b] for a, b in zip(p_parts, q_parts)]
-    return ring.decode(parts, 2 * params.k * scale, size)[0]
+    q_parts = data.initial.ring.times_root([twice_sign * sum(map(mul, v, shells))
+                                            for shells in sums[half:]])
+    return decode(*map(add, p_parts, q_parts))
 
 
 # the inverse dual Abel route is the same formula (see wave_closed_at)

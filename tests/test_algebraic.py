@@ -144,6 +144,32 @@ def test_decode_matches_the_public_constructor(k, r):
             assert type(got.a) is Fraction and type(got.b) is Fraction
 
 
+@pytest.mark.parametrize("k, r", [(3, 4), (3, 3), (2, 2)])  # q = 6, 4 (a square), 1
+@pytest.mark.parametrize("exact", [True, False])
+def test_decode_is_the_decoder_mapped_over_the_parts(k, r, exact):
+    # one formula: every decoded value is the one-value decoder's, with the
+    # same type and repr, at odd and even m, on real and on complex planes
+    q = (k - 1) * (r - 1)
+    ring = ring_of(q, exact)
+    real = [0, 3, Fraction(-5, 6), Fraction(1, 2) + Fraction(-3, 14) * sqrt_q(q)]
+    columns = [[ring.coerce(v) for v in real]]
+    if not exact:
+        columns.append([complex(float(v), -float(v) / 7) for v in real])
+    for column in columns:
+        scale, [parts] = ring.encode([column])
+        for m in range(5):
+            one = ring.decoder(scale, m)
+            mapped = [one(*value) for value in zip(*parts)]
+            decoded = ring.decode(parts, scale, m)
+            assert [type(v) for v in decoded] == [type(v) for v in mapped]
+            assert decoded == mapped and [repr(v) for v in decoded] == [repr(v) for v in mapped]
+            if not exact:  # each plane rounds the exact value once
+                exact_one = ring_of(q).decoder(scale, m)
+                want = [float(exact_one(a, b)) for a, b in zip(*parts[:2])]
+                assert [repr(v.real if isinstance(v, complex) else v) for v in decoded] == \
+                    [repr(v) for v in want]
+
+
 # -- oracle: every operation against a reference built from two Fractions -----------
 
 RING_PARAMETERS = [1, 2, 3, 4, 6, 9, 12]  # 1, 4 and 9 are perfect squares

@@ -7,6 +7,7 @@ import random
 import pytest
 
 import symgraph.checks as checks
+import symgraph.transforms as transforms
 from symgraph.checks import run_suite
 from symgraph.spectral import QuadResult
 from symgraph.words import GraphParams
@@ -22,6 +23,13 @@ def first_value_plus_one(fn):
     def bumped(*args, **kwargs):
         seq = fn(*args, **kwargs)
         return dataclasses.replace(seq, values=(seq.values[0] + 1, *seq.values[1:]))
+    return bumped
+
+
+def each_first_value_plus_one(fn):
+    def bumped(*args, **kwargs):
+        return [dataclasses.replace(seq, values=(seq.values[0] + 1, *seq.values[1:]))
+                for seq in fn(*args, **kwargs)]
     return bumped
 
 
@@ -71,7 +79,8 @@ CASES = [
     ("group", "distance", plus_one, "inverse-distance", "word-algebra"),
     ("boundary", "sphere_horocycle_count", plus_one, "horocycle-count", "horocycle-count"),
     ("boundary", "translate_ray", untranslated, "cocycle", "cocycle"),
-    ("abel", "abel_via_radon", first_value_plus_one, "abel-oracle", "abel-forward-inverse"),
+    ("abel", "_abel_via_radon_rays", each_first_value_plus_one, "abel-oracle",
+     "abel-forward-inverse"),
     ("abel", "abel_inv", first_value_plus_one, "abel-roundtrip", "abel-forward-inverse"),
     ("abel", "abel_inv_rearranged", first_value_plus_one, "abel-inv-variants",
      "abel-forward-inverse"),
@@ -117,6 +126,31 @@ def test_horocycle_failure_skips_the_cocycle_check(monkeypatch):
     _, collected = run_suite("boundary", [P34], 0)
     assert [(result.name, result.ok) for _, _, result in collected] == [
         ("horocycle-count", False)]
+
+
+def test_abel_oracle_counts_the_second_ray(monkeypatch):
+    # both fixture rays of a trial share one walk of each sphere; counts that
+    # are off on the second ray alone must still fail, with that ray as witness
+    seconds = []
+    fixture_rays = checks._fixture_rays
+    exact = transforms._distance_counts
+
+    def rays(*args):
+        found = fixture_rays(*args)
+        seconds.append(found[1].prefix)
+        return found
+
+    def counts(center, walk, radius):
+        got = exact(center, walk, radius)
+        return [c + 1 for c in got] if center == seconds[-1].syllables else got
+
+    monkeypatch.setattr(checks, "_fixture_rays", rays)
+    monkeypatch.setattr(transforms, "_distance_counts", counts)
+    ok, collected = run_suite("abel", [P34], 0)
+    results = [result for _, _, result in collected]
+    assert not ok
+    assert [(result.name, result.ok) for result in results] == [("abel-oracle", False)]
+    assert results[0].witness["trial"] == "0" and results[0].witness["ray"] == str(seconds[0])
 
 
 def test_horocycle_check_counts_the_second_ray(monkeypatch):

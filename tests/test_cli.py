@@ -21,7 +21,15 @@ import symgraph.spectral
 import symgraph.wave
 from symgraph.algebraic import AlgebraicValue
 from symgraph.cli import main
-from symgraph.spectral import MAX_CYLINDERS, QuadratureError, VertexFun, check_depth
+from symgraph.spectral import (
+    MAX_CYLINDER_WORK,
+    MAX_CYLINDERS,
+    QuadratureError,
+    VertexFun,
+    check_depth,
+    helgason_norm_sq,
+    invert_helgason,
+)
 from symgraph.transforms import (
     EvenSeq,
     RadialSeq,
@@ -31,7 +39,7 @@ from symgraph.transforms import (
     dual_abel_inv,
 )
 from symgraph.wave import MAX_CLOSED_BITS, CauchyData, wave_closed_at
-from symgraph.words import GraphParams
+from symgraph.words import GraphParams, ball, sphere
 
 
 def run(capsys, *argv):
@@ -472,6 +480,35 @@ def test_cylinder_bound_refuses_before_walking(capsys, monkeypatch):
         check_depth(GraphParams(3, 4), -1)
 
 
+def test_cylinder_work_bound_refuses_before_walking(capsys, monkeypatch):
+    class Walked(Exception):
+        pass
+
+    def walk(*args):
+        raise Walked
+
+    monkeypatch.setattr(symgraph.spectral, "sphere", walk)
+    params = GraphParams(3, 4)
+    ball3 = list(ball(params, 3))
+    # the 345 words of ball(3) against the delta(6) = 62208 cylinders of depth 6
+    values = ";".join(f"{w}:1" for w in ball3)
+    argv = ["invert", "--k", "3", "--r", "4", "--at", "e", "--depth", "6", "--values", values]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and str(MAX_CYLINDER_WORK) in captured.err
+    assert len(captured.err.splitlines()) == 1
+    # at the edge: 77 words of length 4 against the 10368 cylinders of depth 5
+    # are 10368 * (77 + 4) = 839808 units and walk; 78 words are refused
+    longest = list(sphere(params, 4))
+    for count, outcome in ((77, Walked), (78, ValueError)):
+        fun = VertexFun.of(params, {w: 1 for w in longest[:count]})
+        with pytest.raises(outcome):
+            invert_helgason(fun, params.identity(), 5)
+        with pytest.raises(outcome):
+            helgason_norm_sq(fun, 5)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_verify_passes_every_suite_over_the_default_grid(capsys, seed):
     # the seeds and grid that the cli_mix benchmark cycles
@@ -493,6 +530,19 @@ def test_plancherel_sums_terms_past_the_float_range_of_delta(capsys):
     assert 3e-212 < direct < 3.3e-212
     # --tol is absolute, so a norm this small is resolved only to a few percent
     assert math.isfinite(spectral) and abs(spectral - direct) < 0.1 * direct
+
+
+def test_plancherel_sums_terms_that_underflow_before_delta(capsys):
+    # values[n] * phi[n] underflows long before delta(n) = 8 * 6^(n-1) would
+    # bring it back; summed in that order the spectral norm of these 395
+    # values read 0.0
+    values = ",".join(["1/1" + "0" * 300] * 395)
+    code, doc = run_json(capsys, "plancherel", "--k", "3", "--r", "4", "--radial", values)
+    assert code == 0
+    direct, spectral = (row["float"] for row in doc["outputs"])
+    assert 6.2e-294 < direct < 6.3e-294
+    # --tol is absolute, so a norm this small is resolved only to a few percent
+    assert spectral > 0 and abs(spectral - direct) < 0.1 * direct
 
 
 def test_linear_work_bounds_refuse_before_work(capsys, monkeypatch):

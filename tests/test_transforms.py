@@ -20,6 +20,7 @@ from symgraph.transforms import (
     MAX_CLOSED_BITS,
     EvenSeq,
     RadialSeq,
+    _abel_via_radon_rays,
     abel,
     abel_inv,
     abel_inv_rearranged,
@@ -612,6 +613,29 @@ def test_enumeration_oracles_call_distance_once_per_ball_word(monkeypatch, value
             calls.clear()
             radon(f, ray, h)
             assert len(calls) == size, (params, h)
+
+
+def test_abel_oracle_on_two_rays_lists_each_sphere_once(monkeypatch):
+    # the rays of one walk: each sphere listed once, each word measured once
+    # per ray, and each ray's transform that of abel_via_radon on it alone
+    walks = []
+    listed = symgraph.transforms._sphere_syllables
+
+    def counted(params, n):
+        walks.append(n)
+        return listed(params, n)
+
+    f = RadialSeq.of(P34, [Fraction(1, 2), 0, 3])
+    rays = [BoundaryRay.alternating(P34, 3), BoundaryRay.random(P34, 4, random.Random(5))]
+    want = [abel_via_radon(f, ray) for ray in rays]
+    monkeypatch.setattr(symgraph.transforms, "_sphere_syllables", counted)
+    got = _abel_via_radon_rays(f, rays)
+    assert walks == [0, 1, 2]
+    assert [seq.values for seq in got] == [seq.values for seq in want]
+    assert [repr(v) for seq in got for v in seq.values] == [repr(v) for seq in want
+                                                           for v in seq.values]
+    with pytest.raises(DepthError):
+        _abel_via_radon_rays(f, [rays[0], BoundaryRay.alternating(P34, 2)])
 
 
 # -- the float lane of dual_abel_inv: one rounding of the exact transform --------------

@@ -11,6 +11,7 @@ from symgraph.boundary import BoundaryRay, busemann
 from symgraph.spectral import VertexFun, radialize, spherical_means_at, spherical_phi
 from symgraph.transforms import RadialSeq
 from symgraph.wave import (
+    MAX_CLOSED_BITS,
     MAX_WINDOW_VALUES,
     CauchyData,
     _neighbor_sum,
@@ -458,6 +459,28 @@ def test_refused_calls_keep_no_profile():
         with pytest.raises(ValueError, match="graph"):
             wave_closed_at(params, data, x, n)
         assert list(data._profiles) == [a]
+        assert list(data._plans) == [1]
+
+
+def test_closed_plans_are_bounded(monkeypatch):
+    # a data keeps the plans of its first _MAX_PLANS times, and a time past
+    # the bound is planned again per call with the same values; a time
+    # refused by MAX_CLOSED_BITS plans nothing
+    params = GraphParams(3, 3)
+    data = fractional_data(params, random.Random(101), radius=2)
+    want = closed_values(params, data, "points", fresh=True)
+    monkeypatch.setattr(wave_module, "_MAX_PLANS", 3)
+    same_values(closed_values(params, data, "points"), want)
+    assert list(data._plans) == [-4, -3, -2]
+    c, v, twice_sign, _ = data._plans[-3]
+    assert (c, v) == wave_module._rows(params, 3) and twice_sign == -2
+    with pytest.raises(ValueError, match=str(MAX_CLOSED_BITS)):
+        wave_closed_at(params, data, params.identity(), 10**5)
+    assert list(data._plans) == [-4, -3, -2]
+    fresh = fractional_data(params, random.Random(101), radius=2)
+    with pytest.raises(ValueError, match=str(MAX_CLOSED_BITS)):
+        wave_closed_at(params, fresh, params.identity(), -10**5)
+    assert fresh._plans == {}
 
 
 def test_float_closed_forms_track_exact_when_k_exceeds_r():
@@ -771,8 +794,9 @@ def test_stepper_refuses_a_negative_observe_radius(monkeypatch):
 @pytest.mark.parametrize("exact", [True, False])
 def test_slices_decode_on_read(params, exact, monkeypatch):
     # a slice keeps its parts: len decodes nothing, a word read decodes one
-    # value, a full read decodes the slice once in ball() order, and every
-    # read agrees with the word-by-word reference and with every other read
+    # value with one decoder call, a full read decodes the slice once in
+    # ball() order, and every read agrees with the word-by-word reference
+    # and with every other read
     steps, observe = 3, 1
     data = fractional_data(params, random.Random(63))
     reference = stepped_reference(params, data, steps, observe)
@@ -780,14 +804,19 @@ def test_slices_decode_on_read(params, exact, monkeypatch):
         data = CauchyData(*(VertexFun.of(params, {w: float(v) for w, v in fun.items()}, exact=False)
                             for fun in (data.initial, data.velocity)))
     ring = data.initial.ring
-    decodes = []
-    decode = type(ring).decode
+    decodes = []  # the time of each one-value decoder call
+    decoder = type(ring).decoder
 
-    def counted(self, parts, scale, m):
-        decodes.append(len(parts[0]))
-        return decode(self, parts, scale, m)
+    def counted(self, scale, m):
+        one = decoder(self, scale, m)
 
-    monkeypatch.setattr(type(ring), "decode", counted)
+        def counting(*parts):
+            decodes.append(m)
+            return one(*parts)
+
+        return counting
+
+    monkeypatch.setattr(type(ring), "decoder", counted)
     field = wave_direct(params, data, steps, observe_radius=observe)
     eager = wave_direct(params, data, steps, observe_radius=observe)
     stranger, zeros = GraphParams(3, 4).identity(), []
@@ -806,10 +835,12 @@ def test_slices_decode_on_read(params, exact, monkeypatch):
             past = next(iter(sphere(params, radius + 1)))
             assert past not in lazy
             zeros.append(field.at(past, n))
-        assert decodes == [1] * len(words)
-        # a full read of a slice never read before: one decode, ball() order
+        assert decodes == [abs(n)] * len(words)
+        # a full read of a slice never read before decodes each value once,
+        # in ball() order, and a second full read decodes nothing
         items = list(full.items())
-        assert decodes[len(words):] == [len(words)]
+        assert decodes[len(words):] == [abs(n)] * len(words)
+        assert list(full.items()) == items and len(decodes) == 2 * len(words)
         assert [x for x, _ in items] == words
         for x, (_, value), one in zip(words, items, before):
             assert value == one and repr(value) == repr(one)
