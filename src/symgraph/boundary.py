@@ -13,9 +13,10 @@ a ``branch_index`` of the pairs, walking only the words that share the
 centre's first syllable; every other word enters from the index's part sums
 per word length.  Both live outside ``words``, so each of their
 ``distance`` calls is a call into that layer.  The enumeration oracles
-only count words, so they measure syllable tuples, one measurement per word:
-``_distance_counts`` per distance, ``_busemann_index`` (``busemann``'s body)
-per horocycle.
+only count words, so they build none: they walk the ball once as an array
+of syllable codes (``words._walk``) and measure every row from each ray
+prefix in one array pass (``words._walk_distances``), the word on
+horocycle depth - d at distance d.
 """
 
 from __future__ import annotations
@@ -130,16 +131,6 @@ def _busemann_index(x: tuple, prefix: tuple, parent: tuple) -> int:
     if m - 1 > size and value != (m - 1) - _syllable_distance(x, parent):
         raise AssertionError("busemann depth instability")
     return value
-
-
-def _distance_counts(center: tuple, walk, radius: int) -> list[int]:
-    """``counts[d]``: the syllable tuples of ``walk`` at distance d <= radius from center."""
-    counts = [0] * (radius + 1)
-    for y in walk:
-        d = _syllable_distance(center, y)
-        if d <= radius:
-            counts[d] += 1
-    return counts
 
 
 def shell_sums(x: ReducedWord, pairs, radius: int, width: int, zero=0) -> list[list]:

@@ -21,13 +21,11 @@ from __future__ import annotations
 
 import os
 import random
-from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .boundary import (BoundaryRay, _busemann_index, busemann, sphere_horocycle_count,
-                       translate_ray)
+from .boundary import BoundaryRay, busemann, sphere_horocycle_count, translate_ray
 from .spectral import (
     VertexFun,
     fourier_z,
@@ -50,7 +48,8 @@ from .transforms import (
     dual_abel_via_counts,
 )
 from .wave import CauchyData, wave_closed_at, wave_direct
-from .words import GraphParams, _sphere_syllables, ball, distance, sphere
+from .words import (GraphParams, _walk, _walk_counts, _walk_distances, ball, ball_size, distance,
+                    sphere)
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "grid_params"]
 
@@ -124,24 +123,30 @@ def _fixture_rays(params: GraphParams, depth: int, rng: random.Random) -> list[B
 
 def _horocycle_failures(params: GraphParams, rng: random.Random) -> _Failures:
     nmax = 4
-    rays = _fixture_rays(params, nmax + 1, rng)
-    tallies = [Counter() for _ in rays]
-    for n in range(nmax + 1):  # each sphere listed once, counted for every ray
-        words = list(_sphere_syllables(params, n))
-        for ray, counts in zip(rays, tallies):
-            prefix, parent = ray.prefix.syllables, ray.parent.syllables
-            counts.update((n, _busemann_index(x, prefix, parent)) for x in words)
-    for ray, counts in zip(rays, tallies):
+    depth = nmax + 1
+    rays = _fixture_rays(params, depth, rng)
+    walk = _walk(params, nmax)  # one walk of the ball, measured for every ray
+    # busemann's depth-stability check, on the words shorter than depth - 1:
+    # depth - d(x, prefix) == (depth - 1) - d(x, parent)
+    shorter = ball_size(params, depth - 2)
+    tallies = []
+    for ray in rays:
+        distances = _walk_distances(walk, ray.prefix.syllables)
+        parent = _walk_distances(walk, ray.parent.syllables)
+        if (distances[:shorter] != parent[:shorter] + 1).any():
+            raise AssertionError("busemann depth instability")
+        tallies.append(_walk_counts(walk, distances))
+    for ray, counts in zip(rays, tallies):  # counts[n][d]: horocycle depth - d of sphere n
         for n in range(nmax + 1):
             for h in range(-nmax, nmax + 1):
                 expected = sphere_horocycle_count(params, n, h)
-                if counts[n, h] != expected:
+                got = counts[n][depth - h]
+                if got != expected:
                     yield "horocycle-count", dict(ray=ray.prefix, n=n, h=h,
-                                                  got=counts[n, h], expected=expected)
+                                                  got=got, expected=expected)
         for n in range(nmax + 1):
-            total = sum(c for (m, _), c in counts.items() if m == n)
-            if total != params.delta(n):
-                yield "horocycle-partition", dict(n=n, got=total)
+            if sum(counts[n]) != params.delta(n):
+                yield "horocycle-partition", dict(n=n, got=sum(counts[n]))
 
 
 def _cocycle_failures(params: GraphParams, rng: random.Random) -> _Failures:

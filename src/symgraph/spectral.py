@@ -24,9 +24,10 @@ from operator import mul
 import numpy as np
 
 from .algebraic import ring_of
-from .boundary import BoundaryRay, DepthError, _distance_counts, busemann, shell_sums
+from .boundary import BoundaryRay, DepthError, busemann, shell_sums
 from .transforms import EvenSeq, RadialSeq
-from .words import GraphParams, ReducedWord, _product, _sphere_syllables, ball, sphere
+from .words import (GraphParams, ReducedWord, _product, _walk, _walk_counts, _walk_distances,
+                    ball, sphere)
 
 __all__ = [
     "VertexFun",
@@ -200,7 +201,10 @@ def phi_oracle(params: GraphParams, lam, x: ReducedWord, depth: int):
 
     Averages the (1/2 + i lam)-power of the Poisson kernel over all depth-m
     cylinders; exact on cylinders because the Busemann index is constant on
-    each once depth > |x|.  This path is independent of the recurrence and
+    each once depth > |x|.  The cylinders are the words of the sphere of
+    radius depth, walked alone as one array of syllable codes
+    (``words._walk``), each measured once from x in one array pass and
+    counted per distance.  This path is independent of the recurrence and
     arbitrates it in the tests.  ``lam`` may be an array; the cylinder walk
     is shared across its entries.  A depth past ``MAX_CYLINDERS`` cylinders
     raises ``ValueError`` before the walk.
@@ -213,8 +217,10 @@ def phi_oracle(params: GraphParams, lam, x: ReducedWord, depth: int):
     lnq = math.log(params.q)
     totals = np.zeros(len(lams), dtype=complex)
     # the cylinders by their Busemann index z = depth - d(x, y) at x
-    cylinders = _sphere_syllables(params, depth)
-    for d, count in enumerate(_distance_counts(x.syllables, cylinders, depth + len(x))):
+    cylinders = _walk(params, depth, depth)
+    distances = _walk_distances(cylinders, x.syllables)
+    (counts,) = _walk_counts(cylinders, distances)
+    for d, count in enumerate(counts):
         if count:
             totals += count * np.exp((0.5 + 1j * lams) * (depth - d) * lnq)
     totals /= params.delta(depth)

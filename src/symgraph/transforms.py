@@ -30,11 +30,12 @@ over one denominator, decoded once per output value, so a float output is
 float() of the exact transform of the lifted inputs.  Shared arithmetic is
 not a shared formula: each dual oracle still checks the closed form by its
 own route, the counts sum and the forward recurrence, as ``radon`` and
-``abel_via_radon`` check the Abel side by enumeration.  Those two visit
-every word of the ball with one measurement of its syllable tuple each, but
-count the words of each sphere per horocycle in plain integers and weight
-each nonzero count by f(n) once, so their ring arithmetic grows with the
-shells, not the words.
+``abel_via_radon`` check the Abel side by enumeration.  Those two walk
+the ball once per call as an array of syllable codes (``words._walk``) and
+measure every word from each ray prefix in one array pass; they count the
+words of each sphere per horocycle in plain integers and weight each
+nonzero count by f(n) once, so their ring arithmetic grows with the
+shells, not the words, and no array reaches this module.
 
 A closed form of N values holds about N^2 log2(q) bits, and one past
 ``MAX_CLOSED_BITS`` is refused with ``ValueError`` before any arithmetic;
@@ -44,13 +45,12 @@ the dual oracles share that bound.  The dual transforms refuse a negative
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebraic import ring_of
-from .boundary import BoundaryRay, DepthError, _distance_counts, sphere_horocycle_count
-from .words import GraphParams, _sphere_syllables
+from .boundary import BoundaryRay, DepthError, sphere_horocycle_count
+from .words import GraphParams, _walk, _walk_counts, _walk_distances
 
 __all__ = [
     "RadialSeq",
@@ -160,18 +160,17 @@ def _n_max(seq: _Seq, n_max: int | None) -> int:
 # -- Radon transform ----------------------------------------------------------
 
 
-def _sphere_counts(f: RadialSeq, rays) -> Iterator[list[list[int]]]:
-    """For each n from 0 to f's support radius N and each ray, the number of
+def _sphere_counts(f: RadialSeq, rays) -> list[list[list[int]]]:
+    """For each ray, and each n from 0 to f's support radius N, the number of
     words of the sphere of radius n at each distance d <= depth + N from the
-    ray's prefix, that is on horocycle depth - d: plain integer counts.  Each
-    sphere is listed once for every ray, with one measurement per word and
-    ray and no word built.  Needs every ray's depth > N."""
+    ray's prefix, that is on horocycle depth - d: plain integer counts.  The
+    ball is walked once for all rays, and each word is measured once per ray
+    from its own codes.  Needs every ray's depth > N."""
     radius = f.support_radius
     if any(ray.depth <= radius for ray in rays):
         raise DepthError(f"needs ray depth > {radius}")
-    for n in range(radius + 1):
-        words = list(_sphere_syllables(f.params, n))
-        yield [_distance_counts(ray.prefix.syllables, words, ray.depth + radius) for ray in rays]
+    walk = _walk(f.params, radius)
+    return [_walk_counts(walk, _walk_distances(walk, ray.prefix.syllables)) for ray in rays]
 
 
 def radon(f: RadialSeq, ray: BoundaryRay, h: int):
@@ -183,7 +182,8 @@ def radon(f: RadialSeq, ray: BoundaryRay, h: int):
     """
     d = ray.depth - h
     total = f.ring.zero
-    for n, (counts,) in enumerate(_sphere_counts(f, (ray,))):
+    (spheres,) = _sphere_counts(f, (ray,))
+    for n, counts in enumerate(spheres):
         if 0 <= d < len(counts) and counts[d]:
             total = total + f.value(n) * counts[d]
     return total
@@ -233,13 +233,13 @@ def abel_via_radon(f: RadialSeq, ray: BoundaryRay) -> EvenSeq:
 
 
 def _abel_via_radon_rays(f: RadialSeq, rays) -> list[EvenSeq]:
-    """``abel_via_radon`` on each of several rays, with each sphere listed once."""
+    """``abel_via_radon`` on each of several rays, with one walk of the ball."""
     radius, ring = f.support_radius, f.ring
     # horocycle h is the shell at distance depth - h around the prefix
     sums = [[ring.zero] * (ray.depth + radius + 1) for ray in rays]
-    for n, per_ray in enumerate(_sphere_counts(f, rays)):
-        value = f.value(n)
-        for shells, counts in zip(sums, per_ray):
+    for shells, spheres in zip(sums, _sphere_counts(f, rays)):
+        for n, counts in enumerate(spheres):
+            value = f.value(n)
             for d, count in enumerate(counts):
                 if count:
                     shells[d] = shells[d] + value * count

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -244,15 +244,109 @@ def _children(params: GraphParams, syllables: tuple) -> list[tuple]:
     return list(_next_level((syllables,), _steps(params)))
 
 
-def _sphere_syllables(params: GraphParams, n: int):
-    """The syllable tuples of ``sphere(params, n)``, in its order, lazily."""
-    if n < 0:
-        raise ValueError(f"radius must be nonnegative, got {n}")
-    steps = _steps(params)
-    level = iter([()])
-    for _ in range(n):
-        level = _next_level(level, steps)
-    return level
+def _narrow(top: int):
+    """The narrowest integer type of a walk array with entries in [-2, top]."""
+    return np.int8 if top < 2 ** 7 else np.int16 if top < 2 ** 15 else np.int64
+
+
+@lru_cache(maxsize=64)
+def _step_codes(params: GraphParams) -> tuple:
+    """``_steps`` as syllable codes g*k + e, never 0 since e >= 1, in read-only
+    tables of the narrowest integer type that holds them:
+
+    - ``after``: row c holds the codes that extend a word whose last code
+      is c, the steps after generator c // k;
+    - ``first``: the codes that extend the identity;
+    - ``generator``: entry c is the generator of code c, and -1 at c = 0,
+      which stands past a word's end."""
+    k, steps, dtype = params.k, _steps(params), _narrow(params.r * params.k)
+
+    def table(rows: list) -> np.ndarray:
+        made = np.array(rows, dtype=dtype)
+        made.setflags(write=False)
+        return made
+    after = table([[g * k + e for ((g, e),) in steps[c // k]] for c in range(params.r * k)])
+    first = table([g * k + e for ((g, e),) in steps[-1]])
+    return after, first, table([-1] + [c // k for c in range(1, params.r * k)])
+
+
+class _Walk(NamedTuple):
+    """Words in ``ball()`` order as arrays: row i of ``codes`` holds word i's
+    syllable codes (see ``_step_codes``), then 0 to the end of the row, and
+    every row ends in at least one 0.  ``lengths[i]`` is word i's syllable
+    count, and ``spheres`` lists (n, start, end): rows start..end-1 are the
+    words of sphere n."""
+
+    params: GraphParams
+    codes: np.ndarray
+    lengths: np.ndarray
+    spheres: list
+
+
+def _walk(params: GraphParams, radius: int, inner: int = 0) -> _Walk:
+    """The ``_Walk`` of spheres inner..radius, extended level by level from
+    the ``_steps`` codes, so row order is ``sphere()`` order: the children
+    of each parent in turn.  Spheres below ``inner`` are built and dropped."""
+    if not 0 <= inner <= radius:
+        raise ValueError(f"need 0 <= inner <= radius, got {inner} and {radius}")
+    after, first, _ = _step_codes(params)
+    q, width = params.q, radius + 1
+    sizes = [params.delta(n) for n in range(width)]
+    spheres, start = [], 0
+    for n in range(inner, width):
+        spheres.append((n, start, start + sizes[n]))
+        start += sizes[n]
+    codes = np.zeros((start, width), dtype=after.dtype)
+    # the identity: no code, so a row of 0s
+    level = codes[:1] if inner == 0 else np.zeros((1, width), dtype=after.dtype)
+    for n in range(1, width):
+        if n >= inner:  # whole rows of ``codes``, so a view of it
+            _, start, end = spheres[n - inner]
+            child = codes[start:end]
+        else:
+            child = np.zeros((sizes[n], width), dtype=after.dtype)
+        if n == 1:
+            child[:, 0] = first
+        else:  # the q children of each parent: its codes, then each step after them
+            grid = child.reshape(len(level), q, width)
+            grid[:, :, :n - 1] = level[:, None, :n - 1]
+            grid[:, :, n - 1] = after.take(level[:, n - 2], axis=0)
+        level = child
+    lengths = np.arange(inner, width, dtype=_narrow(radius)).repeat(sizes[inner:])
+    return _Walk(params, codes, lengths, spheres)
+
+
+def _walk_distances(walk: _Walk, center: tuple) -> np.ndarray:
+    """``_syllable_distance(center, y)`` for every row y of the walk, one array
+    pass per step: the longest common prefix, then the merge of the first
+    differing syllables when they share a generator.
+
+    The centre's codes are followed by a -1, and every row ends in a 0, so
+    each row differs from the centre within its first min(width, |c| + 1)
+    columns, and the first difference is the common prefix length.  There a
+    row past its end has generator -1, and the centre past its end -2, so a
+    word that ends at the common prefix never merges."""
+    k, codes = walk.params.k, walk.codes
+    own = np.array([[g * k + e for g, e in center] + [-1], [g for g, _ in center] + [-2]],
+                   dtype=codes.dtype)
+    columns = min(codes.shape[1], len(center) + 1)
+    common = (codes[:, :columns] == own[0, :columns]).argmin(1)
+    here = codes[np.arange(len(codes)), common]
+    merge = _step_codes(walk.params)[2].take(here) == own[1].take(common)
+    # |c| + |y| - 2 common - merge, in place: a walk may hold 10^5 rows
+    common *= -2
+    common += walk.lengths
+    common += len(center)
+    common -= merge
+    return common
+
+
+def _walk_counts(walk: _Walk, distances: np.ndarray) -> list[list[int]]:
+    """Per sphere of the walk, ``counts[d]``: its words at ``distances`` d,
+    for d up to the largest distance, as ``int`` lists."""
+    size = int(distances.max()) + 1
+    return [np.bincount(distances[start:end], minlength=size).tolist()
+            for _, start, end in walk.spheres]
 
 
 def _words(params: GraphParams, level):
@@ -270,7 +364,13 @@ def _words(params: GraphParams, level):
 def sphere(params: GraphParams, n: int) -> Iterator[ReducedWord]:
     """Yield every reduced word of exactly n syllables once, in increasing
     syllable order; the order is part of the CLI output contract."""
-    yield from _words(params, _sphere_syllables(params, n))
+    if n < 0:
+        raise ValueError(f"radius must be nonnegative, got {n}")
+    steps = _steps(params)
+    level = iter([()])
+    for _ in range(n):
+        level = _next_level(level, steps)
+    yield from _words(params, level)
 
 
 def ball(params: GraphParams, n: int) -> Iterator[ReducedWord]:

@@ -292,6 +292,7 @@ def test_branch_split_matches_the_walk_over_every_pair(params):
 
 def test_walks_make_one_distance_call_per_word(monkeypatch):
     import symgraph.boundary
+    import symgraph.spectral
     from symgraph.spectral import VertexFun, helgason_norm_sq, phi_oracle
     from symgraph.wave import CauchyData, wave_closed_at
 
@@ -305,8 +306,16 @@ def test_walks_make_one_distance_call_per_word(monkeypatch):
         calls.append(None)
         return _syllable_distance(a, b)
 
+    walks, walk_distances = [], symgraph.spectral._walk_distances
+
+    def counted_rows(walk, centre):
+        calls.extend([None] * len(walk.codes))
+        walks.append(walk.spheres)
+        return walk_distances(walk, centre)
+
     monkeypatch.setattr(symgraph.boundary, "distance", counted)
     monkeypatch.setattr(symgraph.boundary, "_syllable_distance", counted_tuples)
+    monkeypatch.setattr(symgraph.spectral, "_walk_distances", counted_rows)
     a, b = P34.generator(0), P34.generator(1, 2)
     f = VertexFun.of(P34, {P34.identity(): 1, a: Fraction(1, 2)})
     data = CauchyData(f, VertexFun.of(P34, {a: 3, b * a: -1}))
@@ -321,8 +330,9 @@ def test_walks_make_one_distance_call_per_word(monkeypatch):
                 wave_closed_at(P34, fresh, x, n)
                 assert len(calls) == (want if first else 0), (x, n)
     calls.clear()
+    # the boundary integral measures each cylinder once, walking only sphere 3
     phi_oracle(P34, 0.4, b * a, 3)
-    assert len(calls) == P34.delta(3)
+    assert len(calls) == P34.delta(3) and walks == [[(3, 0, P34.delta(3))]]
     calls.clear()
     helgason_norm_sq(f, 2)
     assert len(calls) == P34.delta(2) * len(f.data)

@@ -94,7 +94,7 @@ CASES = [
     ("spectral", "plancherel_norm", mass_plus_one, "plancherel-mass", "plancherel-mass"),
     ("wave", "wave_closed_at", plus_one, "wave-closed-vs-direct", "wave-closed-vs-direct"),
     ("wave", "wave_direct", past_off_when_still, "wave-time-symmetry", "wave-time-symmetry"),
-    ("boundary", "_busemann_index", plus_one, "horocycle-count", "horocycle-count"),
+    ("boundary", "_walk_distances", plus_one, "horocycle-count", "horocycle-count"),
 ]
 
 
@@ -129,23 +129,23 @@ def test_horocycle_failure_skips_the_cocycle_check(monkeypatch):
 
 
 def test_abel_oracle_counts_the_second_ray(monkeypatch):
-    # both fixture rays of a trial share one walk of each sphere; counts that
+    # both fixture rays of a trial share one walk of the ball; counts that
     # are off on the second ray alone must still fail, with that ray as witness
     seconds = []
     fixture_rays = checks._fixture_rays
-    exact = transforms._distance_counts
+    exact = transforms._sphere_counts
 
     def rays(*args):
         found = fixture_rays(*args)
         seconds.append(found[1].prefix)
         return found
 
-    def counts(center, walk, radius):
-        got = exact(center, walk, radius)
-        return [c + 1 for c in got] if center == seconds[-1].syllables else got
+    def counts(f, walked):
+        return [[[c + 1 for c in row] for row in spheres] if ray.prefix == seconds[-1]
+                else spheres for ray, spheres in zip(walked, exact(f, walked))]
 
     monkeypatch.setattr(checks, "_fixture_rays", rays)
-    monkeypatch.setattr(transforms, "_distance_counts", counts)
+    monkeypatch.setattr(transforms, "_sphere_counts", counts)
     ok, collected = run_suite("abel", [P34], 0)
     results = [result for _, _, result in collected]
     assert not ok
@@ -153,16 +153,32 @@ def test_abel_oracle_counts_the_second_ray(monkeypatch):
     assert results[0].witness["trial"] == "0" and results[0].witness["ray"] == str(seconds[0])
 
 
+def _off_at(centres):
+    # the walk's distances, one more from the given centres
+    exact = checks._walk_distances
+    return lambda walk, centre: exact(walk, centre) + (centre in centres)
+
+
 def test_horocycle_check_counts_the_second_ray(monkeypatch):
-    # both fixture rays share one walk of each sphere; a Busemann index that
-    # is off on the second ray alone must still fail, with that ray as witness
+    # both fixture rays share one walk of the ball; distances that are off
+    # on the second ray alone (its prefix and parent alike, so the depth
+    # check holds) must still fail, with that ray as witness
     first, second = checks._fixture_rays(P34, 5, random.Random(0))
     assert first.prefix != second.prefix
-    exact = checks._busemann_index
-    monkeypatch.setattr(checks, "_busemann_index", lambda x, prefix, parent: (
-        exact(x, prefix, parent) + (prefix == second.prefix.syllables)))
+    monkeypatch.setattr(checks, "_walk_distances",
+                        _off_at([second.prefix.syllables, second.parent.syllables]))
     ok, collected = run_suite("boundary", [P34], 0)
     results = [result for _, _, result in collected]
     assert not ok
     assert [(result.name, result.ok) for result in results] == [("horocycle-count", False)]
     assert results[0].witness["ray"] == str(second.prefix)
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_horocycle_check_raises_on_a_parent_distance_that_disagrees(monkeypatch, which):
+    # busemann's depth-stability check, kept in the tally: a parent distance
+    # one off raises before any count is compared, as busemann raises
+    ray = checks._fixture_rays(P34, 5, random.Random(0))[which]
+    monkeypatch.setattr(checks, "_walk_distances", _off_at([ray.parent.syllables]))
+    with pytest.raises(AssertionError, match="^busemann depth instability$"):
+        run_suite("boundary", [P34], 0)

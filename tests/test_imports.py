@@ -90,3 +90,28 @@ def test_the_check_finds_an_unused_private_helper():
 def test_every_private_helper_is_named_outside_its_definition():
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
     assert unnamed_private_defs(sources) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules a source imports, at any depth."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_the_check_finds_a_numpy_import():
+    source = ("import numpy.linalg\nfrom .words import _walk\n"
+              "def f():\n    from numpy import array\n    import math\n")
+    assert imported_modules(source) == {"numpy", "math"}
+
+
+@pytest.mark.parametrize("name", ["algebraic", "transforms", "boundary", "checks"])
+def test_exact_layers_import_no_numpy(name):
+    # numpy stays in the layers that build arrays: ``words`` (the enumeration
+    # walk), ``spectral`` and ``wave``
+    source = (PACKAGE / f"{name}.py").read_text(encoding="utf-8")
+    assert "numpy" not in imported_modules(source)

@@ -593,44 +593,51 @@ def test_enumeration_oracles_float_lane_matches_the_per_word_sums():
                          ids=repr)
 def test_enumeration_oracles_call_distance_once_per_ball_word(monkeypatch, values):
     # the route stays every word of the ball, spheres where f is 0 included,
-    # each measured once on its syllable tuple
+    # each measured once from the ray prefix, on its own row of codes
     calls = []
-    measure = symgraph.boundary._syllable_distance
+    measure = symgraph.transforms._walk_distances
 
-    def counted(a, b):
-        calls.append(1)
-        return measure(a, b)
+    def counted(walk, centre):
+        calls.append((len(walk.codes), centre))
+        return measure(walk, centre)
 
-    monkeypatch.setattr(symgraph.boundary, "_syllable_distance", counted)
+    monkeypatch.setattr(symgraph.transforms, "_walk_distances", counted)
     for params in (P34, GraphParams(2, 2), GraphParams(4, 3)):
         f = RadialSeq.of(params, values)
         ray = BoundaryRay.alternating(params, f.support_radius + 2)
-        size = ball_size(params, f.support_radius)
+        once = [(ball_size(params, f.support_radius), ray.prefix.syllables)]
         calls.clear()
         abel_via_radon(f, ray)
-        assert len(calls) == size, params
+        assert calls == once, params
         for h in (-1, 0, 2):
             calls.clear()
             radon(f, ray, h)
-            assert len(calls) == size, (params, h)
+            assert calls == once, (params, h)
 
 
 def test_abel_oracle_on_two_rays_lists_each_sphere_once(monkeypatch):
-    # the rays of one walk: each sphere listed once, each word measured once
-    # per ray, and each ray's transform that of abel_via_radon on it alone
-    walks = []
-    listed = symgraph.transforms._sphere_syllables
+    # the rays of one call share one walk of the ball: each word measured
+    # once per ray, and each ray's transform that of abel_via_radon on it alone
+    walks, measured = [], []
+    walk, measure = symgraph.transforms._walk, symgraph.transforms._walk_distances
 
-    def counted(params, n):
-        walks.append(n)
-        return listed(params, n)
+    def walked(params, radius):
+        walks.append(radius)
+        return walk(params, radius)
+
+    def counted(rows, centre):
+        measured.append((id(rows), centre))
+        return measure(rows, centre)
 
     f = RadialSeq.of(P34, [Fraction(1, 2), 0, 3])
     rays = [BoundaryRay.alternating(P34, 3), BoundaryRay.random(P34, 4, random.Random(5))]
     want = [abel_via_radon(f, ray) for ray in rays]
-    monkeypatch.setattr(symgraph.transforms, "_sphere_syllables", counted)
+    monkeypatch.setattr(symgraph.transforms, "_walk", walked)
+    monkeypatch.setattr(symgraph.transforms, "_walk_distances", counted)
     got = _abel_via_radon_rays(f, rays)
-    assert walks == [0, 1, 2]
+    assert walks == [2]
+    assert [centre for _, centre in measured] == [ray.prefix.syllables for ray in rays]
+    assert len({rows for rows, _ in measured}) == 1
     assert [seq.values for seq in got] == [seq.values for seq in want]
     assert [repr(v) for seq in got for v in seq.values] == [repr(v) for seq in want
                                                            for v in seq.values]

@@ -1,17 +1,23 @@
 import inspect
 import itertools
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import symgraph.words
+from symgraph.boundary import BoundaryRay
 from symgraph.words import (
     GraphParams,
     ReducedWord,
     _children,
     _product,
     _syllable_distance,
+    _walk,
+    _walk_counts,
+    _walk_distances,
     ball,
     ball_size,
     distance,
@@ -285,3 +291,91 @@ def test_tracer_hooks_stay_in_place():
     assert inspect.isgeneratorfunction(symgraph.words.ball)
     assert inspect.isgeneratorfunction(symgraph.words.sphere)
     assert "__mul__" in ReducedWord.__dict__
+
+
+# -- the array walk of the enumeration oracles ------------------------------------
+
+
+def _coded(params, words, width):
+    # rows of syllable codes g*k + e, then 0 to ``width``
+    return np.array([[g * params.k + e for g, e in w.syllables] + [0] * (width - len(w))
+                     for w in words]).reshape(-1, width)
+
+
+@pytest.mark.parametrize("k, r", list(itertools.product(range(2, 6), repeat=2)))
+def test_walk_rows_are_the_words_of_ball_and_sphere(k, r):
+    # row for row in ball() order, for the whole ball and for one sphere
+    params = GraphParams(k, r)
+    for radius in range(5):
+        assert ball_size(params, radius) < 10 ** 5
+        walk = _walk(params, radius)
+        assert walk.codes.dtype == np.int8 and walk.codes.flags.c_contiguous
+        assert np.array_equal(walk.codes, _coded(params, ball(params, radius), radius + 1))
+        assert walk.lengths.tolist() == [len(w) for w in ball(params, radius)]
+        starts = [ball_size(params, n - 1) for n in range(radius + 2)]
+        assert walk.spheres == [(n, starts[n], starts[n + 1]) for n in range(radius + 1)]
+        alone = _walk(params, radius, radius)
+        assert np.array_equal(alone.codes, _coded(params, sphere(params, radius), radius + 1))
+        assert alone.spheres == [(radius, 0, params.delta(radius))]
+    with pytest.raises(ValueError, match="inner <= radius"):
+        _walk(params, 2, 3)
+
+
+def _centres(params):
+    # e, words shorter and longer than those of ball(3), ray prefixes and parents
+    rng = random.Random(params.k * 10 + params.r)
+    rays = [BoundaryRay.alternating(params, 4)] + [
+        BoundaryRay.random(params, depth, rng) for depth in (1, 2, 3, 5, 8)]
+    return ([params.identity(), params.generator(params.r - 1, params.k - 1)]
+            + [ray.prefix for ray in rays] + [ray.parent for ray in rays])
+
+
+@pytest.mark.parametrize("k, r", [(2, 2), (2, 3), (3, 2), (3, 4), (4, 3), (5, 2)])
+def test_walk_distances_are_syllable_distances(k, r):
+    params = GraphParams(k, r)
+    words = list(ball(params, 3))
+    walk = _walk(params, 3)
+    for centre in _centres(params):
+        want = [_syllable_distance(centre.syllables, y.syllables) for y in words]
+        assert _walk_distances(walk, centre.syllables).tolist() == want, centre
+
+
+@pytest.mark.parametrize("k, r", [(2, 70), (70, 2)])
+def test_walk_widens_its_codes_past_int8(k, r):
+    # codes up to r*k - 1 > 127 need int16; a wrapped code would misplace words
+    params = GraphParams(k, r)
+    walk = _walk(params, 2)
+    assert walk.codes.dtype == np.int16
+    assert np.array_equal(walk.codes, _coded(params, ball(params, 2), 3))
+    words = list(ball(params, 2))
+    for centre in (words[-1], words[len(words) // 2] * params.generator(0, k - 1)):
+        want = [_syllable_distance(centre.syllables, y.syllables) for y in words]
+        assert _walk_distances(walk, centre.syllables).tolist() == want
+
+
+@given(st.integers(2, 6), st.integers(2, 6), st.integers(0, 2), st.data())
+def test_walk_distances_on_random_reduced_words(k, r, radius, data):
+    params = GraphParams(k, r)
+    inner = data.draw(st.integers(0, radius))
+    centre = data.draw(word_strategy(params, max_len=7))
+    walk = _walk(params, radius, inner)
+    words = [w for n in range(inner, radius + 1) for w in sphere(params, n)]
+    got = _walk_distances(walk, centre.syllables)
+    assert got.tolist() == [_syllable_distance(centre.syllables, y.syllables) for y in words]
+    counts = _walk_counts(walk, got)
+    for n, row in zip(range(inner, radius + 1), counts):
+        assert row == [sum(1 for y in sphere(params, n) if distance(centre, y) == d)
+                       for d in range(len(row))]
+
+
+def test_walk_counts_of_a_deep_sphere():
+    # one sphere far from the centre: counts per distance, as ints, past
+    # every narrow type of the codes
+    params = GraphParams(2, 3)
+    centre = params.generator(0) * params.generator(1) * params.generator(2)
+    walk = _walk(params, 10, 10)
+    (counts,) = _walk_counts(walk, _walk_distances(walk, centre.syllables))
+    want = [0] * 14
+    for y in sphere(params, 10):
+        want[distance(centre, y)] += 1
+    assert counts == want and all(type(c) is int for c in counts)
