@@ -36,13 +36,14 @@ from .checks import grid_params, run_suite
 from .spectral import (
     QuadratureError,
     VertexFun,
+    _ks_trial,
+    _phi_oracles,
+    _radial_gather,
     check_depth,
     gamma_atom,
     helgason_transform,
     invert_helgason,
     invert_spherical,
-    kunze_stein_check,
-    phi_oracle,
     plancherel_density,
     plancherel_norm,
     spherical_phi,
@@ -140,9 +141,11 @@ def _on_lambda_grid(params: GraphParams, grid: int, key: str, value) -> list[dic
 # exit 2 before any work, like the stepper's window and the cylinder walks.
 _MAX_PHI_TERMS = 100_000  # spherical --nmax: one float and one output row per term
 # ks-check: --trials times the |ball(1)| * |ball(2)| products of a trial, 513 at
-# (3, 4).  On a 2-vCPU x86-64 machine a product takes 0.8 us at (5, 5) to 2 us
-# at (2, 3), where the fixed cost of a trial weighs most: 25000 trials there,
-# the slowest request admitted, run in 2.3 s as a subprocess.
+# (3, 4).  A request takes those products once, for its gather index, and each
+# trial then sums as many terms.  Run times on a 2-vCPU x86-64 machine, medians
+# of 5 (in-process, start-up not counted): 25000 trials at (2, 3), the slowest
+# request admitted, 1.5 s, where the fixed cost of a trial weighs most; 1949 at
+# (3, 4) 0.3 s; one at (10, 10), whose index takes 91 * 7381 products, 0.6 s.
 _MAX_KS_PRODUCTS = 1_000_000
 # verify --k --r: every suite walks at most the ball of radius 4, 9841 words at
 # (4, 4), the largest point of the default grid; (10, 10) took minutes.  The
@@ -233,9 +236,9 @@ def cmd_spherical(params: GraphParams, args) -> tuple[dict, list, dict, int]:
     if args.oracle_depth is not None:
         check_depth(params, args.oracle_depth)
         worst = 0.0
-        for n in range(min(args.nmax, args.oracle_depth - 1) + 1):
-            x = next(iter(sphere(params, n)))
-            oracle = phi_oracle(params, args.lam, x, args.oracle_depth)
+        words = [next(iter(sphere(params, n)))
+                 for n in range(min(args.nmax, args.oracle_depth - 1) + 1)]
+        for n, oracle in enumerate(_phi_oracles(params, args.lam, words, args.oracle_depth)):
             outputs += _rows(f"oracle[{n}]", oracle)
             worst = max(worst, abs(oracle - table[n]))
         diagnostics["oracle_max_deviation"] = worst
@@ -295,13 +298,16 @@ def cmd_ks_check(params: GraphParams, args) -> tuple[dict, list, dict, int]:
     rng = random.Random(args.seed)
     worst = {"core": 0.0, "young": 0.0, "holder": 0.0}
     witness = None
-    pool = list(ball(params, 1))
+    # every trial draws f on ball(1) and a kernel of radius 2: one index serves them all
+    pool = [w.syllables for w in ball(params, 1)]
+    index = _radial_gather(params, pool, 2)
     for trial in range(args.trials):
-        f = VertexFun.of(
-            params, {w: rng.uniform(-1, 1) for w in pool if rng.random() < 0.8}, exact=False
-        )
-        chi = RadialSeq.of(params, [rng.uniform(0, 1) for _ in range(3)], exact=False)
-        report = kunze_stein_check(f, chi)
+        rows, values = [], []
+        for row in range(len(pool)):
+            if rng.random() < 0.8:
+                rows.append(row)
+                values.append(rng.uniform(-1, 1))
+        report = _ks_trial(index, rows, values, [rng.uniform(0, 1) for _ in range(3)])
         ratios = {"core": report.core_ratio, "young": report.young_ratio,
                   "holder": report.holder_ratio}
         for name, value in ratios.items():

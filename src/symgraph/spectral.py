@@ -20,10 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
-from .algebraic import ring_of
+from .algebraic import FloatRing, ring_of
 from .boundary import BoundaryRay, DepthError, busemann, shell_sums
 from .transforms import EvenSeq, RadialSeq
 from .words import (GraphParams, ReducedWord, _product, _walk, _walk_counts, _walk_distances,
@@ -209,24 +210,31 @@ def phi_oracle(params: GraphParams, lam, x: ReducedWord, depth: int):
     is shared across its entries.  A depth past ``MAX_CYLINDERS`` cylinders
     raises ``ValueError`` before the walk.
     """
+    return _phi_oracles(params, lam, [x], depth)[0]
+
+
+def _phi_oracles(params: GraphParams, lam, words: list, depth: int) -> list:
+    """``phi_oracle`` at each of ``words``, on one walk of the cylinders that
+    every word measures in turn, as it would alone."""
     params.require_spectral()
-    if depth <= len(x):
-        raise DepthError(f"phi oracle at |x| = {len(x)} needs cylinder depth > {len(x)}")
+    longest = max(len(x) for x in words)
+    if depth <= longest:
+        raise DepthError(f"phi oracle at |x| = {longest} needs cylinder depth > {longest}")
     check_depth(params, depth)
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
     lnq = math.log(params.q)
-    totals = np.zeros(len(lams), dtype=complex)
-    # the cylinders by their Busemann index z = depth - d(x, y) at x
     cylinders = _walk(params, depth, depth)
-    distances = _walk_distances(cylinders, x.syllables)
-    (counts,) = _walk_counts(cylinders, distances)
-    for d, count in enumerate(counts):
-        if count:
-            totals += count * np.exp((0.5 + 1j * lams) * (depth - d) * lnq)
-    totals /= params.delta(depth)
-    if np.ndim(lam) == 0:
-        return complex(totals[0])
-    return totals
+    out = []
+    for x in words:
+        totals = np.zeros(len(lams), dtype=complex)
+        # the cylinders by their Busemann index z = depth - d(x, y) at x
+        (counts,) = _walk_counts(cylinders, _walk_distances(cylinders, x.syllables))
+        for d, count in enumerate(counts):
+            if count:
+                totals += count * np.exp((0.5 + 1j * lams) * (depth - d) * lnq)
+        totals /= params.delta(depth)
+        out.append(complex(totals[0]) if np.ndim(lam) == 0 else totals)
+    return out
 
 
 # -- the c-function and the Plancherel density ---------------------------------
@@ -388,14 +396,23 @@ class VertexFun:
         return max((len(x) for x in self.data), default=0)
 
     def norm_sq(self):
-        if self.exact:
-            return sum((v * v for v in self.data.values()), self.ring.zero)
-        return sum(abs(v) ** 2 for v in self.data.values())
+        return _norm_sq(self.data.values(), self.ring)
 
     def lp_norm(self, p: float) -> float:
-        if p == math.inf:
-            return max((abs(v) for v in self.data.values()), default=0.0)
-        return sum(abs(v) ** p for v in self.data.values()) ** (1.0 / p)
+        return _lp_norm(self.data.values(), p)
+
+
+def _norm_sq(values, ring):
+    """sum |v|^2 over values of ``ring``: exact on the exact ring."""
+    if isinstance(ring, FloatRing):
+        return sum(abs(v) ** 2 for v in values)
+    return sum((v * v for v in values), ring.zero)
+
+
+def _lp_norm(values, p: float) -> float:
+    if p == math.inf:
+        return max((abs(v) for v in values), default=0.0)
+    return sum(abs(v) ** p for v in values) ** (1.0 / p)
 
 
 def helgason_transform(f: VertexFun, lam: float, ray: BoundaryRay) -> complex:
@@ -430,40 +447,63 @@ def helgason_via_horocycles(f: VertexFun, lam: float, ray: BoundaryRay) -> compl
 # -- Plancherel and inversion -----------------------------------------------------
 
 
-def _plancherel_integral(params: GraphParams, factors, tol: float) -> QuadResult:
+def _plancherel_integral(params: GraphParams, factors, tol: float, atom=None) -> QuadResult:
     """Integrate against the Plancherel measure an integrand given as the
     tuple ``factors(lams, gamma)`` at spectral parameters lams with averaging
     eigenvalues gamma: their product, left to right, times the density over
-    [0, tau/2] and, when k > r, the atom mass (k-r)/k times their product at
-    the atom (lams None, gamma 1/(1-k))."""
+    [0, tau/2] and, when k > r, the atom mass (k-r)/k times ``atom()``, the
+    integrand at the atom eigenvalue 1/(1-k) on the exact ring, rounded once.
+    The recurrence in floats at the atom excites its second root, which
+    delta(n) amplifies past the integral itself."""
 
     def on_segment(lams: np.ndarray) -> np.ndarray:
         return reduce(mul, factors(lams, gamma_of(params, lams))) * plancherel_density(params, lams)
 
     value, err = gauss_legendre_adaptive(on_segment, 0.0, params.tau / 2.0, tol)
     if params.k > params.r:
-        mass = (params.k - params.r) / params.k
-        value += reduce(mul, factors(None, float(gamma_atom(params))), mass)
+        value += float(atom() * Fraction(params.k - params.r, params.k))
     return QuadResult(float(np.real(value)), err)
+
+
+def _atom_planes(f: RadialSeq) -> list:
+    """The spherical transform at the atom eigenvalue 1/(1-k), on the exact
+    ring, of each plane of f: its real part and, when a value is complex, its
+    imaginary part.  Floats lift exactly (``FloatRing.encode``)."""
+    ring = ring_of(f.params.q)
+    if f.exact:
+        planes = [f.values]
+    else:
+        # parts (A, B), or (A, B, A', B') for complex values, over scale; a
+        # lifted float is rational, so B and B' are 0
+        scale, parts = f.ring.encode([f.values])
+        planes = [[ring.coerce(Fraction(a, scale)) for a in plane] for plane in parts[0][::2]]
+    return [_spherical_sum(f.params, plane, ring.coerce(gamma_atom(f.params))) for plane in planes]
 
 
 def plancherel_norm(f: RadialSeq, tol: float = 1e-9) -> QuadResult:
     """Spectral-side squared L2 norm of a radial function.
 
     Integrates |Hf|^2 against the continuous density over [0, tau/2] and,
-    when k > r, adds the atom mass (k-r)/k |Hf(atom)|^2.  Agrees with
-    ``f.norm_sq()`` to quadrature accuracy.
+    when k > r, adds the atom mass (k-r)/k |Hf(atom)|^2, summed exactly.
+    Agrees with ``f.norm_sq()`` to quadrature accuracy.
     """
     values = _float_values(f)
     return _plancherel_integral(f.params, lambda lams, gamma: (
-        np.abs(_spherical_sum(f.params, values, gamma)) ** 2,), tol)
+        np.abs(_spherical_sum(f.params, values, gamma)) ** 2,), tol,
+        lambda: sum(h * h for h in _atom_planes(f)))
 
 
 def invert_spherical(f: RadialSeq, x: ReducedWord, tol: float = 1e-9) -> QuadResult:
     """Recover f(|x|) from its spherical transform by quadrature (atom included)."""
     params, n, values = f.params, len(x), _float_values(f)
+
+    def atom():
+        # the real part only: the recovered value is the real part
+        gamma = ring_of(params.q).coerce(gamma_atom(params))
+        return _atom_planes(f)[0] * spherical_phi(params, gamma, n)[n]
+
     return _plancherel_integral(params, lambda lams, gamma: (
-        _spherical_sum(params, values, gamma), spherical_phi(params, gamma, n)[n]), tol)
+        _spherical_sum(params, values, gamma), spherical_phi(params, gamma, n)[n]), tol, atom)
 
 
 def _cylinder_profile(f: VertexFun, depth: int, reach: int = 0):
@@ -546,12 +586,6 @@ def convolve(f: VertexFun, g: VertexFun) -> VertexFun:
 
     Products are taken and summed on syllable tuples, in pair order, and
     each distinct output word is built once at the end."""
-    params, sums = f.params, _convolution_sums(f, g).items()
-    return VertexFun(params, {ReducedWord._make(params, w): v for w, v in sums}, f.exact and g.exact)
-
-
-def _convolution_sums(f: VertexFun, g: VertexFun) -> dict:
-    """The values of ``convolve(f, g)``, keyed by the syllables of their words."""
     params = f.params
     if params != g.params:
         raise ValueError("convolution operands live on different graphs")
@@ -564,27 +598,72 @@ def _convolution_sums(f: VertexFun, g: VertexFun) -> dict:
         for z, gv in right:
             w = _product(y, z, k)
             out[w] = out.get(w, zero) + fv * gv
-    return out
+    return VertexFun(params, {ReducedWord._make(params, w): v for w, v in out.items()},
+                     f.exact and g.exact)
+
+
+class _RadialGather(NamedTuple):
+    """Where a convolution against a radial kernel of radius R puts its terms,
+    for fixed support words y_0, y_1, ...: ``slots[i, j]`` is the output slot
+    of y_i z_j for the words z_j of ball(R) in ``ball()`` order, the slots
+    numbered by first appearance, ``lengths[j]`` is |z_j| and ``words[s]``
+    holds the syllables of slot s's word.  Since d(y, y z) = |z|, a kernel
+    chi sends f(y_i) chi(|z_j|) to slot ``slots[i, j]``."""
+
+    params: GraphParams
+    slots: np.ndarray
+    lengths: np.ndarray
+    words: list
+
+
+def _radial_gather(params: GraphParams, support: list, radius: int) -> _RadialGather:
+    """The ``_RadialGather`` of the support words, given as syllable tuples,
+    from len(support) * |ball(radius)| products and no word built."""
+    k, slot_of = params.k, {}
+    ball_words = [z.syllables for z in ball(params, radius)]
+    slots = [slot_of.setdefault(_product(y, z, k), len(slot_of))
+             for y in support for z in ball_words]
+    return _RadialGather(params, np.array(slots, dtype=np.intp).reshape(-1, len(ball_words)),
+                         np.array([len(z) for z in ball_words]), list(slot_of))
+
+
+def _radial_sums(index: _RadialGather, rows, values, kernel, exact: bool) -> tuple:
+    """(order, sums): the convolution of the function with ``values`` on the
+    support rows ``rows`` of ``index`` against the radial ``kernel``, with
+    its used slots in first-appearance order and their sums as a list.
+
+    Each slot adds its terms in row order, starting from the ring's zero, as
+    ``convolve`` adds them, so the sums are bit for bit ``convolve``'s.  The
+    float lane runs on float or complex arrays, the exact lane on object
+    arrays of ring values."""
+    ring = ring_of(index.params.q, exact)
+    dtype = object if exact else None
+    terms = np.multiply.outer(np.array([ring.coerce(v) for v in values], dtype),
+                              np.array([ring.coerce(v) for v in kernel], dtype)[index.lengths])
+    slots = index.slots[rows]
+    sums = np.full(len(index.words), ring.zero, terms.dtype)
+    np.add.at(sums, slots, terms)  # unbuffered, in row order
+    used = slots.ravel()
+    order = used[np.sort(np.unique(used, return_index=True)[1])]
+    return order, sums[order].tolist()
 
 
 def convolve_radial(f: VertexFun, chi: RadialSeq) -> VertexFun:
-    """Convolution against a radial kernel via distance shells around each point."""
+    """Convolution against a radial kernel, sum_y f(y) chi(d(y, x)).
+
+    Runs on the ``_RadialGather`` of f's support: f(y) chi(|z|) goes to the
+    slot of y z, each slot's terms are added in ``convolve``'s order and
+    each output word is built once at the end, so the result equals
+    ``convolve(f, VertexFun.from_radial(chi))`` value for value and in
+    order."""
     params = f.params
     if chi.params != params:
         raise ValueError("kernel lives on a different graph")
+    index = _radial_gather(params, [y.syllables for y in f.data], chi.support_radius)
     exact = f.exact and chi.exact
-    ring = ring_of(params.q, exact)
-    support = [(y, (ring.coerce(v),)) for y, v in f.items()]
-    kernel = [ring.coerce(v) for v in chi.values]
-    candidates = set()
-    for y in f.data:
-        for w in ball(params, chi.support_radius):
-            candidates.add(y * w)
-    out = {}
-    for x in candidates:
-        shells = shell_sums(x, support, chi.support_radius, 1, ring.zero)[0]
-        out[x] = sum((k * s for k, s in zip(kernel, shells) if s), ring.zero)
-    return VertexFun(params, out, exact)
+    order, sums = _radial_sums(index, np.arange(len(f.data)), f.data.values(), chi.values, exact)
+    return VertexFun(params, {ReducedWord._make(params, index.words[s]): v
+                              for s, v in zip(order, sums)}, exact)
 
 
 def radialize(f: VertexFun) -> RadialSeq:
@@ -627,22 +706,36 @@ def kunze_stein_check(f: VertexFun, chi: RadialSeq, p: float = 2.0,
     Core: ||f * chi||_2 <= ||f||_2 sum chi(n) delta(n) phi_0(n), valid for
     k <= r and chi >= 0.  Endpoints: ||f * chi||_p <= ||f||_1 ||chi||_p and
     ||f * chi||_inf <= ||f||_p' ||chi||_p with 1/p + 1/p' = 1 (p = ptilde).
+    The convolution runs on the ``_RadialGather`` of f's support and the
+    kernel's radius, and the norms read its sums in ``convolve``'s order.
     """
-    params = f.params
+    if chi.params != f.params:
+        raise ValueError("convolution operands live on different graphs")
+    index = _radial_gather(f.params, [y.syllables for y in f.data], chi.support_radius)
+    return _ks_trial(index, np.arange(len(f.data)), list(f.data.values()), chi.values,
+                     f.exact, chi.exact, p, ptilde)
+
+
+def _ks_trial(index: _RadialGather, rows, f_values: list, chi_values, f_exact: bool = False,
+              chi_exact: bool = False, p: float = 2.0, ptilde: float = 2.0) -> KSReport:
+    """``kunze_stein_check`` of the function with ``f_values`` on the support
+    rows ``rows`` of ``index``, in the lane ``f_exact`` picks, and the kernel
+    ``chi_values`` of the index's radius; one request's trials share one
+    index, and no word or ``VertexFun`` is built."""
+    params = index.params
     params.require_spectral()
     if params.k > params.r:
         raise ValueError("the L2 smoothing bound needs k <= r")
-    chi_float = [float(v) for v in chi.values]
+    chi_float = [float(v) for v in chi_values]
     if any(v < 0 for v in chi_float):
         raise ValueError("the kernel must be nonnegative")
 
-    # keyed by syllable tuples: the norms read only the values, so no word is built
-    conv = VertexFun(params, _convolution_sums(f, VertexFun.from_radial(chi)),
-                     f.exact and chi.exact)
-    conv_l2 = math.sqrt(abs(conv.norm_sq()))
+    exact = f_exact and chi_exact
+    _, conv = _radial_sums(index, rows, f_values, chi_values, exact)
+    conv_l2 = math.sqrt(abs(_norm_sq(conv, ring_of(params.q, exact))))
 
-    phi0 = spherical_phi(params, gamma_of(params, 0.0), chi.support_radius)
-    f_l2 = math.sqrt(abs(f.norm_sq()))
+    phi0 = spherical_phi(params, gamma_of(params, 0.0), len(chi_float) - 1)
+    f_l2 = math.sqrt(abs(_norm_sq(f_values, ring_of(params.q, f_exact))))
     core_bound = f_l2 * sum(
         chi_float[n] * params.delta(n) * phi0[n] for n in range(len(chi_float))
     )
@@ -655,9 +748,9 @@ def kunze_stein_check(f: VertexFun, chi: RadialSeq, p: float = 2.0,
             return 0.0 if num == 0.0 else math.inf
         return num / den
 
-    young = ratio(conv.lp_norm(p), f.lp_norm(1.0) * chi_lp(p))
+    young = ratio(_lp_norm(conv, p), _lp_norm(f_values, 1.0) * chi_lp(p))
     pconj = math.inf if ptilde == 1.0 else ptilde / (ptilde - 1.0)
-    holder = ratio(conv.lp_norm(math.inf), f.lp_norm(pconj) * chi_lp(ptilde))
+    holder = ratio(_lp_norm(conv, math.inf), _lp_norm(f_values, pconj) * chi_lp(ptilde))
     return KSReport(
         core_ratio=ratio(conv_l2, core_bound),
         young_ratio=young,

@@ -4,6 +4,7 @@ import functools
 import io
 import json
 import math
+import random
 import re
 import shlex
 import sys
@@ -29,6 +30,7 @@ from symgraph.spectral import (
     check_depth,
     helgason_norm_sq,
     invert_helgason,
+    kunze_stein_check,
 )
 from symgraph.transforms import (
     EvenSeq,
@@ -228,17 +230,44 @@ def test_ks_check_command(capsys):
 def test_ks_check_witness_exits_one(capsys, monkeypatch):
     trials = iter(range(20))
 
-    def report(f, chi):
+    def report(index, rows, values, chi):
         core = 1.5 if next(trials) == 2 else 0.5
         return SimpleNamespace(core_ratio=core, young_ratio=0.25, holder_ratio=0.75)
 
-    monkeypatch.setattr(symgraph.cli, "kunze_stein_check", report)
+    monkeypatch.setattr(symgraph.cli, "_ks_trial", report)
     code, doc = run_json(capsys, "ks-check", "--k", "3", "--r", "4", "--trials", "5")
     assert code == 1
     assert doc["diagnostics"]["witness"] == {"trial": 2, "ratio": "core", "value": 1.5}
     rows = {row["key"]: row["float"] for row in doc["outputs"]}
     assert rows == {"worst_core_ratio": 1.5, "worst_young_ratio": 0.25,
                     "worst_holder_ratio": 0.75}
+
+
+@pytest.mark.parametrize("k, r", [(2, 3), (3, 4), (4, 4)])
+def test_ks_check_trials_match_kunze_stein_check(capsys, monkeypatch, k, r):
+    # the request's draws, in their order, give each trial a function on
+    # ball(1) and a kernel on ball(2); its shared gather index must report
+    # the same floats as the public check on a VertexFun and a RadialSeq
+    params = GraphParams(k, r)
+    reports = []
+
+    def record(*args):
+        reports.append(trial(*args))
+        return reports[-1]
+
+    trial = symgraph.cli._ks_trial
+    monkeypatch.setattr(symgraph.cli, "_ks_trial", record)
+    code, doc = run_json(capsys, "ks-check", "--k", str(k), "--r", str(r),
+                         "--trials", "30", "--seed", "5")
+    assert code == 0 and len(reports) == 30
+    rng, pool = random.Random(5), list(ball(params, 1))
+    for report in reports:
+        f = VertexFun.of(params, {w: rng.uniform(-1, 1) for w in pool if rng.random() < 0.8},
+                         exact=False)
+        chi = RadialSeq.of(params, [rng.uniform(0, 1) for _ in range(3)], exact=False)
+        assert report == kunze_stein_check(f, chi)
+    rows = {row["key"]: row["float"] for row in doc["outputs"]}
+    assert rows["worst_core_ratio"] == max(report.core_ratio for report in reports)
 
 
 def test_ks_check_refuses_k_above_r(capsys):
@@ -550,7 +579,8 @@ def test_linear_work_bounds_refuse_before_work(capsys, monkeypatch):
         raise AssertionError("started the work")
 
     monkeypatch.setattr(symgraph.cli, "spherical_phi", refuse)
-    monkeypatch.setattr(symgraph.cli, "kunze_stein_check", refuse)
+    monkeypatch.setattr(symgraph.cli, "_radial_gather", refuse)
+    monkeypatch.setattr(symgraph.cli, "_ks_trial", refuse)
     monkeypatch.setattr(symgraph.cli, "ball", refuse)
     monkeypatch.setattr(symgraph.cli, "run_suite", refuse)
     base = ["--k", "3", "--r", "4"]
@@ -707,6 +737,27 @@ def test_plancherel_tolerance_scales_with_the_norm(capsys):
     assert direct == 2687385.0
     assert spectral == pytest.approx(direct, rel=1e-9)
     assert doc["diagnostics"]["quadrature_error"] <= 1e-9 * direct
+
+
+@pytest.mark.parametrize("k, r, largest", [(4, 3, 389), (5, 3, 335), (3, 2, 1002)])
+def test_plancherel_atom_agrees_up_to_the_largest_admitted_input(capsys, k, r, largest):
+    # on k > r the atom term is summed on the exact ring and rounded once: the
+    # float recurrence at 1/(1-k) excites its second root, which delta(n)
+    # amplifies, and 300 ones at (4, 3) read 9.41e251 against a norm of
+    # 8.37e232 with exit 0.  Past ``largest`` ones the squared transform on
+    # the segment passes the float range and the request exits 2
+    def ones(n):
+        return ["plancherel", "--k", str(k), "--r", str(r), "--radial", ",".join(["1"] * n)]
+
+    for n in (1, 2, 10, 100, 300, largest):
+        code, doc = run_json(capsys, *ones(n))
+        assert code == 0, n
+        direct, spectral = (row["float"] for row in doc["outputs"])
+        assert spectral == pytest.approx(direct, rel=1e-9), n
+    with warnings_to_stderr():
+        assert main(ones(largest + 1)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines()[-1].startswith("error:")
 
 
 def test_quadrature_failure_exits_one(capsys, monkeypatch):

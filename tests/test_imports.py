@@ -115,3 +115,10 @@ def test_exact_layers_import_no_numpy(name):
     # walk), ``spectral`` and ``wave``
     source = (PACKAGE / f"{name}.py").read_text(encoding="utf-8")
     assert "numpy" not in imported_modules(source)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_scipy(path):
+    # pyproject.toml declares numpy alone, and importing scipy.linalg alone
+    # took an in-process RSS from 30 to 57 MB
+    assert "scipy" not in imported_modules(path.read_text(encoding="utf-8"))

@@ -226,6 +226,20 @@ def test_plancherel_atom_regime():
     assert plancherel_norm(f).value == pytest.approx(float(f.norm_sq()), rel=1e-6)
 
 
+def test_plancherel_atom_lifts_float_lanes_exactly():
+    # a float-lane atom term is summed on the exact ring too, each plane of a
+    # complex function apart: in floats the recurrence at 1/(1-k) read 300
+    # ones at (4, 3) about 1e19 times too large
+    p = GraphParams(4, 3)
+    ones = RadialSeq.of(p, [1.0] * 300, exact=False)
+    assert plancherel_norm(ones).value == pytest.approx(ones.norm_sq(), rel=1e-9)
+    f = RadialSeq.of(p, [1 + 2j, 0.5 - 1j, 0.25j, 2.0], exact=False)
+    assert plancherel_norm(f).value == pytest.approx(f.norm_sq(), rel=1e-9)
+    for n in range(4):
+        recovered = invert_spherical(f, next(iter(sphere(p, n)))).value
+        assert recovered == pytest.approx(f.value(n).real, abs=1e-9)
+
+
 def test_plancherel_norm_at_radius_8():
     # exact values out to radius 8, atom regimes (3,2), (4,2), (4,3) included
     rng = random.Random(8)
@@ -331,13 +345,25 @@ def test_convolve_matches_the_pairwise_products(k, r, exact):
 
 
 def test_convolve_radial_path_agrees():
+    # the gather adds each output's terms in convolve's order, so the two
+    # agree bit for bit, word for word and in order, in both lanes
     rng = random.Random(19)
-    f = random_vertex_fun(P34, 1, rng)
-    chi = RadialSeq.of(P34, [rng.uniform(0, 1) for _ in range(3)], exact=False)
-    direct = convolve(f, VertexFun.from_radial(chi))
-    shell = convolve_radial(f, chi)
-    for x in set(direct.data) | set(shell.data):
-        assert shell.value(x) == pytest.approx(direct.value(x), abs=1e-12)
+    root = AlgebraicValue(0, 1, P34.q)
+    float_f = random_vertex_fun(P34, 1, rng)
+    exact_f = VertexFun.of(P34, {w: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                                 for w in ball(P34, 2) if rng.random() < 0.5})
+    for f, chi in (
+            (float_f, RadialSeq.of(P34, [rng.uniform(0, 1) for _ in range(3)], exact=False)),
+            (float_f, RadialSeq.of(P34, [Fraction(1, 3), root, 0, 2])),
+            (exact_f, RadialSeq.of(P34, [Fraction(1, 3), root, Fraction(-2, 7)])),
+            (exact_f, RadialSeq.of(P34, [0.25, -1.5], exact=False))):
+        direct = convolve(f, VertexFun.from_radial(chi))
+        gathered = convolve_radial(f, chi)
+        assert gathered.exact == direct.exact == (f.exact and chi.exact)
+        assert list(gathered.data) == list(direct.data)
+        for x, v in direct.items():
+            assert gathered.data[x] == v and repr(gathered.data[x]) == repr(v)
+            assert hash(x) == hash(ReducedWord(P34, x.syllables))
 
 
 def test_radial_convolution_is_radial():
@@ -390,6 +416,28 @@ def test_kunze_stein_report():
             # the check reads the sums of the public convolution, in its order
             conv = convolve(f, VertexFun.from_radial(chi))
             assert report.conv_l2 == math.sqrt(abs(conv.norm_sq()))
+
+
+def test_kunze_stein_exact_lane():
+    # exact f and kernel: the convolution and both L2 norms are summed exactly
+    # and rounded once, and the ratios agree with the float lane's
+    rng = random.Random(26)
+    for params in (GraphParams(2, 3), P34):
+        root = AlgebraicValue(0, 1, params.q)
+        data = {w: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                for w in ball(params, 1) if rng.random() < 0.8}
+        data[params.identity()] = root
+        f = VertexFun.of(params, data)
+        chi = RadialSeq.of(params, [Fraction(1, 2), root / 5, Fraction(1, 7)])
+        report = kunze_stein_check(f, chi)
+        conv = convolve(f, VertexFun.from_radial(chi))
+        assert conv.exact and report.conv_l2 == math.sqrt(abs(conv.norm_sq()))
+        as_float = kunze_stein_check(
+            VertexFun.of(params, {w: float(v) for w, v in data.items()}, exact=False),
+            RadialSeq.of(params, [float(v) for v in chi.values], exact=False))
+        for name in ("core_ratio", "young_ratio", "holder_ratio", "core_bound", "conv_l2"):
+            assert getattr(report, name) == pytest.approx(getattr(as_float, name), rel=1e-12)
+        assert max(report.core_ratio, report.young_ratio, report.holder_ratio) <= 1 + 1e-12
 
 
 def test_kunze_stein_point_mass():
