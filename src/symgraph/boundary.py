@@ -17,6 +17,13 @@ only count words, so they build none: they walk the ball once as an array
 of syllable codes (``words._walk``) and measure every row from each ray
 prefix in one array pass (``words._walk_distances``), the word on
 horocycle depth - d at distance d.
+
+The sphere-horocycle counts b(n, h) have one closed form,
+``_sphere_horocycle_row``: the counts of one sphere as a row read from a
+gap profile.  ``sphere_horocycle_count`` is one entry of it, and the
+counts paths of ``transforms`` (``dual_abel_via_counts`` and
+``radon_via_counts``), the ``verify`` boundary suite and ``table b``
+read whole rows.
 """
 
 from __future__ import annotations
@@ -248,24 +255,48 @@ def horocycle_section(ray: BoundaryRay, h: int, radius: int) -> Iterator[Reduced
             yield x
 
 
-def sphere_horocycle_count(params: GraphParams, n: int, h: int) -> int:
-    """Closed-form size of (sphere of radius n) intersected with (horocycle h).
+def _horocycle_profile(params: GraphParams, size: int) -> list[int]:
+    """The gap profile of the counts, p(g) for g = 0, ..., size - 1: 1, sigma,
+    (r-2)(k-1), then q times the entry two gaps back.  ``_sphere_horocycle_row``
+    reads b(n, h) = p(n - h) from it."""
+    q = params.q
+    profile = [1, params.sigma, (params.r - 2) * (params.k - 1)][:size]
+    for _ in range(3, size):
+        profile.append(q * profile[-2])
+    return profile
 
-    Zero below |h|; on the diagonal n = |h| it is q to the -min(0, h); after
-    that it alternates between a (k-2)-coefficient at odd offsets and an
-    (r-2)(k-1)-coefficient at even offsets, gaining a factor q every two steps.
+
+def _sphere_horocycle_row(params: GraphParams, n: int, width: int,
+                          profile: list[int] | None = None) -> list[int]:
+    """The closed form of the counts: b(n, h), the size of (sphere of radius
+    n) intersected with (horocycle h), for h = -w, ..., w with
+    w = min(n, width) and width >= 0, as one list; b(n, h) = 0 for |h| > n.
+
+    Along the gap n - h, the counts of h >= 0 are the ``_horocycle_profile``
+    p: b(n, h) = p(n - h), which is 1 on the diagonal h = n, then sigma at odd
+    gaps and (r-2)(k-1) at even ones, gaining a factor q every two steps.
+    Horocycle -t holds q^t times the words of horocycle t, and
+    q^t p(n - t) = p(n + t) for t < n, so b(n, h) = p(n - h) for every
+    h > -n, and b(n, -n) = q^n.  A ``profile`` of at least n + w + 1 gaps is
+    read as given, so a caller reading many rows builds it once.
     """
     if n < 0:
         raise ValueError(f"radius must be nonnegative, got {n}")
-    q = params.q
-    h_minus = min(0, h)
+    w = min(n, width)
+    if profile is None:
+        profile = _horocycle_profile(params, n + w + 1)
+    row = profile[n - w: n + w + 1]
+    row.reverse()
+    if w == n:
+        row[0] = params.q ** n
+    return row
+
+
+def sphere_horocycle_count(params: GraphParams, n: int, h: int) -> int:
+    """Size of (sphere of radius n) intersected with (horocycle h): the
+    entry h of ``_sphere_horocycle_row``, zero below |h|."""
+    if n < 0:
+        raise ValueError(f"radius must be nonnegative, got {n}")
     if n < abs(h):
         return 0
-    if n == abs(h):
-        return q ** (-h_minus)
-    gap = n - abs(h)
-    if gap % 2:
-        j = (gap + 1) // 2
-        return params.sigma * q ** (-h_minus + j - 1)
-    j = gap // 2
-    return (params.r - 2) * (params.k - 1) * q ** (-h_minus + j - 1)
+    return _sphere_horocycle_row(params, n, abs(h))[0 if h < 0 else -1]

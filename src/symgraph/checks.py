@@ -25,7 +25,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .boundary import BoundaryRay, busemann, sphere_horocycle_count, translate_ray
+from .boundary import BoundaryRay, _sphere_horocycle_row, busemann, translate_ray
 from .spectral import (
     VertexFun,
     fourier_z,
@@ -138,8 +138,9 @@ def _horocycle_failures(params: GraphParams, rng: random.Random) -> _Failures:
         tallies.append(_walk_counts(walk, distances))
     for ray, counts in zip(rays, tallies):  # counts[n][d]: horocycle depth - d of sphere n
         for n in range(nmax + 1):
+            row = _sphere_horocycle_row(params, n, nmax)  # b(n, h) for |h| <= n
             for h in range(-nmax, nmax + 1):
-                expected = sphere_horocycle_count(params, n, h)
+                expected = row[n + h] if abs(h) <= n else 0
                 got = counts[n][depth - h]
                 if got != expected:
                     yield "horocycle-count", dict(ray=ray.prefix, n=n, h=h,

@@ -185,11 +185,12 @@ def cmd_table(params: GraphParams, args) -> tuple[dict, list, dict, int]:
         for n in range(args.nmax + 1):
             outputs += _rows(f"delta[{n}]", params.delta(n))
     elif args.table == "b":
-        from .boundary import sphere_horocycle_count
+        from .boundary import _sphere_horocycle_row
 
         for n in range(args.nmax + 1):
+            row, w = _sphere_horocycle_row(params, n, args.hmax), min(n, args.hmax)
             for h in range(-args.hmax, args.hmax + 1):
-                outputs += _rows(f"b[{n},{h}]", sphere_horocycle_count(params, n, h))
+                outputs += _rows(f"b[{n},{h}]", row[w + h] if abs(h) <= w else 0)
     elif args.table == "phi":
         outputs += _phi_rows(params, args.lam, args.nmax)[1]
     else:  # c2

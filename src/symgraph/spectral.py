@@ -94,12 +94,14 @@ def gauss_legendre_adaptive(fn, a: float, b: float, tol: float = 1e-9,
                             start_order: int = 32, max_order: int = 4096):
     """Integrate a vectorized callable on [a, b], doubling the order until stable.
 
-    Returns (value, error_estimate) where the estimate is the difference of
-    the last two levels.  Two levels agree when they differ by at most
-    ``tol``, or by at most the rounding bound of the level's float sum,
-    order * machine epsilon * sum |weight * f(node)|, when that is larger:
-    no order resolves a large integral more finely than its own rounding,
-    so the tolerance grows with the integral's magnitude.  Raises
+    Returns (value, error_estimate).  Two levels agree when they differ by
+    at most ``tol``, or by at most the rounding bound of the level's float
+    sum, order * machine epsilon * sum |weight * f(node)|, when that is
+    larger: no order resolves a large integral more finely than its own
+    rounding, so the tolerance grows with the integral's magnitude.  The
+    estimate is the larger of the difference of the last two levels and
+    that rounding bound, since a level accepted on the bound is known only
+    to it.  Raises
     ``QuadratureError`` when max_order is not enough, reporting the error it
     did achieve.
     """
@@ -116,7 +118,7 @@ def gauss_legendre_adaptive(fn, a: float, b: float, tol: float = 1e-9,
             change = abs(value - previous)
             rounding = order * _EPS * 0.5 * abs(b - a) * float(np.sum(np.abs(terms)))
             if change <= max(tol, rounding):
-                return value, change
+                return value, max(change, rounding)
         previous = value
         order *= 2
     raise QuadratureError(
@@ -485,12 +487,20 @@ def plancherel_norm(f: RadialSeq, tol: float = 1e-9) -> QuadResult:
 
     Integrates |Hf|^2 against the continuous density over [0, tau/2] and,
     when k > r, adds the atom mass (k-r)/k |Hf(atom)|^2, summed exactly.
-    Agrees with ``f.norm_sq()`` to quadrature accuracy.
+    Agrees with ``f.norm_sq()`` to quadrature accuracy.  Raises
+    ``ValueError`` when |Hf|^2 on the segment passes the float range.
     """
     values = _float_values(f)
-    return _plancherel_integral(f.params, lambda lams, gamma: (
-        np.abs(_spherical_sum(f.params, values, gamma)) ** 2,), tol,
-        lambda: sum(h * h for h in _atom_planes(f)))
+
+    def squared(lams, gamma):
+        try:
+            with np.errstate(over="raise"):
+                return (np.abs(_spherical_sum(f.params, values, gamma)) ** 2,)
+        except FloatingPointError:
+            raise ValueError("the squared spherical transform overflows the float range") from None
+
+    return _plancherel_integral(f.params, squared, tol,
+                                lambda: sum(h * h for h in _atom_planes(f)))
 
 
 def invert_spherical(f: RadialSeq, x: ReducedWord, tol: float = 1e-9) -> QuadResult:

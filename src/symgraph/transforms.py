@@ -30,7 +30,10 @@ over one denominator, decoded once per output value, so a float output is
 float() of the exact transform of the lifted inputs.  Shared arithmetic is
 not a shared formula: each dual oracle still checks the closed form by its
 own route, the counts sum and the forward recurrence, as ``radon`` and
-``abel_via_radon`` check the Abel side by enumeration.  Those two walk
+``abel_via_radon`` check the Abel side by enumeration.  The counts sum
+reads each sphere's counts b(n, h) as one row of the boundary's closed
+form and adds the signed sum over h, never grouping h with -h as
+``dual_abel`` does.  The two enumeration oracles walk
 the ball once per call as an array of syllable codes (``words._walk``) and
 measure every word from each ray prefix in one array pass; they count the
 words of each sphere per horocycle in plain integers and weight each
@@ -47,9 +50,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .algebraic import ring_of
-from .boundary import BoundaryRay, DepthError, sphere_horocycle_count
+from .boundary import BoundaryRay, DepthError, _horocycle_profile, _sphere_horocycle_row
 from .words import GraphParams, _walk, _walk_counts, _walk_distances
 
 __all__ = [
@@ -190,10 +194,14 @@ def radon(f: RadialSeq, ray: BoundaryRay, h: int):
 
 
 def radon_via_counts(f: RadialSeq, h: int):
-    """Horocycle sum via the closed sphere-intersection counts (the fast path)."""
+    """Horocycle sum via the closed sphere-intersection counts (the fast path):
+    f(n) times entry h of the row of each sphere n >= |h|, the rows read
+    from one gap profile."""
+    params, t, N = f.params, abs(h), f.support_radius
+    profile = _horocycle_profile(params, N + t + 1)
     total = f.ring.zero
-    for n in range(abs(h), f.support_radius + 1):
-        count = sphere_horocycle_count(f.params, n, h)
+    for n in range(t, N + 1):
+        count = _sphere_horocycle_row(params, n, t, profile)[h + t]
         if count:
             total = total + f.value(n) * count
     return total
@@ -354,13 +362,18 @@ def dual_abel_via_counts(g: EvenSeq, n_max: int | None = None) -> RadialSeq:
     sphere-horocycle counts; this is the adjoint of the Abel transform under
     the counting pairing and serves as the arbiter for the closed form.
 
+    The counts of sphere n are read as one row, b(n, h) for |h| <= min(n, M)
+    with M the support radius of g (``boundary._sphere_horocycle_row``, its
+    gap profile built once per call), so no count is read one at a time.
     The sum runs on the parts of g as the ring's ``encode`` gives them, over
     one denominator D.  Times sqrt(q)^n, the weight q^(h/2) b(n, h) is the
-    integer b(n, h) q^((h+n)//2), with one more sqrt(q) when h + n is odd, so
-    the terms of each parity add as plain numbers, the odd sum takes its
-    sqrt(q) by one ``times_root``, and one ``decode`` over D delta(n) sqrt(q)^n
-    gives A*g(n).  Sharing ``encode`` and ``decode`` with the closed forms is
-    sharing arithmetic, not a formula: no term here is grouped as in
+    integer b(n, h) q^((h+n)//2), with one more sqrt(q) when h + n is odd.
+    The weights of a row are formed once and serve every part: the products
+    with g(h) over the signed h of each parity add as plain integers in one
+    C-level sum, the odd sum takes its sqrt(q) by one ``times_root``, and
+    one ``decode`` over D delta(n) sqrt(q)^n gives A*g(n).  Sharing
+    ``encode`` and ``decode`` with the closed forms is sharing arithmetic,
+    not a formula: h and -h enter as separate terms, never grouped as in
     ``dual_abel``.  A negative ``n_max``, or one past ``MAX_CLOSED_BITS``,
     raises ``ValueError`` before any arithmetic.
     """
@@ -369,16 +382,20 @@ def dual_abel_via_counts(g: EvenSeq, n_max: int | None = None) -> RadialSeq:
     n_max = _n_max(g, n_max)
     _check_size(params, n_max + 1)
     scale, (parts,) = ring.encode([g.values])
-    powers = [q**e for e in range(n_max + 1)]
+    profile = _horocycle_profile(params, n_max + min(n_max, M) + 1)  # rows read p(0..n + w)
+    stairs = [q ** (e // 2) for e in range(2 * n_max + 1)]  # q^((h+n)//2) at h + n
+    signed = [column[:0:-1] + column for column in parts]  # g(h) at M + h, h = -M, ..., M
     out = []
     for n in range(n_max + 1):
-        sums = [[0] * len(parts), [0] * len(parts)]  # h + n even, h + n odd
-        for h in range(-min(n, M), min(n, M) + 1):
-            count = sphere_horocycle_count(params, n, h)
-            if count:
-                weight, acc = count * powers[(h + n) // 2], sums[(h + n) % 2]
-                for i, column in enumerate(parts):
-                    acc[i] += weight * column[abs(h)]
+        w = min(n, M)
+        # b(n, h) q^((h+n)//2) for h = -w, ..., w
+        weights = list(map(mul, _sphere_horocycle_row(params, n, M, profile), stairs[n - w:]))
+        even = (n + w) % 2  # the first entry with h + n even
+        sums = [[], []]  # h + n even, h + n odd
+        for column in signed:
+            terms = list(map(mul, weights, column[M - w: M + w + 1]))
+            sums[0].append(sum(terms[even::2]))
+            sums[1].append(sum(terms[1 - even::2]))
         total = [[a + b] for a, b in zip(sums[0], ring.times_root(sums[1]))]
         out.append(ring.decode(total, scale * params.delta(n), n)[0])
     return RadialSeq(params, tuple(out), g.exact)

@@ -12,6 +12,8 @@ from symgraph.boundary import (
     BoundaryRay,
     DepthError,
     _busemann_index,
+    _horocycle_profile,
+    _sphere_horocycle_row,
     branch_shell_sums,
     busemann,
     cylinder_measure,
@@ -181,6 +183,40 @@ def test_count_examples():
     assert all(sphere_horocycle_count(P34, h, h) == 1 for h in range(4))
     assert sphere_horocycle_count(P34, 1, 0) == 1  # sigma
     assert sphere_horocycle_count(P34, 2, -2) == 36  # q^2
+
+
+def _reference_sphere_horocycle_count(params, n, h):
+    # the scalar closed form the row replaced, case by case
+    q = params.q
+    h_minus = min(0, h)
+    if n < abs(h):
+        return 0
+    if n == abs(h):
+        return q ** (-h_minus)
+    gap = n - abs(h)
+    if gap % 2:
+        j = (gap + 1) // 2
+        return params.sigma * q ** (-h_minus + j - 1)
+    j = gap // 2
+    return (params.r - 2) * (params.k - 1) * q ** (-h_minus + j - 1)
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_row_matches_the_case_by_case_formula(k):
+    for r in range(2, 8):
+        params = GraphParams(k, r)
+        profile = _horocycle_profile(params, 61)
+        for n in range(31):
+            want = [_reference_sphere_horocycle_count(params, n, h) for h in range(-n, n + 1)]
+            assert _sphere_horocycle_row(params, n, n) == want, (k, r, n)
+            assert _sphere_horocycle_row(params, n, n + 5, profile) == want, (k, r, n)
+            for width in (0, 1, n // 2):  # the middle of the full row
+                assert _sphere_horocycle_row(params, n, width) == want[n - width: n + width + 1]
+            for h in range(-n - 2, n + 3):
+                assert sphere_horocycle_count(params, n, h) == (
+                    _reference_sphere_horocycle_count(params, n, h)), (k, r, n, h)
+    with pytest.raises(ValueError):
+        _sphere_horocycle_row(P34, -1, 0)
 
 
 def test_counts_match_enumeration():

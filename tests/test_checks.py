@@ -48,6 +48,13 @@ def untranslated(fn):
     return lambda x, ray: ray
 
 
+def first_entry_plus_one(fn):
+    def bumped(*args, **kwargs):
+        row = fn(*args, **kwargs)
+        return [row[0] + 1, *row[1:]]
+    return bumped
+
+
 def mass_plus_one(fn):
     def heavier(*args, **kwargs):
         result = fn(*args, **kwargs)
@@ -77,7 +84,8 @@ CASES = [
     ("group", "sphere", first_word_dropped, "sphere-count", "sphere-count"),
     ("group", "sphere", last_word_repeats_first, "sphere-distinct", "sphere-count"),
     ("group", "distance", plus_one, "inverse-distance", "word-algebra"),
-    ("boundary", "sphere_horocycle_count", plus_one, "horocycle-count", "horocycle-count"),
+    ("boundary", "_sphere_horocycle_row", first_entry_plus_one, "horocycle-count",
+     "horocycle-count"),
     ("boundary", "translate_ray", untranslated, "cocycle", "cocycle"),
     ("abel", "_abel_via_radon_rays", each_first_value_plus_one, "abel-oracle",
      "abel-forward-inverse"),
@@ -121,8 +129,8 @@ def test_every_check_can_fail(monkeypatch, suite, path, perturb, failure, succes
 
 
 def test_horocycle_failure_skips_the_cocycle_check(monkeypatch):
-    monkeypatch.setattr(checks, "sphere_horocycle_count",
-                        plus_one(checks.sphere_horocycle_count))
+    monkeypatch.setattr(checks, "_sphere_horocycle_row",
+                        first_entry_plus_one(checks._sphere_horocycle_row))
     _, collected = run_suite("boundary", [P34], 0)
     assert [(result.name, result.ok) for _, _, result in collected] == [
         ("horocycle-count", False)]

@@ -760,6 +760,29 @@ def test_plancherel_atom_agrees_up_to_the_largest_admitted_input(capsys, k, r, l
     assert captured.out == "" and captured.err.splitlines()[-1].startswith("error:")
 
 
+def test_plancherel_refuses_an_overflowing_square_in_one_line(capsys):
+    # 390 ones at (4, 3): |Hf|^2 on the segment passes the float range
+    argv = ["plancherel", "--k", "4", "--r", "3", "--radial", ",".join(["1"] * 390)]
+    with warnings_to_stderr():
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "overflow" in lines[0]
+
+
+@pytest.mark.parametrize("k, r", [(4, 3), (3, 4)])
+@pytest.mark.parametrize("size", [100, 300])
+def test_invert_reports_an_error_that_covers_its_mismatch(capsys, k, r, size):
+    # the continuous part of these inputs is lost to rounding: a level accepted
+    # on its rounding bound reports that bound, not the change between levels
+    code, doc = run_json(capsys, "invert", "--k", str(k), "--r", str(r),
+                         "--radial", ",".join(["1"] * size), "--at", "a0^1")
+    assert code == 0
+    diagnostics = doc["diagnostics"]
+    assert diagnostics["mismatch"] <= diagnostics["quadrature_error"]
+
+
 def test_quadrature_failure_exits_one(capsys, monkeypatch):
     def diverge(*args, **kwargs):
         raise QuadratureError("quadrature did not converge to 1e-09 by order 4096", 3.5e-07)

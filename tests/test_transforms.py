@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import symgraph.boundary
+import symgraph.transforms as transforms
 from symgraph.algebraic import AlgebraicValue, ExactRing, q_half_power
 from symgraph.boundary import (
     BoundaryRay,
@@ -465,6 +466,62 @@ def test_oracles_float_lane_matches_the_per_term_loops():
                     for n, (a, b) in enumerate(zip(got, want)):
                         scale = max(abs(w) for w in want[: n + 1])
                         assert abs(a - b) <= 1e-12 * scale, (params, N, oracle.__name__)
+
+
+def _lifted_reference(seq, n_max):
+    """``_reference_dual_abel_via_counts`` on the exact lift of a float-lane
+    sequence, rounded once: what the oracle's float lane must give."""
+    def exact(values):
+        return _reference_dual_abel_via_counts(EvenSeq.of(seq.params, map(Fraction, values)),
+                                               n_max)
+    if not any(isinstance(v, complex) for v in seq.values):
+        return tuple(float(v) for v in exact(seq.values))
+    real = exact(complex(v).real for v in seq.values)
+    imag = exact(complex(v).imag for v in seq.values)
+    return tuple(complex(float(a), float(b)) for a, b in zip(real, imag))
+
+
+@pytest.mark.parametrize("k, r", REFERENCE_PAIRS)
+def test_counts_oracle_equals_its_reference_past_the_support(k, r):
+    # n_max at 0, 1, the support radius M and past it, where a row is
+    # narrower than its sphere; both lanes, equal values and equal repr
+    params = GraphParams(k, r)
+    rng = random.Random(43)
+    for M in (0, 1, 3, 8):
+        values = [_fractional_value(rng, params.q) for _ in range(M + 1)]
+        real = [float(v) for v in values]
+        mixed = [complex(a, b) for a, b in zip(real, reversed(real))]
+        for n_max in (0, 1, M, M + 4, 2 * M + 3):
+            seq = EvenSeq.of(params, values)
+            cases = [(dual_abel_via_counts(seq, n_max).values,
+                      _reference_dual_abel_via_counts(seq, n_max))]
+            for inputs in (real, mixed):
+                seq = EvenSeq.of(params, inputs, exact=False)
+                cases.append((dual_abel_via_counts(seq, n_max).values,
+                              _lifted_reference(seq, n_max)))
+            for got, want in cases:
+                assert got == want, (k, r, M, n_max)
+                assert [repr(v) for v in got] == [repr(v) for v in want]
+
+
+def test_counts_oracle_reads_one_row_per_sphere(monkeypatch):
+    read = []
+    row = transforms._sphere_horocycle_row
+
+    def counted(params, n, width, profile=None):
+        read.append((n, width))
+        return row(params, n, width, profile)
+
+    def refused(*args):
+        raise AssertionError("the oracle reads no single count")
+
+    monkeypatch.setattr(transforms, "_sphere_horocycle_row", counted)
+    monkeypatch.setattr(symgraph.boundary, "sphere_horocycle_count", refused)
+    g = EvenSeq.of(P34, [Fraction(1, n + 2) for n in range(6)])
+    for n_max in (0, 5, 13):
+        read.clear()
+        dual_abel_via_counts(g, n_max)
+        assert read == [(n, 5) for n in range(n_max + 1)]
 
 
 def test_counts_oracle_refuses_the_wrong_middle_exponent():
