@@ -7,16 +7,16 @@ it needs and raises ``DepthError`` rather than extending a ray implicitly:
 silent extension would hide depth-dependence bugs.
 
 ``shell_sums`` is the distance-profile walk over (word, parts) pairs that
-the shell and horocycle sums of the other layers read (a horocycle is a
-shell around a ray prefix).  ``branch_shell_sums`` gives the same sums from
+the spherical means read.  ``branch_shell_sums`` gives the same sums from
 a ``branch_index`` of the pairs, walking only the words that share the
 centre's first syllable; every other word enters from the index's part sums
-per word length.  Both live outside ``words``, so each of their
-``distance`` calls is a call into that layer.  The enumeration oracles
-only count words, so they build none: they walk the ball once as an array
-of syllable codes (``words._walk``) and measure every row from each ray
-prefix in one array pass (``words._walk_distances``), the word on
-horocycle depth - d at distance d.
+per word length, and the closed-form wave value reads it.  Both live
+outside ``words``, so each of their ``distance`` calls is a call into that
+layer.  The enumeration oracles and the boundary integrals of ``spectral``
+build no word: they walk the ball, or the sphere of cylinders, once as an
+array of syllable codes (``words._walk``) and measure every row from each
+ray prefix or support word in one array pass (``words._walk_distances``),
+the word on horocycle depth - d at distance d.
 
 The sphere-horocycle counts b(n, h) have one closed form,
 ``_sphere_horocycle_row``: the counts of one sphere as a row read from a

@@ -489,7 +489,8 @@ def test_cylinder_bound_refuses_before_walking(capsys, monkeypatch):
         raise AssertionError("walked a sphere")
 
     monkeypatch.setattr(symgraph.cli, "sphere", refuse)
-    monkeypatch.setattr(symgraph.spectral, "sphere", refuse)
+    # the boundary walks enumerate their cylinders through words._walk
+    monkeypatch.setattr(symgraph.spectral, "_walk", refuse)
     base = ["--k", "3", "--r", "4"]
     # delta(7) = 373248 cylinders at (3, 4), past the bound of 10^5
     for argv in (["spherical", *base, "--lambda", "0.4", "--nmax", "2", "--oracle-depth", "7"],
@@ -516,7 +517,7 @@ def test_cylinder_work_bound_refuses_before_walking(capsys, monkeypatch):
     def walk(*args):
         raise Walked
 
-    monkeypatch.setattr(symgraph.spectral, "sphere", walk)
+    monkeypatch.setattr(symgraph.spectral, "_walk", walk)
     params = GraphParams(3, 4)
     ball3 = list(ball(params, 3))
     # the 345 words of ball(3) against the delta(6) = 62208 cylinders of depth 6
@@ -760,9 +761,14 @@ def test_plancherel_atom_agrees_up_to_the_largest_admitted_input(capsys, k, r, l
     assert captured.out == "" and captured.err.splitlines()[-1].startswith("error:")
 
 
-def test_plancherel_refuses_an_overflowing_square_in_one_line(capsys):
+@pytest.mark.parametrize("argv", [
     # 390 ones at (4, 3): |Hf|^2 on the segment passes the float range
-    argv = ["plancherel", "--k", "4", "--r", "3", "--radial", ",".join(["1"] * 390)]
+    ("plancherel", "--k", "4", "--r", "3", "--radial", ",".join(["1"] * 390)),
+    # 1000 ones: Hf itself passes it, in the shifted terms of the sum
+    ("invert", "--k", "4", "--r", "3", "--radial", ",".join(["1"] * 1000), "--at", "a0^1"),
+    ("transform", "--k", "3", "--r", "4", "--radial", ",".join(["1"] * 1000), "--grid", "3"),
+], ids=("plancherel", "invert", "transform"))
+def test_plancherel_refuses_an_overflowing_square_in_one_line(capsys, argv):
     with warnings_to_stderr():
         assert main(argv) == 2
     captured = capsys.readouterr()

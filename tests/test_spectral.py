@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from symgraph.algebraic import AlgebraicValue, ring_of
-from symgraph.boundary import BoundaryRay, DepthError
+from symgraph.boundary import BoundaryRay, DepthError, shell_sums
 from symgraph.spectral import (
     VertexFun,
+    _cylinder_profile,
+    _plancherel_integral,
     c_func,
     convolve,
     convolve_radial,
@@ -182,6 +184,23 @@ def test_atom_transform_exact():
     assert value == expected
 
 
+@pytest.mark.parametrize("k, r", [(4, 3), (3, 2)])
+@pytest.mark.parametrize("size", [100, 300])
+def test_atom_transform_of_floats_rounds_the_exact_sum_once(k, r, size):
+    # the float recurrence at 1/(1-k) excites its second root, which delta(n)
+    # amplifies: 300 float ones at (4, 3) read -1.94e126 against -1.02e90
+    p = GraphParams(k, r)
+    rng = random.Random(size)
+    for values in ([1] * size, [Fraction(rng.randint(-9, 9), 8) for _ in range(size)]):
+        want = float(spherical_transform_atom(RadialSeq.of(p, values)))
+        got = spherical_transform_atom(RadialSeq.of(p, [float(v) for v in values], exact=False))
+        assert type(got) is float and abs(got - want) <= 1e-12 * abs(want)
+        mixed = [complex(v, -2 * v) for v in values]
+        got = spherical_transform_atom(RadialSeq.of(p, mixed, exact=False))
+        assert type(got) is complex
+        assert abs(got - complex(want, -2 * want)) <= 1e-12 * abs(complex(want, -2 * want))
+
+
 def test_helgason_point_mass_and_radial_agreement():
     rng = random.Random(2)
     lam = 0.52
@@ -289,6 +308,92 @@ def test_boundary_integrals_refuse_a_depth_at_the_support_or_the_target():
     with pytest.raises(DepthError, match="depth > 3"):
         invert_helgason(f, x, depth=3)
     assert invert_helgason(f, x, depth=4).value == pytest.approx(0.0, abs=1e-6)
+
+
+# -- the nonradial integrals against their per-cylinder fold ----------------------
+#
+# Both integrals read one array walk of the cylinders.  These are the loops it
+# replaces: one word and one ``shell_sums`` over the support per cylinder, a
+# second ``shell_sums`` that pairs the amplitudes by the target's Busemann
+# index, and the norm's 128-lambda chunks.  The amplitudes and the inversion
+# must agree with ==, the norm to rounding.
+
+
+def _reference_cylinder_profile(f, depth):
+    params, radius = f.params, f.support_radius()
+    support = [(x, (complex(v),)) for x, v in f.items()]
+    cylinders = list(sphere(params, depth))
+    z_values = np.arange(-radius, depth + 1)
+    amp = np.zeros((len(cylinders), len(z_values)), dtype=complex)
+    for i, y in enumerate(cylinders):
+        amp[i] = shell_sums(y, support, depth + radius, 1, 0j)[0][::-1]
+    return cylinders, z_values, amp, params.delta(depth)
+
+
+def _reference_helgason_norm_sq(f, depth):
+    _, z_values, amp, mass = _reference_cylinder_profile(f, depth)
+    lnq = math.log(f.params.q)
+
+    def factors(lams, gamma):
+        out = np.empty(len(lams))
+        for start in range(0, len(lams), 128):
+            chunk = lams[start:start + 128]
+            powers = np.exp(np.multiply.outer((0.5 + 1j * chunk) * lnq, z_values))
+            fhat = powers @ amp.T
+            out[start:start + 128] = (np.abs(fhat) ** 2).sum(axis=1) / mass
+        return (out,)
+
+    return _plancherel_integral(f.params, factors, 1e-9)
+
+
+def _reference_invert_helgason(f, x, depth):
+    cylinders, z_values, amp, mass = _reference_cylinder_profile(f, depth)
+    lnq = math.log(f.params.q)
+    sums = shell_sums(x, zip(cylinders, amp), depth + len(x), len(z_values), 0j)
+    paired = np.array(list(zip(*sums))[depth + len(x):depth - len(x) - 1:-1])
+
+    def factors(lams, gamma):
+        fwd = np.exp(np.multiply.outer((0.5 + 1j * lams) * lnq, z_values))
+        back = np.exp(np.multiply.outer((0.5 - 1j * lams) * lnq, np.arange(-len(x), len(x) + 1)))
+        return (np.einsum("lz,lw,wz->l", fwd, back, paired) / mass,)
+
+    return _plancherel_integral(f.params, factors, 1e-9)
+
+
+def _support(params, radius, lane, rng):
+    """A random function on ball(radius) in one lane: float, complex or exact
+    with values a/b + c/d sqrt(q)."""
+    def value():
+        if lane == "exact":
+            return AlgebraicValue(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                                  Fraction(rng.randint(-9, 9), rng.randint(1, 9)), params.q)
+        if lane == "complex":
+            return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        return rng.uniform(-1, 1)
+
+    data = {w: value() for w in ball(params, radius) if rng.random() < 0.7}
+    return VertexFun.of(params, data or {params.identity(): value()}, exact=lane == "exact")
+
+
+@pytest.mark.parametrize("k, r", [(2, 3), (3, 3), (3, 4), (2, 5)])
+@pytest.mark.parametrize("lane", ["float", "complex", "exact"])
+def test_cylinder_walk_equals_the_per_cylinder_fold(k, r, lane):
+    params = GraphParams(k, r)
+    rng = random.Random(k * 10 + r)
+    targets = [next(iter(sphere(params, n))) for n in range(3)] + [list(sphere(params, 2))[-1]]
+    for radius in range(3):
+        f = _support(params, radius, lane, rng)
+        for depth in range(f.support_radius() + 1, 5):
+            _, z_values, amp, mass = _cylinder_profile(f, depth)
+            _, want_z, want_amp, want_mass = _reference_cylinder_profile(f, depth)
+            assert np.array_equal(z_values, want_z) and mass == want_mass
+            assert amp.dtype == want_amp.dtype and np.array_equal(amp, want_amp), (radius, depth)
+            got, want = helgason_norm_sq(f, depth), _reference_helgason_norm_sq(f, depth)
+            assert abs(got.value - want.value) <= 1e-14 * abs(want.value), (radius, depth)
+            for x in targets:
+                if len(x) < depth:
+                    got = invert_helgason(f, x, depth)
+                    assert got == _reference_invert_helgason(f, x, depth), (radius, depth, x)
 
 
 def test_convolution_group_identities():
