@@ -302,7 +302,7 @@ class ExactRing:
                 raise ValueError(f"value over sqrt({value.q}) in a sqrt({self.q}) context")
             return value
         if isinstance(value, (int, Fraction)):
-            return AlgebraicValue(value, 0, self.q)
+            return _canonical(value.numerator, 0, value.denominator, self.q)
         raise TypeError(f"cannot treat {value!r} as an exact ring value")
 
     # Array lane: a value list becomes integer parts (A, B) over a common

@@ -539,7 +539,8 @@ def _cylinder_profile(f: VertexFun, depth: int, reach: int = 0):
             f"{MAX_CYLINDER_WORK} units of cylinders x (support words + 4)"
         )
     cylinders = _walk(params, depth, depth)
-    z_values = np.arange(-radius, depth + 1)
+    # d >= depth - |y| >= depth - radius, so no word lands past index 2 radius
+    z_values = np.arange(-radius, radius + 1)
     amp = np.zeros((params.delta(depth), len(z_values)), dtype=complex)
     rows = np.arange(len(amp))
     for y, v in f.items():

@@ -13,10 +13,11 @@ supports.  Both solvers read that form.
 
 The stepper works on arrays, not on words, and is the one code that
 vectorises.  Scaled by 2D sqrt(q)^|n| the solution obeys an integer
-recurrence, so it steps two object arrays of Python ints, built from the
-parts (the rational and the sqrt(q) parts; four for complex data).  The
-float ring's array lane is exact too (see ``algebraic.FloatRing``), so
-neither solver branches on its lane.  The arrays follow ``ball()`` order
+recurrence, so it steps two integer arrays (int64 where ``_step_dtype``
+proves they fit, else Python ints), built from the parts (the rational and
+the sqrt(q) parts; four for complex data).  The float ring's array lane is
+exact too (see ``algebraic.FloatRing``), so neither solver branches on its
+lane.  The arrays follow ``ball()`` order
 (see ``words.position``), in which the neighbour sum needs no table; each
 support word is placed in it once per solve.  Each time slice keeps its
 parts and its ring's one-value decoder (``decoder``) and decodes on read:
@@ -37,8 +38,9 @@ under x's first syllable need a ``distance`` call; every other word enters
 through sums of the data per word length, built with its encoding.  The shell
 sums do not depend on the time: each point is measured out to |x| + L, L the
 longest support word, so every word measured lands in a shell, and the data
-keeps the sums of the first ``_MAX_PROFILES`` points for every later time (a
-later point is measured again on each call, as nothing is evicted).  A time
+keeps the sums of the first ``_MAX_PROFILES`` points, keyed by their syllables
+and split into f's rows and g's rows, for every later time (a later point is
+measured again on each call, as nothing is evicted).  A time
 whose weights would hold more than ``MAX_CLOSED_BITS`` bits is refused up front.
 The weight rows are kept per graph and time (``_rows``, a bounded cache both
 lanes share), and once a time passes that check the data keeps its plan, the
@@ -189,8 +191,9 @@ class CauchyData:
 
     @cached_property
     def _profiles(self) -> dict:
-        """Point x -> the shell sums of the parts around x out to |x| + L,
-        L the longest support word; shared by every time, so read-only."""
+        """Syllables of a point x -> the shell sums of the parts around x out
+        to |x| + L, L the longest support word, as (f's rows, g's rows);
+        shared by every time, so read-only."""
         return {}
 
     @cached_property
@@ -214,14 +217,16 @@ class WaveField:
         return sorted(self.fields)
 
     def at(self, x: ReducedWord, n: int):
-        _require_graph(self.params, x.params, "point")
-        if n not in self.fields:
+        if x.params is not self.params:
+            _require_graph(self.params, x.params, "point")
+        fun = self.fields.get(n)
+        if fun is None:
             raise ValueError(f"time {n} outside the computed window")
         if len(x) > self.valid_radius[n]:
             raise ValueError(
                 f"|x| = {len(x)} outside the radius {self.valid_radius[n]} computed for time {n}"
             )
-        return self.fields[n].value(x)
+        return fun.value(x)
 
     def decode_all(self) -> None:
         """Decode every time slice whole, once, for a caller that reads every
@@ -291,13 +296,28 @@ def check_window(params: GraphParams, support_radius: int, steps: int,
             )
 
 
-def _on_ball(columns, slots: list[int], size: int) -> list:
-    # one object array of length size per column (one int per support word):
-    # each word's int at its ball() slot when that slot is below size, zero elsewhere
+def _step_dtype(params: GraphParams, columns, steps: int):
+    """int64 when M G^(steps + 1) < 2^63 (M the largest |part| of the data,
+    G = 2k + r(k - 1) + 2q), else object: then no intermediate of
+    ``wave_direct`` reaches 2^63.  w -> (2 - k) w + S w multiplies a bound
+    on |w| by at most a = 2k - 1 + q, partial sums included (sibling block
+    and (k - 1) w: 2(k - 1); parent 1; q children; at the origin
+    k - 2 + r(k - 1) = a - 2), and a + 2q <= G.  So |w(0)| = |2 D f| <= 2M,
+    the kick 2q D g is within 2qM, |w(+-1)| <= (a + 2q) M <= MG, and by
+    induction |w(n + 1)| <= a M G^n + 2q M G^(n - 1) <= M G^(n + 1): every
+    array stays within M G^steps."""
+    k, r, q = params.k, params.r, params.q
+    top = max((abs(v) for parts in columns for part in parts for v in part), default=0)
+    return np.int64 if top * (2 * k + r * (k - 1) + 2 * q) ** (steps + 1) < 2**63 else object
+
+
+def _on_ball(columns, slots: list[int], size: int, dtype) -> list:
+    # one array of length size per column (one int per support word): each
+    # word's int at its ball() slot when that slot is below size, zero elsewhere
     near = [i for i, slot in enumerate(slots) if slot < size]
     where, out = [slots[i] for i in near], []
     for column in columns:
-        placed = np.zeros(size, dtype=object)
+        placed = np.zeros(size, dtype=dtype)
         placed[where] = [column[i] for i in near]
         out.append(placed)
     return out
@@ -317,13 +337,13 @@ class _Slice(Mapping):
     slice once; from then on it reads the dict of ``decoded()``, keyed by
     ``words()``, the shared list of the stepped ball."""
 
-    __slots__ = ("_params", "_decode", "_parts", "_radius", "_offsets", "_index", "_words",
-                 "_full")
+    __slots__ = ("_params", "_decode", "_parts", "_size", "_radius", "_offsets", "_index",
+                 "_words", "_full")
 
     def __init__(self, params, decode, parts, radius, offsets, index, words):
         self._params, self._decode, self._parts = params, decode, parts
-        self._radius, self._offsets, self._index = radius, offsets, index
-        self._words, self._full = words, None
+        self._size, self._radius, self._offsets = len(parts[0]), radius, offsets
+        self._index, self._words, self._full = index, words, None
 
     def __getitem__(self, x):
         if self._full is not None:
@@ -336,12 +356,12 @@ class _Slice(Mapping):
             if len(x) > self._radius:
                 raise KeyError(x)
             slot = self._index[x.syllables] = self._offsets[len(x)] + position(x)
-        elif slot >= len(self._parts[0]):  # placed by a slice of a larger radius
+        elif slot >= self._size:  # placed by a slice of a larger radius
             raise KeyError(x)
         return self._decode(*[part[slot] for part in self._parts])
 
     def __len__(self) -> int:
-        return len(self._parts[0]) if self._full is None else len(self._full)
+        return self._size if self._full is None else len(self._full)
 
     def decoded(self) -> dict:
         if self._full is None:
@@ -380,8 +400,9 @@ def wave_direct(params: GraphParams, data: CauchyData, steps: int,
         w(d) = D ((2-k) f + S f) + d 2D sqrt(q) g.
 
     Both are integer linear maps, so they act part by part on the encoded
-    data (``CauchyData._encoded``): two Python-int arrays (the rational and
-    the sqrt(q) parts; four for complex data), exact in either lane.  Each
+    data (``CauchyData._encoded``): two integer arrays (the rational and
+    the sqrt(q) parts; four for complex data; int64 or Python ints, see
+    ``_step_dtype``), exact in either lane.  Each
     time slice is an array over a ball in ``ball()`` order, where S needs no
     table (see ``words._self_plus_neighbors``); the support words' slots
     in that order are worked out once and place every part column.  Slices
@@ -428,8 +449,9 @@ def wave_direct(params: GraphParams, data: CauchyData, steps: int,
     reach = max(start, cone[1])
     slots = [offsets[len(y)] + position(y) if len(y) <= reach else offsets[reach + 1]
              for y in support]
-    f_parts = _on_ball(f_columns, slots, offsets[start + 1])
-    g_parts = _on_ball(g_columns, slots, offsets[cone[1] + 1])
+    dtype = _step_dtype(params, (f_columns, g_columns), steps)
+    f_parts = _on_ball(f_columns, slots, offsets[start + 1], dtype)
+    g_parts = _on_ball(g_columns, slots, offsets[cone[1] + 1], dtype)
     index: dict[tuple, int] = {}  # a word's syllables -> its ball() slot, for every slice
 
     def store(n: int, parts) -> None:
@@ -466,7 +488,8 @@ def _weights(params: GraphParams, m: int) -> tuple[tuple[int, ...], tuple[int, .
     return tuple(-(q - 1 + (r - k) * p) for p in powers) + (k,), tuple(1 - p for p in powers)
 
 
-# points whose shell sums a CauchyData keeps: about 600 B each at (3, 4), radius 2
+# points whose shell sums a CauchyData keeps: about 1.1 kB each, key included,
+# for |x| <= 3 at (3, 4) with fractional sqrt(q) data of support radius 2
 _MAX_PROFILES = 4096
 
 # times whose weight rows and decoder a CauchyData keeps; the rows are those of _rows
@@ -526,8 +549,10 @@ def wave_closed_at(params: GraphParams, data: CauchyData, x: ReducedWord, n: int
     keeping nothing, and so do a ``params`` that is not the graph of the
     data and a point on another graph.
     """
-    _require_graph(params, data.params, "data")
-    _require_graph(params, x.params, "point")
+    if params is not data.params:
+        _require_graph(params, data.params, "data")
+    if x.params is not params:
+        _require_graph(params, x.params, "point")
     if n == 0:
         return data.initial.value(x)
     plans = data._plans
@@ -541,16 +566,18 @@ def wave_closed_at(params: GraphParams, data: CauchyData, x: ReducedWord, n: int
             plans[n] = plan
     c, v, twice_sign, decode = plan
     profiles = data._profiles
-    sums = profiles.get(x)  # f's parts, then g's
-    if sums is None:  # branches[2]: the longest support word
+    rows = profiles.get(x.syllables)
+    if rows is None:  # branches[2]: the longest support word
         branches = data._encoded[3]
-        sums = branch_shell_sums(x, branches, len(x) + branches[2])
+        sums = branch_shell_sums(x, branches, len(x) + branches[2])  # f's parts, then g's
+        half = len(sums) // 2
+        rows = sums[:half], sums[half:]
         if len(profiles) < _MAX_PROFILES:
-            profiles[x] = sums
-    half = len(sums) // 2
-    p_parts = [sum(map(mul, c, shells)) for shells in sums[:half]]
+            profiles[x.syllables] = rows
+    f_rows, g_rows = rows
+    p_parts = [sum(map(mul, c, shells)) for shells in f_rows]
     q_parts = data.initial.ring.times_root([twice_sign * sum(map(mul, v, shells))
-                                            for shells in sums[half:]])
+                                            for shells in g_rows])
     return decode(*map(add, p_parts, q_parts))
 
 

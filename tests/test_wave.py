@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import symgraph.wave as wave_module
 
@@ -422,7 +424,7 @@ def test_kept_profiles_give_the_values_of_fresh_data(params):
             shared = CauchyData(data.initial, data.velocity)
             want = closed_values(params, data, order, fresh=True)
             same_values(closed_values(params, shared, order), want)
-            assert list(shared._profiles) == list(ball(params, 2))
+            assert list(shared._profiles) == [x.syllables for x in ball(params, 2)]
 
 
 def test_kept_profiles_are_bounded(monkeypatch):
@@ -442,7 +444,7 @@ def test_kept_profiles_are_bounded(monkeypatch):
     monkeypatch.setattr(wave_module, "_MAX_PROFILES", 3)
     monkeypatch.setattr(wave_module, "branch_shell_sums", spy)
     same_values(closed_values(params, data, "times"), want)
-    assert list(data._profiles) == pool[:3]
+    assert list(data._profiles) == [x.syllables for x in pool[:3]]
     kept = [(x, len(x) + 2) for x in pool[:3]]
     past = [(x, len(x) + 2) for n in range(-4, 5) if n for x in pool[3:]]
     assert measured == kept + past
@@ -458,7 +460,7 @@ def test_refused_calls_keep_no_profile():
     for params, x, n in refused:
         with pytest.raises(ValueError, match="graph"):
             wave_closed_at(params, data, x, n)
-        assert list(data._profiles) == [a]
+        assert list(data._profiles) == [a.syllables]
         assert list(data._plans) == [1]
 
 
@@ -481,6 +483,28 @@ def test_closed_plans_are_bounded(monkeypatch):
     with pytest.raises(ValueError, match=str(MAX_CLOSED_BITS)):
         wave_closed_at(params, fresh, params.identity(), -10**5)
     assert fresh._plans == {}
+
+
+def test_a_kept_profile_is_found_without_comparing_words(monkeypatch):
+    # profiles are keyed by syllables, so a point built afresh (as ball()
+    # builds every point again for every time) finds its kept sums with no
+    # ReducedWord.__eq__ call
+    params = GraphParams(3, 4)
+    data = fractional_data(params, random.Random(103), radius=2)
+    want = {(x, n): wave_closed_at(params, data, x, n)
+            for x in ball(params, 2) for n in (1, -2, 3)}
+    compared = []
+    word_eq = ReducedWord.__eq__
+
+    def counted(self, other):
+        compared.append((self, other))
+        return word_eq(self, other)
+
+    monkeypatch.setattr(ReducedWord, "__eq__", counted)
+    for (x, n), value in want.items():
+        got = wave_closed_at(params, data, ReducedWord(params, x.syllables), n)
+        assert got == value and repr(got) == repr(value)
+    assert compared == []
 
 
 def test_float_closed_forms_track_exact_when_k_exceeds_r():
@@ -766,6 +790,68 @@ def test_float_stepper_tracks_exact():
             assert float_field.at(x, n) == pytest.approx(float(exact_field.at(x, n)), abs=1e-9)
             closed = wave_closed_at(P34, numeric, x, n)
             assert closed == pytest.approx(float(exact_field.at(x, n)), abs=1e-9)
+
+
+def lane_data(params, lane, rng, radius):
+    # small values over denominators 1-4 and a sqrt(q) part over 1 or 3 (an
+    # imaginary part over 1 or 2 in the complex lane), so the parts stay far
+    # inside the int64 bound, in the exact, float or complex lane
+    def value():
+        a = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 4)))
+        b = Fraction(rng.randint(-9, 9), rng.choice((1, 3) if lane == "exact" else (1, 2)))
+        if lane == "exact":
+            return AlgebraicValue(a, b, params.q)
+        return float(a) if lane == "float" else complex(float(a), float(b))
+
+    pool = list(ball(params, radius))
+    return CauchyData(*(VertexFun.of(params, {w: value() for w in pool[i::2]}, lane == "exact")
+                        for i in (0, 1)))
+
+
+@given(st.sampled_from([GraphParams(2, 3), GraphParams(3, 4), GraphParams(3, 3),
+                        GraphParams(4, 3)]),
+       st.sampled_from(["exact", "float", "complex"]), st.integers(1, 2), st.integers(1, 4),
+       st.integers(0, 2), st.randoms(use_true_random=False))
+def test_int64_steps_equal_object_steps(params, lane, radius, steps, observe, rng):
+    # the int64 solve and the object solve of the same data give the same
+    # values, of the same type and repr, in every slice
+    data = lane_data(params, lane, rng, radius)
+    assert wave_module._step_dtype(params, data._encoded[2], steps) is np.int64
+    fast = wave_direct(params, data, steps, observe)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wave_module, "_step_dtype", lambda *args: object)
+        slow = wave_direct(params, data, steps, observe)
+    assert fast.times == slow.times and fast.valid_radius == slow.valid_radius
+    for n in fast.times:
+        same_values(dict(fast.fields[n].data.items()), dict(slow.fields[n].data.items()))
+
+
+@pytest.mark.parametrize("params", [GraphParams(2, 3), GraphParams(3, 4), GraphParams(4, 3)])
+def test_stepper_dtype_at_the_edge_of_its_bound(params, monkeypatch):
+    # data whose largest part M is one below the least M with
+    # M G^(steps + 1) >= 2^63 steps int64, and data with that M steps object;
+    # both solves are == to the closed form everywhere
+    steps, k, r, q = 3, params.k, params.r, params.q
+    power = (2 * k + r * (k - 1) + 2 * q) ** (steps + 1)
+    edge = -(-2**63 // power)
+    chosen = []
+    step_dtype = wave_module._step_dtype
+
+    def spy(*args):
+        chosen.append(step_dtype(*args))
+        return chosen[-1]
+
+    monkeypatch.setattr(wave_module, "_step_dtype", spy)
+    pool = list(ball(params, 1))
+    for top, dtype in ((edge - 1, np.int64), (edge, object)):
+        f = {w: top if i % 2 else -top for i, w in enumerate(pool)}
+        g = {w: top - i for i, w in enumerate(pool)}
+        data = CauchyData(VertexFun.of(params, f), VertexFun.of(params, g))
+        field = wave_direct(params, data, steps)
+        assert chosen[-1] is dtype
+        for n in range(-steps, steps + 1):
+            for x in ball(params, 2):
+                assert field.at(x, n) == wave_closed_at(params, data, x, n), (top, x, n)
 
 
 def test_outside_computed_region_raises():
