@@ -19,26 +19,20 @@ Conventions:
 
 The closed forms state the paper's formulas as double sums.  Each kernel is a
 sum of at most two geometric series, with ratios q and 1-k, so each form is
-evaluated with running prefix or suffix sums in O(N) operations.  The three
-Abel forms run on ring values; their float lane scales the sums to the size
-of the values and multiplies them by no rounded constant repeatedly.  The
-dual pair (``dual_abel``, ``dual_abel_inv``) and the dual oracles
-(``dual_abel_via_counts``, ``dual_abel_inv_recurrence``) run on the ring's
-encoded parts (``encode``, ``times_root``, ``decode``), exact in both lanes
-(see ``algebraic.FloatRing``): integer combinations of the input's parts
-over one denominator, decoded once per output value, so a float output is
-float() of the exact transform of the lifted inputs.  Shared arithmetic is
-not a shared formula: each dual oracle still checks the closed form by its
-own route, the counts sum and the forward recurrence, as ``radon`` and
-``abel_via_radon`` check the Abel side by enumeration.  The counts sum
-reads each sphere's counts b(n, h) as one row of the boundary's closed
-form and adds the signed sum over h, never grouping h with -h as
-``dual_abel`` does.  The two enumeration oracles walk
-the ball once per call as an array of syllable codes (``words._walk``) and
-measure every word from each ray prefix in one array pass; they count the
-words of each sphere per horocycle in plain integers and weight each
-nonzero count by f(n) once, so their ring arithmetic grows with the
-shells, not the words, and no array reaches this module.
+evaluated with running prefix or suffix sums in O(N) operations.  ``abel``
+runs on ring values; its float lane scales the sums to the size of the
+values and multiplies them by no rounded constant repeatedly.  The two Abel
+inverses, the dual pair and the two dual oracles run on the ring's encoded
+parts (``encode``, ``times_root``, ``decode``), exact in both lanes (see
+``algebraic.FloatRing``): integer combinations of the input's parts over one
+denominator, decoded once per output value, so a float output is float() of
+the exact transform of the lifted inputs.  Shared arithmetic is not a shared
+formula: each form keeps its own, so the two inverses check each other and
+the round trip through ``abel``, the counts sum (h and -h apart) and the
+forward recurrence check the dual pair, and ``radon`` and ``abel_via_radon``
+check ``abel`` by enumeration, from integer counts per sphere and horocycle
+over one array walk of the ball (``words._walk``), so their ring arithmetic
+grows with the shells, not the words.
 
 A closed form of N values holds about N^2 log2(q) bits, and one past
 ``MAX_CLOSED_BITS`` is refused with ``ValueError`` before any arithmetic;
@@ -49,7 +43,6 @@ the dual oracles share that bound.  The dual transforms refuse a negative
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
 from .algebraic import ring_of
@@ -256,30 +249,42 @@ def _abel_via_radon_rays(f: RadialSeq, rays) -> list[EvenSeq]:
             for ray, shells in zip(rays, sums)]
 
 
+def _scaled_parts(g: EvenSeq) -> tuple[int, list]:
+    """After the size check, the denominator D of g's encoded parts and the
+    columns t(0..M+2) of t(j) = D sqrt(q)^(M-j) g(j), 0 past M, in parts."""
+    ring, M = g.ring, g.support_radius
+    _check_size(g.params, M + 1)
+    scale, (parts,) = ring.encode([g.values])
+    stairs = [ring.q ** e for e in range(M // 2 + 1)]  # q^((M-j)//2), odd M-j by times_root
+    rows = ([stairs[(M - j) // 2] * x for x in row] for j, row in enumerate(zip(*parts)))
+    rows = [ring.times_root(row) if (M - j) % 2 else row for j, row in enumerate(rows)]
+    return scale, [column + (0, 0) for column in zip(*rows)]
+
+
 def abel_inv(g: EvenSeq) -> RadialSeq:
     """Inverse Abel transform (telescoped alternating form).
 
     f(n) = (1/k) q^(-(n-1)/2) sum_{m>=1} [1 + (-1)^(m-1) (k-1)^m] q^(-m/2)
            [g(n+m-1) - g(n+m+1)]; the sum is finite on finitely supported g.
 
-    Evaluated as f(n) = (1/k) q^(1/2) (U(n) - V(n)) over e(j) = q^(-j/2)
-    [g(j-1) - g(j+1)], with the suffix sums U(n) = U(n+1) + e(n+1) and
-    V(n) = (1-k) (V(n+1) + e(n+1)): O(N) ring operations.  N values past
-    ``MAX_CLOSED_BITS`` raise ``ValueError`` first.
+    Evaluated over e(n) = t(n) - q t(n+2) with t(j) = D sqrt(q)^(M-j) g(j)
+    (``_scaled_parts``) as k D sqrt(q)^M f(n) = U(n) - V(n), integer suffix
+    sums U(n) = U(n+1) + e(n) and V(n) = (1-k) (V(n+1) + e(n)): O(N) integer
+    operations.  N values past ``MAX_CLOSED_BITS`` raise ``ValueError`` first.
     """
-    params, ring = g.params, g.ring
-    k = params.k
-    M = g.support_radius
-    _check_size(params, M + 1)
-    scale = ring.qpow(1) * Fraction(1, k)
-    plain = geometric = ring.zero  # U(n), V(n)
+    k, q, M = g.params.k, g.params.q, g.support_radius
+    scale, columns = _scaled_parts(g)
     out = []
-    for n in range(M, -1, -1):
-        e = ring.qpow(-n - 1) * (g.value(n) - g.value(n + 2))
-        plain = plain + e
-        geometric = (geometric + e) * (1 - k)
-        out.append((plain - geometric) * scale)
-    return RadialSeq(params, tuple(reversed(out)), g.exact)
+    for t in columns:
+        plain = geometric = 0  # U(n), V(n)
+        sums = []
+        for n in range(M, -1, -1):
+            e = t[n] - q * t[n + 2]
+            plain += e
+            geometric = (1 - k) * (geometric + e)
+            sums.append(plain - geometric)
+        out.append(sums[::-1])
+    return RadialSeq(g.params, tuple(g.ring.decode(out, k * scale, M)), g.exact)
 
 
 def abel_inv_rearranged(g: EvenSeq) -> RadialSeq:
@@ -291,25 +296,24 @@ def abel_inv_rearranged(g: EvenSeq) -> RadialSeq:
     The m = 1 term of the bracketed sum is exactly the explicit g(n+1) term,
     so the sum starts at m = 2.  Agrees with ``abel_inv`` identically.
 
-    Evaluated over e(j) = q^(-j/2) g(j) as f(n) = e(n) - (k-2) e(n+1)
-    - ((q-1)/k) U(n) - ((r-k)/k) V(n), with the suffix sums
-    U(n) = U(n+1) + e(n+2) and V(n) = (1-k) (V(n+1) + (1-k) e(n+2)):
-    O(N) ring operations.  N values past ``MAX_CLOSED_BITS`` raise
-    ``ValueError`` first.
+    Evaluated over t(j) = D sqrt(q)^(M-j) g(j) (``_scaled_parts``) as
+    k D sqrt(q)^M f(n) = k t(n) - k(k-2) t(n+1) - (q-1) U(n) - (r-k) V(n),
+    with the integer suffix sums U(n) = U(n+1) + t(n+2) and
+    V(n) = (1-k) (V(n+1) + (1-k) t(n+2)): O(N) integer operations.  N values
+    past ``MAX_CLOSED_BITS`` raise ``ValueError`` first.
     """
-    params, ring = g.params, g.ring
-    k, r, q = params.k, params.r, params.q
-    M = g.support_radius
-    _check_size(params, M + 1)
-    e = [ring.qpow(-j) * g.value(j) for j in range(M + 1)] + [ring.zero, ring.zero]
-    plain = geometric = ring.zero  # U(n), V(n)
+    k, r, q, M = g.params.k, g.params.r, g.params.q, g.support_radius
+    scale, columns = _scaled_parts(g)
     out = []
-    for n in range(M, -1, -1):
-        plain = plain + e[n + 2]
-        geometric = (geometric + e[n + 2] * (1 - k)) * (1 - k)
-        out.append(e[n] - e[n + 1] * (k - 2)
-                   - plain * Fraction(q - 1, k) - geometric * Fraction(r - k, k))
-    return RadialSeq(params, tuple(reversed(out)), g.exact)
+    for t in columns:
+        plain = geometric = 0  # U(n), V(n)
+        sums = []
+        for n in range(M, -1, -1):
+            plain += t[n + 2]
+            geometric = (1 - k) * (geometric + (1 - k) * t[n + 2])
+            sums.append(k * (t[n] - (k - 2) * t[n + 1]) - (q - 1) * plain - (r - k) * geometric)
+        out.append(sums[::-1])
+    return RadialSeq(g.params, tuple(g.ring.decode(out, k * scale, M)), g.exact)
 
 
 # -- dual Abel transform and inverses ---------------------------------------------
@@ -371,11 +375,9 @@ def dual_abel_via_counts(g: EvenSeq, n_max: int | None = None) -> RadialSeq:
     The weights of a row are formed once and serve every part: the products
     with g(h) over the signed h of each parity add as plain integers in one
     C-level sum, the odd sum takes its sqrt(q) by one ``times_root``, and
-    one ``decode`` over D delta(n) sqrt(q)^n gives A*g(n).  Sharing
-    ``encode`` and ``decode`` with the closed forms is sharing arithmetic,
-    not a formula: h and -h enter as separate terms, never grouped as in
-    ``dual_abel``.  A negative ``n_max``, or one past ``MAX_CLOSED_BITS``,
-    raises ``ValueError`` before any arithmetic.
+    one ``decode`` over D delta(n) sqrt(q)^n gives A*g(n); h and -h stay
+    apart, never grouped as in ``dual_abel``.  A negative ``n_max``, or one
+    past ``MAX_CLOSED_BITS``, raises ``ValueError`` before any arithmetic.
     """
     params, ring = g.params, g.ring
     q, M = params.q, g.support_radius

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -805,3 +806,124 @@ def test_dual_oracles_float_lane_reach_past_the_float_range_of_their_integers():
     want = 5.2681357781341675e162
     assert dual_abel_inv_recurrence(f).values[-1] == want == dual_abel_inv(f).values[-1]
     assert dual_abel_inv_recurrence(f).values == dual_abel_inv(f).values
+
+
+# -- the two Abel inverses on encoded integer parts -----------------------------------
+#
+# Both inverses run on the ring's encoded parts, scaled by D sqrt(q)^M, and decode
+# each value once.  Each keeps its own formula: the exact lane must equal the direct
+# O(N^2) sums above with == and equal repr, and the float lane is float() of the
+# exact transform of the lifted input.
+
+INVERSES = [(abel_inv, _reference_abel_inv),
+            (abel_inv_rearranged, _reference_abel_inv_rearranged)]
+# the 3x3 grid and two more; q is a perfect square at (2, 2), (3, 3), (2, 5) and (4, 4)
+INVERSE_GRAPHS = GRID + [GraphParams(2, 5), GraphParams(5, 3)]
+INVERSE_RADII = (0, 1, 2, 3, 4, 7, 12, 20, 31, 40)
+
+
+def test_abel_inverses_equal_the_direct_sums():
+    rng = random.Random(67)
+    for params in INVERSE_GRAPHS:
+        for M in INVERSE_RADII:
+            values = [_fractional_value(rng, params.q) for _ in range(M + 1)]
+            for inputs in (values, [0 if n % 3 == 1 else v for n, v in enumerate(values)]):
+                g = EvenSeq.of(params, inputs)
+                for inverse, reference in INVERSES:
+                    got, want = inverse(g).values, reference(g)
+                    assert got == want, (params, M, inverse.__name__)
+                    assert [repr(v) for v in got] == [repr(v) for v in want]
+
+
+@pytest.mark.parametrize("k, r", REFERENCE_PAIRS)
+def test_abel_inverse_float_lanes_round_the_exact_transform_once(k, r):
+    params = GraphParams(k, r)
+    rng = random.Random(71)
+    for M in ORACLE_LENGTHS:
+        values = [rng.uniform(-9, 9) * params.q ** rng.randint(-3, 3) for _ in range(M + 1)]
+        lifted = EvenSeq.of(params, [Fraction(v) for v in values])
+        g = EvenSeq.of(params, values, exact=False)
+        for inverse, _ in INVERSES:
+            got = inverse(g).values
+            assert got == tuple(float(v) for v in inverse(lifted).values), (params, M)
+            assert {type(v) for v in got} == {float}
+        # both round one exact value, so they agree bit for bit
+        assert abel_inv(g).values == abel_inv_rearranged(g).values
+
+
+@pytest.mark.parametrize("inverse", [abel_inv, abel_inv_rearranged], ids=lambda f: f.__name__)
+def test_abel_inverse_float_lanes_split_a_complex_input(inverse):
+    rng = random.Random(73)
+    real = [rng.uniform(-1, 1) for _ in range(8)]
+    imag = [rng.uniform(-1, 1) for _ in range(8)]
+    imag[2] = 0.0
+    mixed = [complex(a, b) for a, b in zip(real, imag)]
+    mixed[2] = real[2]  # a float among the complex values
+    got = inverse(EvenSeq.of(P34, mixed, exact=False)).values
+    on_real = inverse(EvenSeq.of(P34, real, exact=False)).values
+    on_imag = inverse(EvenSeq.of(P34, imag, exact=False)).values
+    assert got == tuple(complex(a, b) for a, b in zip(on_real, on_imag))
+    assert {type(v) for v in got} == {complex}
+
+
+@pytest.mark.parametrize("inverse", [abel_inv, abel_inv_rearranged], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1.0, math.nan),
+                                 complex(math.inf, 0.0)], ids=repr)
+def test_abel_inverse_float_lanes_refuse_a_non_finite_input(bad, inverse):
+    with pytest.raises(ValueError):
+        inverse(EvenSeq.of(P34, [1.0, bad, 2.0], exact=False))
+
+
+@pytest.mark.parametrize("inverse", [abel_inv, abel_inv_rearranged], ids=lambda f: f.__name__)
+def test_abel_inverse_float_lanes_raise_past_the_float_range(inverse):
+    # at (4, 2), f(0) = g(0) - 2 q^(-1/2) g(1) is about 2.15e308 on these values
+    params = GraphParams(4, 2)
+    values = [1e308, -1e308]
+    exact = inverse(EvenSeq.of(params, [Fraction(v) for v in values])).values[0]
+    assert exact.b > 0 and exact.a + exact.b * Fraction(17, 10) > sys.float_info.max  # sqrt(3) > 1.7
+    with pytest.raises(OverflowError):
+        inverse(EvenSeq.of(params, values, exact=False))
+
+
+_RING_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
+                   "__rmul__", "__truediv__", "__rtruediv__", "__pow__", "inverse")
+
+
+def _refuse_ring_arithmetic(monkeypatch):
+    def refused(*args):
+        raise AssertionError("ring arithmetic ran")
+
+    for name in _RING_OPERATORS:
+        monkeypatch.setattr(AlgebraicValue, name, refused)
+    monkeypatch.setattr(ExactRing, "qpow", refused)
+
+
+def test_abel_inverses_do_no_ring_arithmetic(monkeypatch):
+    rng = random.Random(79)
+    cases = []
+    for params in (P34, GraphParams(3, 3), GraphParams(2, 2)):
+        g = EvenSeq.of(params, [_fractional_value(rng, params.q) for _ in range(12)])
+        cases.append((g, abel_inv(g).values, abel_inv_rearranged(g).values))
+    f = RadialSeq.of(P34, cases[0][1])
+    _refuse_ring_arithmetic(monkeypatch)
+    for g, plain, rearranged in cases:
+        assert abel_inv(g).values == plain
+        assert abel_inv_rearranged(g).values == rearranged
+    # abel still runs on ring values: the bench's radial_exact trace asserts
+    # algebraic.ring_ops > 0 (bench/test_bench.py:97), and abel is what it counts
+    with pytest.raises(AssertionError, match="ring arithmetic ran"):
+        abel(f)
+
+
+def test_oversized_abel_inverse_input_is_refused_before_encode(monkeypatch):
+    def no_arithmetic(*args):
+        raise AssertionError("arithmetic ran")
+
+    g = EvenSeq.of(P34, [1] * 5774)  # 5773 values is the last admitted length
+    monkeypatch.setattr(ExactRing, "encode", no_arithmetic)
+    messages = set()
+    for inverse in (abel_inv, abel_inv_rearranged):
+        with pytest.raises(ValueError) as err:
+            inverse(g)
+        messages.add(str(err.value))
+    assert len(messages) == 1 and str(MAX_CLOSED_BITS) in messages.pop()
