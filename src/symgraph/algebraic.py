@@ -347,10 +347,6 @@ class ExactRing:
         den = scale * q ** (m // 2)
         return lambda A, B: _canonical(A, B, den, q)
 
-    def decode(self, parts, scale: int, m: int) -> list:
-        """``decoder(scale, m)`` mapped over the values of parts, sequences of Python ints."""
-        return list(map(self.decoder(scale, m), *parts))
-
 
 def _lift(x: float) -> Fraction:
     # the exact binary rational of a finite float
@@ -365,10 +361,9 @@ class FloatRing:
     Its array lane is exact: ``encode`` lifts each value to its exact binary
     rational (-0.0 comes back as 0.0) and encodes it with the exact ring, as
     parts (A, B), or (A, B, A', B') with the imaginary plane second when any
-    value is complex; ``times_root`` acts on each plane, and ``decoder`` (and
-    so ``decode``) rounds each exact value once.  A NaN or infinite value
-    raises ``ValueError``, a decoded value past the float range
-    ``OverflowError``.
+    value is complex; ``times_root`` acts on each plane, and ``decoder``
+    rounds each exact value once.  A NaN or infinite value raises
+    ``ValueError``, a decoded value past the float range ``OverflowError``.
     """
 
     __slots__ = ("q", "zero", "_exact")
@@ -405,8 +400,6 @@ class FloatRing:
 
         return one
 
-    decode = ExactRing.decode
-
 
 # the shared rings, at most 64, keyed by (q, lane); the oldest is dropped first
 _RINGS: dict[tuple[int, bool], "ExactRing | FloatRing"] = {}
@@ -420,11 +413,11 @@ def ring_of(q: int, exact: bool = True) -> ExactRing | FloatRing:
     float or a complex times ``Fraction(n, d)`` stays in its own lane.
     For array code each ring also has ``encode`` (value lists to integer
     parts, tuples of Python ints, over a common denominator), ``times_root``
-    (multiply parts, numbers or arrays, by sqrt(q)) and ``decode`` (parts
-    over ``scale * sqrt(q)^m`` back to values), which maps ``decoder(scale,
-    m)``, the function of one value's parts, over them.  Both lanes run that
-    arithmetic exactly (see ``FloatRing``), so integer linear maps act on
-    the parts the same way in both.
+    (multiply parts, numbers or arrays, by sqrt(q)) and ``decoder(scale,
+    m)``, the function from one value's parts over ``scale * sqrt(q)^m``
+    back to its value.  Both lanes run that arithmetic exactly (see
+    ``FloatRing``), so integer linear maps act on the parts the same way in
+    both.
     """
     key = (q, bool(exact))
     if key not in _RINGS:

@@ -31,7 +31,7 @@ import time
 from fractions import Fraction
 
 from .algebraic import AlgebraicValue, parse_value, sqrt_q
-from .boundary import BoundaryRay
+from .boundary import BoundaryRay, _sphere_horocycle_row
 from .checks import grid_params, run_suite
 from .spectral import (
     QuadratureError,
@@ -185,8 +185,6 @@ def cmd_table(params: GraphParams, args) -> tuple[dict, list, dict, int]:
         for n in range(args.nmax + 1):
             outputs += _rows(f"delta[{n}]", params.delta(n))
     elif args.table == "b":
-        from .boundary import _sphere_horocycle_row
-
         for n in range(args.nmax + 1):
             row, w = _sphere_horocycle_row(params, n, args.hmax), min(n, args.hmax)
             for h in range(-args.hmax, args.hmax + 1):
@@ -360,8 +358,6 @@ def cmd_wave(params: GraphParams, args) -> tuple[dict, list, dict, int]:
     field = None
     if args.method in ("direct", "both"):
         field = wave_direct(params, data, args.steps, observe_radius=observe)
-        if not args.at:  # every value is printed: decode each slice whole
-            field.decode_all()
     worst = 0.0
     for n in times:
         # ball() goes sphere by sphere: the ball at time n is a prefix of words
@@ -538,7 +534,7 @@ def main(argv=None) -> int:
     try:
         inputs, outputs, diagnostics, code = args.handler(params, args)
         text = _emit(params, args, inputs, outputs, diagnostics, started)
-    except (ValueError, NotImplementedError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OverflowError:

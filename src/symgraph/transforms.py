@@ -20,19 +20,19 @@ Conventions:
 The closed forms state the paper's formulas as double sums.  Each kernel is a
 sum of at most two geometric series, with ratios q and 1-k, so each form is
 evaluated with running prefix or suffix sums in O(N) operations.  ``abel``
-runs on ring values; its float lane scales the sums to the size of the
-values and multiplies them by no rounded constant repeatedly.  The two Abel
-inverses, the dual pair and the two dual oracles run on the ring's encoded
-parts (``encode``, ``times_root``, ``decode``), exact in both lanes (see
+runs on ring values; its float lane runs the same recurrence in float
+arithmetic and multiplies T(h) by the rounded q^(h/2).  The two Abel inverses,
+the dual pair and the two dual oracles run on the ring's encoded parts
+(``encode``, ``times_root``, ``decoder``), exact in both lanes (see
 ``algebraic.FloatRing``): integer combinations of the input's parts over one
-denominator, decoded once per output value, so a float output is float() of
-the exact transform of the lifted inputs.  Shared arithmetic is not a shared
-formula: each form keeps its own, so the two inverses check each other and
-the round trip through ``abel``, the counts sum (h and -h apart) and the
-forward recurrence check the dual pair, and ``radon`` and ``abel_via_radon``
-check ``abel`` by enumeration, from integer counts per sphere and horocycle
-over one array walk of the ball (``words._walk``), so their ring arithmetic
-grows with the shells, not the words.
+denominator, each output value decoded by one decoder call, so a float output
+is float() of the exact transform of the lifted inputs.  Shared arithmetic is
+not a shared formula: each form keeps its own, so the two inverses check each
+other and the round trip through ``abel``, the counts sum (h and -h apart) and
+the forward recurrence check the dual pair, and ``radon`` and
+``abel_via_radon`` check ``abel`` by enumeration, from integer counts per
+sphere and horocycle over one array walk of the ball (``words._walk``), so
+their ring arithmetic grows with the shells, not the words.
 
 A closed form of N values holds about N^2 log2(q) bits, and one past
 ``MAX_CLOSED_BITS`` is refused with ``ValueError`` before any arithmetic;
@@ -43,7 +43,7 @@ the dual oracles share that bound.  The dual transforms refuse a negative
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from operator import add, mul
 
 from .algebraic import ring_of
 from .boundary import BoundaryRay, DepthError, _horocycle_profile, _sphere_horocycle_row
@@ -284,7 +284,7 @@ def abel_inv(g: EvenSeq) -> RadialSeq:
             geometric = (1 - k) * (geometric + e)
             sums.append(plain - geometric)
         out.append(sums[::-1])
-    return RadialSeq(g.params, tuple(g.ring.decode(out, k * scale, M)), g.exact)
+    return RadialSeq(g.params, tuple(map(g.ring.decoder(k * scale, M), *out)), g.exact)
 
 
 def abel_inv_rearranged(g: EvenSeq) -> RadialSeq:
@@ -313,7 +313,7 @@ def abel_inv_rearranged(g: EvenSeq) -> RadialSeq:
             geometric = (1 - k) * (geometric + (1 - k) * t[n + 2])
             sums.append(k * (t[n] - (k - 2) * t[n + 1]) - (q - 1) * plain - (r - k) * geometric)
         out.append(sums[::-1])
-    return RadialSeq(g.params, tuple(g.ring.decode(out, k * scale, M)), g.exact)
+    return RadialSeq(g.params, tuple(map(g.ring.decoder(k * scale, M), *out)), g.exact)
 
 
 # -- dual Abel transform and inverses ---------------------------------------------
@@ -339,7 +339,7 @@ def dual_abel(g: EvenSeq, n_max: int | None = None) -> RadialSeq:
     parts of g as the ring's ``encode`` gives them, over one denominator D.
     Times r sqrt(q)^(n+1), A*g(n) is sqrt(q) (2 (r-1) g(n) + (r-2) same)
     + (k-2) (r-1) diff, an integer combination taking its sqrt(q) by one
-    ``times_root``, and one ``decode`` over r D sqrt(q)^(n+1) gives A*g(n),
+    ``times_root``, and one decoder call over r D sqrt(q)^(n+1) gives A*g(n),
     in either lane.  O(n_max) integer operations; an n_max past
     ``MAX_CLOSED_BITS`` raises ``ValueError`` first.
     """
@@ -349,12 +349,12 @@ def dual_abel(g: EvenSeq, n_max: int | None = None) -> RadialSeq:
     _check_size(params, n_max + 1)
     scale, (parts,) = ring.encode([g.values[: n_max + 1]])
     columns = [column + (0,) * (n_max + 1 - len(column)) for column in parts]
-    out = ring.decode([[column[0]] for column in columns], scale, 0)
     same, diff = [0] * len(columns), [column[0] for column in columns]
+    out = [ring.decoder(scale, 0)(*diff)]
     for n in range(1, n_max + 1):
         inner = [2 * (r - 1) * column[n] + (r - 2) * s for column, s in zip(columns, same)]
-        total = [[x + sigma * (r - 1) * d] for x, d in zip(ring.times_root(inner), diff)]
-        out.append(ring.decode(total, r * scale, n + 1)[0])
+        total = [x + sigma * (r - 1) * d for x, d in zip(ring.times_root(inner), diff)]
+        out.append(ring.decoder(r * scale, n + 1)(*total))
         same, diff = diff, [s + 2 * column[n] for column, s in zip(columns, same)]
     return RadialSeq(params, tuple(out), g.exact)
 
@@ -375,7 +375,7 @@ def dual_abel_via_counts(g: EvenSeq, n_max: int | None = None) -> RadialSeq:
     The weights of a row are formed once and serve every part: the products
     with g(h) over the signed h of each parity add as plain integers in one
     C-level sum, the odd sum takes its sqrt(q) by one ``times_root``, and
-    one ``decode`` over D delta(n) sqrt(q)^n gives A*g(n); h and -h stay
+    one decoder call over D delta(n) sqrt(q)^n gives A*g(n); h and -h stay
     apart, never grouped as in ``dual_abel``.  A negative ``n_max``, or one
     past ``MAX_CLOSED_BITS``, raises ``ValueError`` before any arithmetic.
     """
@@ -398,8 +398,8 @@ def dual_abel_via_counts(g: EvenSeq, n_max: int | None = None) -> RadialSeq:
             terms = list(map(mul, weights, column[M - w: M + w + 1]))
             sums[0].append(sum(terms[even::2]))
             sums[1].append(sum(terms[1 - even::2]))
-        total = [[a + b] for a, b in zip(sums[0], ring.times_root(sums[1]))]
-        out.append(ring.decode(total, scale * params.delta(n), n)[0])
+        total = map(add, sums[0], ring.times_root(sums[1]))
+        out.append(ring.decoder(scale * params.delta(n), n)(*total))
     return RadialSeq(params, tuple(out), g.exact)
 
 
@@ -425,7 +425,7 @@ def dual_abel_inv(f: RadialSeq, n_max: int | None = None) -> EvenSeq:
         -deg [(q-1) P(n) + (r-k) Q(n)] + k r deg q^(n-1) (q f(n) - sigma f(n-1))
 
     with deg = r(k-1) and sigma = k-2, an integer with no sqrt(q), so one
-    ``decode`` over 2krD sqrt(q)^(n+2) gives g(n); g(0) and g(1) are decoded
+    decoder call over 2krD sqrt(q)^(n+2) gives g(n); g(0) and g(1) are decoded
     over the same denominator.  O(N) integer operations; N past
     ``MAX_CLOSED_BITS`` raises ``ValueError`` first.
 
@@ -454,7 +454,7 @@ def dual_abel_inv(f: RadialSeq, n_max: int | None = None) -> EvenSeq:
             scaled.append(k * r * deg * power * (q * part[n] - sigma * part[n - 1])
                           - deg * ((q - 1) * plain + (r - k) * geometric))
         columns.append(scaled[: N + 1])
-    out = [ring.decode([[x] for x in column], 2 * k * r * scale, n + 2)[0]
+    out = [ring.decoder(2 * k * r * scale, n + 2)(*column)
            for n, column in enumerate(zip(*columns))]
     return EvenSeq(params, tuple(out), f.exact)
 
@@ -473,7 +473,7 @@ def dual_abel_inv_recurrence(f: RadialSeq, n_max: int | None = None) -> EvenSeq:
     The forcing term is (r(k-1)/2) (q^(n+1) f(n+2) - q^n f(n)), with no
     sqrt(q), so H(n) = 2 D G(n) runs on the parts of f as the ring's
     ``encode`` gives them, over one denominator D, with integer coefficients;
-    one ``decode`` over 2 D sqrt(q)^n gives g(n).  A negative ``n_max``, or
+    one decoder call over 2 D sqrt(q)^n gives g(n).  A negative ``n_max``, or
     one past ``MAX_CLOSED_BITS``, raises ``ValueError`` before any arithmetic.
     """
     params, ring = f.params, f.ring
@@ -492,8 +492,7 @@ def dual_abel_inv_recurrence(f: RadialSeq, n_max: int | None = None) -> EvenSeq:
             big_h.append(forcing - sigma * big_h[n + 1] + (k - 1) * big_h[n])
             power *= q
         columns.append(big_h[: N + 1])
-    out = [ring.decode([[h] for h in column], 2 * scale, n)[0]
-           for n, column in enumerate(zip(*columns))]
+    out = [ring.decoder(2 * scale, n)(*column) for n, column in enumerate(zip(*columns))]
     return EvenSeq(params, tuple(out), f.exact)
 
 

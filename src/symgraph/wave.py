@@ -21,9 +21,9 @@ lane.  The arrays follow ``ball()`` order
 (see ``words.position``), in which the neighbour sum needs no table; each
 support word is placed in it once per solve.  Each time slice keeps its
 parts and its ring's one-value decoder (``decoder``) and decodes on read:
-one value with one decoder call when one word is read, the whole slice once
-when it is read in full.  The slices of a solve share one index from a word
-to its slot, so a word read at many times is placed once.  A window of more
+one decoder call per value read, one word or the whole slice.  The slices
+of a solve share one index from a word to its slot, so a word read at many
+times is placed once.  A window of more
 than ``MAX_WINDOW_VALUES`` vertex-values is refused up front.
 
 Closed-form evaluation is one formula in every regime: Asgeirsson's mean
@@ -54,7 +54,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import add, mul
 
 import numpy as np
@@ -228,13 +228,6 @@ class WaveField:
             )
         return fun.value(x)
 
-    def decode_all(self) -> None:
-        """Decode every time slice whole, once, for a caller that reads every
-        value: later reads are plain dict lookups."""
-        for fun in self.fields.values():
-            if isinstance(fun.data, _Slice):
-                fun.data = fun.data.decoded()
-
     def check_recurrence(self, radius: int) -> None:
         """Assert the wave equation at every interior (x, n) with |x| <= radius.
 
@@ -325,29 +318,26 @@ def _on_ball(columns, slots: list[int], size: int, dtype) -> list:
 
 class _Slice(Mapping):
     """One stepper time slice, read-only: the values on ``ball(radius)`` in
-    ``ball()`` order, kept as the parts of w(n) until read, each value being
-    ``decode`` (the ring's ``decoder`` for this time) of its parts.
+    ``ball()`` order, kept as the parts of w(n), each value being ``decode``
+    (the ring's ``decoder`` for this time) of its parts where it is read.
 
     Reading one word decodes that value alone, with one call (a word of
     another graph or past the radius raises ``KeyError``, as a dict would),
     and ``len`` decodes nothing.  The slices of one field share ``index``, a
     dict from the syllables of each word read so far to its ``ball()`` slot,
-    so a word is placed once per field, not once per slice.  Any full read
-    (iteration, and so ``keys``/``items``/``values``) decodes the whole
-    slice once; from then on it reads the dict of ``decoded()``, keyed by
-    ``words()``, the shared list of the stepped ball."""
+    so a word is placed once per field, not once per slice.  Iteration walks
+    ``words()``, the shared list of the stepped ball, up to the slice's
+    size, and ``items``/``values`` read each value as one word."""
 
     __slots__ = ("_params", "_decode", "_parts", "_size", "_radius", "_offsets", "_index",
-                 "_words", "_full")
+                 "_words")
 
     def __init__(self, params, decode, parts, radius, offsets, index, words):
         self._params, self._decode, self._parts = params, decode, parts
         self._size, self._radius, self._offsets = len(parts[0]), radius, offsets
-        self._index, self._words, self._full = index, words, None
+        self._index, self._words = index, words
 
     def __getitem__(self, x):
-        if self._full is not None:
-            return self._full[x]
         if not (isinstance(x, ReducedWord)
                 and (x.params is self._params or x.params == self._params)):
             raise KeyError(x)
@@ -361,16 +351,10 @@ class _Slice(Mapping):
         return self._decode(*[part[slot] for part in self._parts])
 
     def __len__(self) -> int:
-        return self._size if self._full is None else len(self._full)
-
-    def decoded(self) -> dict:
-        if self._full is None:
-            self._full = dict(zip(self._words(), map(self._decode, *self._parts)))
-            self._parts = None
-        return self._full
+        return self._size
 
     def __iter__(self):
-        return iter(self.decoded())
+        return islice(self._words(), self._size)
 
 
 def _require_graph(params: GraphParams, home: GraphParams, what: str) -> None:
@@ -410,9 +394,9 @@ def wave_direct(params: GraphParams, data: CauchyData, steps: int,
     the ring's ``decoder`` for time n, ``at`` decodes the one value it reads
     with one decoder call, the slices share one index from a word to its
     slot, so a word is placed once per call, and a full read of a slice
-    decodes it whole, once (``WaveField.decode_all`` does so for every
-    slice).  ``params`` must be the graph of the data, and a negative
-    ``steps`` or ``observe_radius`` raises ``ValueError``.
+    decodes each value as it reads it.  ``params`` must be the graph of the
+    data, and a negative ``steps`` or ``observe_radius`` raises
+    ``ValueError``.
     """
     _require_graph(params, data.params, "data")
     if steps < 0:

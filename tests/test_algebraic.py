@@ -136,7 +136,7 @@ def test_decode_matches_the_public_constructor(k, r):
         (Fraction(1, 2), Fraction(-3, 14)), (Fraction(-4, 9), Fraction(5, 3))]]
     scale, [parts] = ring.encode([values])
     for m in range(5):
-        decoded = ring.decode(parts, scale, m)
+        decoded = list(map(ring.decoder(scale, m), *parts))
         for got, value in zip(decoded, values):
             want = value / q_half_power(q, m)
             assert got == want and hash(got) == hash(want)
@@ -160,7 +160,7 @@ def test_decode_is_the_decoder_mapped_over_the_parts(k, r, exact):
         for m in range(5):
             one = ring.decoder(scale, m)
             mapped = [one(*value) for value in zip(*parts)]
-            decoded = ring.decode(parts, scale, m)
+            decoded = list(map(ring.decoder(scale, m), *parts))
             assert [type(v) for v in decoded] == [type(v) for v in mapped]
             assert decoded == mapped and [repr(v) for v in decoded] == [repr(v) for v in mapped]
             if not exact:  # each plane rounds the exact value once
@@ -306,22 +306,22 @@ def test_float_ring_round_trips_bit_for_bit(q):
         assert len(parts) == (2 if values is FLOAT_EDGES else 4)
         assert all(type(part) is tuple for part in parts)
         assert all(type(v) is int for part in parts for v in part)
-        got = ring.decode(parts, scale, 0)
+        got = list(map(ring.decoder(scale, 0), *parts))
         assert [type(v) for v in got] == [type(v) for v in values]
         assert [repr(v) for v in got] == [repr(v) for v in values]
     # one imaginary part anywhere gives every column an imaginary plane
     scale, columns = ring.encode([[1.5], [2.0, complex(0.0, -1.0)]])
     assert [len(parts) for parts in columns] == [4, 4]
-    assert ring.decode(columns[0], scale, 0) == [complex(1.5, 0.0)]
+    assert list(map(ring.decoder(scale, 0), *columns[0])) == [complex(1.5, 0.0)]
 
 
 def test_float_ring_drops_the_sign_of_zero():
     ring = ring_of(6, exact=False)
     scale, [parts] = ring.encode([[-0.0, complex(-0.0, -0.0)]])
-    got = ring.decode(parts, scale, 0)
+    got = list(map(ring.decoder(scale, 0), *parts))
     assert [repr(v) for v in got] == [repr(0j), repr(0j)]
     scale, [parts] = ring.encode([[-0.0]])
-    assert repr(ring.decode(parts, scale, 0)[0]) == "0.0"
+    assert repr(list(map(ring.decoder(scale, 0), *parts))[0]) == "0.0"
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1.0, math.nan),
@@ -336,11 +336,11 @@ def test_float_ring_times_root_rounds_the_exact_product_once(q):
     ring = ring_of(q, exact=False)
     values = [1.0, -2.5, 1 / 3, 1e300, 5e-324, 0.1]
     scale, [parts] = ring.encode([values])
-    got = ring.decode(ring.times_root(parts), scale, 0)
+    got = list(map(ring.decoder(scale, 0), *ring.times_root(parts)))
     want = [float(sqrt_q(q) * AlgebraicValue(Fraction(x), 0, q)) for x in values]
     assert [repr(v) for v in got] == [repr(v) for v in want]
     scale, [parts] = ring.encode([[complex(x, -x / 7) for x in values]])
-    got = ring.decode(ring.times_root(parts), scale, 0)
+    got = list(map(ring.decoder(scale, 0), *ring.times_root(parts)))
     want = [complex(float(sqrt_q(q) * Fraction(x)), float(sqrt_q(q) * Fraction(-x / 7)))
             for x in values]
     assert [repr(v) for v in got] == [repr(v) for v in want]
@@ -348,7 +348,7 @@ def test_float_ring_times_root_rounds_the_exact_product_once(q):
     scale, [parts] = ring.encode([[1.7976931348623157e308]])
     if q > 1:
         with pytest.raises(OverflowError):
-            ring.decode(ring.times_root(parts), scale, 0)
+            list(map(ring.decoder(scale, 0), *ring.times_root(parts)))
 
 
 @pytest.mark.parametrize("exact, columns, planes", [
@@ -364,7 +364,7 @@ def test_encode_gives_tuples_of_ints(exact, columns, planes):
     for column, parts in zip(columns, encoded):
         assert all(type(part) is tuple and len(part) == len(column) for part in parts)
         assert all(type(v) is int for part in parts for v in part)
-        assert ring.decode(parts, scale, 0) == [ring.coerce(v) for v in column]
+        assert list(map(ring.decoder(scale, 0), *parts)) == [ring.coerce(v) for v in column]
     if not exact:  # -0.0 is the int 0 in every plane
         assert [part[0] for part in encoded[0]] == [0] * planes
 
@@ -378,9 +378,9 @@ def test_times_root_on_int_parts_multiplies_by_the_root(q):
     for i, value in enumerate(values):
         rooted = [[part] for part in ring.times_root((a[i], b[i]))]
         assert all(type(part[0]) is int for part in rooted)
-        got = ring.decode(rooted, scale, 0)[0]
+        got = list(map(ring.decoder(scale, 0), *rooted))[0]
         assert got == sqrt_q(q) * value and repr(got) == repr(sqrt_q(q) * value)
-        assert ring.decode(rooted, scale, 1)[0] == value
+        assert list(map(ring.decoder(scale, 1), *rooted))[0] == value
 
 
 # -- one shared ring per (q, lane) ----------------------------------------------------

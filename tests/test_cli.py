@@ -1005,3 +1005,14 @@ def test_valid_argv_fuzz_reaches_answers():
     check()
     assert 2 * len(answered) >= len(seen), (len(answered), len(seen))
     assert set(answered) == {"json", "csv"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["invert", "--k", "3", "--r", "4", "--values", "e", "--at", "e"],
+    ["helgason", "--k", "3", "--r", "4", "--values", "e", "--lambda", "0.3", "--ray", "a0^1"],
+    ["wave", "--k", "3", "--r", "4", "--f", "e", "--steps", "1"],
+], ids=lambda argv: argv[0])
+def test_an_item_without_a_value_is_one_error_line(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: expected 'word:value', got 'e'\n"

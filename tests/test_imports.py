@@ -1,5 +1,5 @@
-"""No package module imports a name it never uses, and no private helper
-goes unused.
+"""No package module imports a name it never uses or imports inside a
+function, and no private helper goes unused.
 
 Checked with ``ast`` alone: a name counts as used when the module reads it,
 lists it in ``__all__`` or names it in a quoted annotation.  An import whose
@@ -90,6 +90,33 @@ def test_the_check_finds_an_unused_private_helper():
 def test_every_private_helper_is_named_outside_its_definition():
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
     assert unnamed_private_defs(sources) == []
+
+
+def function_level_imports(source: str) -> list[str]:
+    """The imports made inside a function, at any depth, as 'line: statement'."""
+    found = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(node):
+                if isinstance(inner, (ast.Import, ast.ImportFrom)):
+                    found[inner.lineno] = f"{inner.lineno}: {ast.unparse(inner)}"
+    return [found[line] for line in sorted(found)]
+
+
+def test_the_check_finds_an_import_inside_a_function():
+    source = ("import math\nfrom .words import _walk\n"
+              "def f():\n    from numpy import array\n"
+              "    def g():\n        import json\n    return g\n"
+              "class C:\n    import re\n    def h(self):\n        import os\n")
+    assert function_level_imports(source) == ["4: from numpy import array", "6: import json",
+                                              "11: import os"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_inside_a_function(path):
+    # every import runs once, at module level, where the import checks above
+    # and a reader see it
+    assert function_level_imports(path.read_text(encoding="utf-8")) == []
 
 
 def imported_modules(source: str) -> set[str]:

@@ -639,3 +639,21 @@ def test_pair_product_identity():
                     )
                 total /= params.delta(depth)
                 assert abs(total - table[distance(y, x)]) < 1e-12
+
+
+OTHER = GraphParams(2, 3)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda f: convolve(f, VertexFun.delta_at(OTHER.identity())), ValueError),
+    (lambda f: convolve_radial(f, RadialSeq.of(OTHER, [1, 1])), ValueError),
+    (lambda f: kunze_stein_check(f, RadialSeq.of(OTHER, [1, 1])), ValueError),
+    (lambda f: helgason_transform(f, 0.3, BoundaryRay.alternating(P34, 1)), DepthError),
+    (lambda f: helgason_via_horocycles(f, 0.3, BoundaryRay.alternating(P34, 1)), DepthError),
+    (lambda f: phi_oracle(P34, 0.3, P34.generator(0), 1), DepthError),
+], ids=["convolve", "convolve_radial", "kunze_stein_check", "helgason_transform",
+        "helgason_via_horocycles", "phi_oracle"])
+def test_operands_from_another_graph_and_shallow_rays_are_refused(call, error):
+    # f sits at |x| = 1: a ray or cylinder depth of 1 is no deeper than it
+    with pytest.raises(error):
+        call(VertexFun.delta_at(P34.generator(0)))

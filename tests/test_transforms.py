@@ -927,3 +927,9 @@ def test_oversized_abel_inverse_input_is_refused_before_encode(monkeypatch):
             inverse(g)
         messages.add(str(err.value))
     assert len(messages) == 1 and str(MAX_CLOSED_BITS) in messages.pop()
+
+
+@pytest.mark.parametrize("cls", [RadialSeq, EvenSeq])
+def test_a_sequence_needs_its_value_at_zero(cls):
+    with pytest.raises(ValueError, match=f"{cls.__name__} needs at least the value at 0"):
+        cls.of(P34, [])

@@ -576,9 +576,8 @@ def test_float_solvers_round_the_exact_solve_once(params):
         numeric = data(f, g_values, False)
         lazy = wave_direct(params, numeric, steps, observe)
         full = wave_direct(params, numeric, steps, observe)
-        full.decode_all()
         for n in [m for m in range(-steps, steps + 1) if m]:  # u(., 0) is f as given
-            read = full.fields[n].data
+            read = dict(full.fields[n].data.items())
             for x in ball(params, observe):
                 value = want(x, n)
                 for got in (lazy.at(x, n), read[x], wave_closed_at(params, numeric, x, n)):
@@ -880,7 +879,7 @@ def test_stepper_refuses_a_negative_observe_radius(monkeypatch):
 @pytest.mark.parametrize("exact", [True, False])
 def test_slices_decode_on_read(params, exact, monkeypatch):
     # a slice keeps its parts: len decodes nothing, a word read decodes one
-    # value with one decoder call, a full read decodes the slice once in
+    # value with one decoder call, a full read decodes each value once in
     # ball() order, and every read agrees with the word-by-word reference
     # and with every other read
     steps, observe = 3, 1
@@ -923,10 +922,13 @@ def test_slices_decode_on_read(params, exact, monkeypatch):
             zeros.append(field.at(past, n))
         assert decodes == [abs(n)] * len(words)
         # a full read of a slice never read before decodes each value once,
-        # in ball() order, and a second full read decodes nothing
+        # in ball() order, and a second full read decodes every value again,
+        # to equal values with equal repr
         items = list(full.items())
         assert decodes[len(words):] == [abs(n)] * len(words)
-        assert list(full.items()) == items and len(decodes) == 2 * len(words)
+        again = list(full.items())
+        assert again == items and len(decodes) == 3 * len(words)
+        assert [repr(v) for _, v in again] == [repr(v) for _, v in items]
         assert [x for x, _ in items] == words
         for x, (_, value), one in zip(words, items, before):
             assert value == one and repr(value) == repr(one)
@@ -983,3 +985,27 @@ def test_asgeirsson_wave_lift():
     for m, n in [(1, 2), (2, 3), (3, 3), (0, 2)]:
         lhs, rhs = asgeirsson_means(params, U, x, y, m, n)
         assert lhs == rhs
+
+
+def test_zero_steps_return_time_zero_alone():
+    params = GraphParams(3, 4)
+    f = VertexFun.of(params, {params.generator(0): Fraction(1, 3)})
+    field = wave_direct(params, CauchyData(f, VertexFun.of(params, {})), 0)
+    assert field.times == [0] and field.fields[0].data == f.data
+    assert field.at(params.generator(0), 0) == Fraction(1, 3)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda f, g: wave_direct(f.params, CauchyData(f, g), -1), "steps must be nonnegative"),
+    (lambda f, g: wave_direct(f.params, CauchyData(f, g), 1, observe_radius=-1),
+     "observe_radius must be nonnegative"),
+    (lambda f, g: CauchyData(f, VertexFun.of(GraphParams(2, 3), {})), "different graphs"),
+    (lambda f, g: CauchyData(f, VertexFun.of(f.params, {}, exact=False)),
+     "arithmetic flavour"),
+], ids=["negative steps", "negative observe_radius", "data on another graph",
+        "data in another lane"])
+def test_the_stepper_and_its_data_refuse_what_they_document(make, message):
+    params = GraphParams(3, 4)
+    f, g = VertexFun.delta_at(params.generator(0)), VertexFun.of(params, {})
+    with pytest.raises(ValueError, match=message):
+        make(f, g)
